@@ -1,8 +1,7 @@
 // Shared patch-iteration helper: the single source of truth for the
 // im2col-style index arithmetic that Conv2d's forward (GEMM lowering) and
-// backward both need. Before this helper the two passes carried mirrored
-// copies of the stride/padding bounds logic; any future geometry change now
-// lands in exactly one place.
+// the naive reference backward loops (nn/reference.cpp) both need, so a
+// geometry change lands in exactly one place.
 #pragma once
 
 #include "sys/types.hpp"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <thread>
 
@@ -57,6 +58,15 @@ inline float bias_for(const float* bias, Bias kind, usize n) {
   return kind == Bias::kPerCol ? bias[n] : 0.0f;
 }
 
+/// Starting value of the accumulator for output (row c, column n0 + r) of an
+/// N-column GEMM; `c` points at the row's column n0. Lanes past the ragged
+/// edge read a clamped in-bounds element and are never stored.
+inline float acc_start(const float* bias, Bias kind, const float* c, usize ccs, usize n0,
+                       usize r, usize N) {
+  const usize n = n0 + r < N ? n0 + r : N - 1;
+  return kind == Bias::kAccumulate ? c[(n - n0) * ccs] : bias_for(bias, kind, n);
+}
+
 /// The serial kernel body: one float accumulator per output, advanced in
 /// ascending k. The inner k loops are the simd:: microkernels -- explicit
 /// AVX2/NEON register tiles with one output column per vector lane, byte-
@@ -81,8 +91,9 @@ void kernel(const simd::Kernels& simd_kernels, usize M, usize N, usize K, const 
         for (usize i = 0; i < kMr; ++i) a[i] = A + (m + i) * lda;
         float acc[kMr][kNr];
         for (usize i = 0; i < kMr; ++i) {
+          const float* c = C + (m + i) * crs + n0 * ccs;
           for (usize r = 0; r < kNr; ++r) {
-            acc[i][r] = bias_for(bias, bias_kind, n0 + r < N ? n0 + r : N - 1);
+            acc[i][r] = acc_start(bias, bias_kind, c, ccs, n0, r, N);
           }
         }
         simd_kernels.tile8(K, a, panel, &acc[0][0]);
@@ -93,12 +104,10 @@ void kernel(const simd::Kernels& simd_kernels, usize M, usize N, usize K, const 
       }
       for (; m < m1; ++m) {
         const float* a = A + m * lda;
-        float acc[kNr];
-        for (usize r = 0; r < kNr; ++r) {
-          acc[r] = bias_for(bias, bias_kind, n0 + r < N ? n0 + r : N - 1);
-        }
-        simd_kernels.row1(K, a, panel, acc);
         float* c = C + m * crs + n0 * ccs;
+        float acc[kNr];
+        for (usize r = 0; r < kNr; ++r) acc[r] = acc_start(bias, bias_kind, c, ccs, n0, r, N);
+        simd_kernels.row1(K, a, panel, acc);
         for (usize r = 0; r < rows; ++r) c[r * ccs] = acc[r];
       }
     }
@@ -172,8 +181,26 @@ usize packed_index(usize n, usize k, usize K) {
 }
 
 void pack_b(const float* B, usize ldb, usize N, usize K, float* packed) {
+  pack_b_block(B, ldb, N, K, 0, K, packed);
+}
+
+void pack_b_block(const float* B, usize ldb, usize N, usize K, usize k0, usize ktot,
+                  float* packed) {
   for (usize n0 = 0; n0 < N; n0 += kNr) {
-    pack_panel(B + n0 * ldb, ldb, std::min(kNr, N - n0), K, packed + n0 * K);
+    pack_panel(B + n0 * ldb, ldb, std::min(kNr, N - n0), K, packed + n0 * ktot + k0 * kNr);
+  }
+}
+
+void pack_bt(const float* Bt, usize ldbt, usize N, usize K, float* packed) {
+  for (usize n0 = 0; n0 < N; n0 += kNr) {
+    const usize rows = std::min(kNr, N - n0);
+    float* panel = packed + n0 * K;
+    for (usize k = 0; k < K; ++k) {
+      const float* src = Bt + k * ldbt + n0;
+      float* dst = panel + k * kNr;
+      for (usize r = 0; r < rows; ++r) dst[r] = src[r];
+      for (usize r = rows; r < kNr; ++r) dst[r] = 0.0f;
+    }
   }
 }
 
@@ -284,6 +311,7 @@ void quantize_activations(const float* A, usize M, usize K, usize lda, float sca
 
 void gemm_nt_int8(usize M, usize N, usize K, const i8* A, const i8* packed_b, float* C,
                   usize crs, usize ccs, const float* bias, Bias bias_kind, float requant) {
+  assert(bias_kind != Bias::kAccumulate);
   if (M == 0 || N == 0) return;
   const usize K4 = padded_k_int8(K);
   const usize astride = M * 4;  ///< quad pitch of the full A panel

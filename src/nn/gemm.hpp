@@ -5,15 +5,19 @@
 // which is exactly how Dense (x rows x weight rows) and the im2col lowering
 // of Conv2d (weight rows x patch rows) present their data. The kernel packs B
 // into 8-row interleaved panels so the inner loop is a contiguous SIMD-
-// friendly stream, and tiles M for L2 residency of the panel.
+// friendly stream, and tiles M for L2 residency of the panel. Operands that
+// are stored the other way round are packed straight from their own layout
+// (pack_bt, pack_b_block), which is how the backward passes lower onto the
+// same kernel.
 //
 // Bit-exactness contract: every output element is produced by ONE float
-// accumulator initialised with its bias term and advanced in strictly
-// ascending k -- the accumulation order of the original hand-rolled loops in
-// src/nn/layers.cpp (retained verbatim in src/nn/reference.cpp). Blocking and
-// packing only reorder *independent* accumulators, never the terms within
-// one, so the lowered path is bitwise identical to the naive path
-// (tests/test_gemm.cpp holds this over randomized shapes).
+// accumulator initialised with its bias term (or, in accumulate mode, with
+// the current C element) and advanced in strictly ascending k -- the
+// accumulation order of the original hand-rolled forward and backward loops
+// (retained verbatim in src/nn/reference.cpp). Blocking and packing only
+// reorder *independent* accumulators, never the terms within one, so the
+// lowered path is bitwise identical to the naive path (tests/test_gemm.cpp
+// holds this over randomized shapes).
 //
 // Threading extends the same contract: the kernel partitions the OUTPUT
 // (contiguous M row chunks, or B panel groups when M is smaller than the
@@ -39,13 +43,21 @@ class Workspace;
 
 namespace gemm {
 
-/// How the per-output accumulator is initialised. Both lowerings put the
-/// bias-carrying dimension on the GEMM columns: for Dense, n is the output
-/// feature; for Conv2d (patches as rows, weights as columns), n is the
+/// How the per-output accumulator is initialised. Both forward lowerings put
+/// the bias-carrying dimension on the GEMM columns: for Dense, n is the
+/// output feature; for Conv2d (patches as rows, weights as columns), n is the
 /// output channel.
+///
+/// kAccumulate gives `C += A B^T` semantics for the backward lowerings'
+/// parameter gradients: the accumulator starts at the current C element and
+/// is stored back after the last k, so splitting a reduction across calls
+/// (or continuing one started by other code) adds the same terms in the same
+/// order as one uninterrupted loop -- a float store and reload is exact.
+/// Float GEMMs only; the int8 path has no accumulate mode.
 enum class Bias : u32 {
-  kNone,    ///< acc starts at 0
-  kPerCol,  ///< acc starts at bias[n]
+  kNone,        ///< acc starts at +0
+  kPerCol,      ///< acc starts at bias[n]
+  kAccumulate,  ///< acc starts at C[m, n] (bias unused, may be null)
 };
 
 /// C[m*ldc + n] = bias_init + sum_k A[m*lda + k] * B[n*ldb + k], for
@@ -65,6 +77,19 @@ void gemm_nt_strided(usize M, usize N, usize K, const float* A, usize lda, const
 
 /// Packs B (N rows, K-major, leading dim ldb) into sequential 8-row panels.
 void pack_b(const float* B, usize ldb, usize N, usize K, float* packed);
+
+/// Packs an N x K block of B into the k range [k0, k0 + K) of a pack_b
+/// layout whose full depth is `ktot` -- lets a caller assemble one operand
+/// whose k dimension spans several separately stored blocks (Conv2d's
+/// dweight GEMM reduces over every sample's output positions at once).
+void pack_b_block(const float* B, usize ldb, usize N, usize K, usize k0, usize ktot,
+                  float* packed);
+
+/// Packs B given TRANSPOSED -- B[n, k] = Bt[k * ldbt + n], i.e. K rows of N
+/// -- into the pack_b layout. Every panel line is one contiguous 8-float
+/// copy; the Dense backward lowerings read the weight and the cached input
+/// this way without materializing their transposes.
+void pack_bt(const float* Bt, usize ldbt, usize N, usize K, float* packed);
 
 /// gemm_nt_strided against a pre-packed B -- lets Conv2d pack its weights
 /// once per forward call instead of once per sample.

@@ -1,5 +1,6 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -15,66 +16,80 @@ namespace dnnd::nn {
 
 namespace {
 
-// Single source of truth for the Dense/Conv2d backward loop bodies. The
-// serial path runs one pass with both flags on; the threaded path runs a
-// dx-only pass partitioned over samples and a dweight/dbias-only pass
-// partitioned over outputs. Every gradient element receives exactly the same
-// terms in the same order in all three instantiations (dx[i] over ascending
-// outputs, dweight/dbias[o] over ascending samples), so serial and threaded
-// results are byte-identical.
+// Backward lowering helpers. Dense and Conv2d backward run on the forward's
+// GEMM kernel (nn/gemm.hpp). Each gradient element is still ONE accumulator
+// advanced over the same terms in the same order as the naive loops kept in
+// nn/reference.cpp; what changed is that zero terms are no longer skipped.
+// The old loops skipped dy == 0 and padded taps, whereas the GEMM adds their
+// products, which are +0 or -0 for finite inputs. Adding a signed zero leaves
+// any accumulator that is not -0 unchanged, and an accumulator that starts
+// at +0 can never become -0 (a float sum is -0 only when both addends are).
+// dx starts at +0, and the parameter gradients start from their zero_grad
+// value (+0) or from earlier sums of the same kind, so the result is
+// byte-identical for finite inputs (tests/test_gemm.cpp pins it against the
+// reference over ragged shapes, and pins the non-finite case separately).
+//
+// The Conv2d gathers read from zero-bordered copies of one sample's planes,
+// so they are plain window copies with no bounds tests: every gathered value
+// is an input or dy value, or an exact +0.
 
-template <bool kDx, bool kDw>
-void dense_backward_span(const Tensor& dy, const Tensor& x, const Tensor& weight, usize in,
-                         usize i_lo, usize i_hi, usize o_lo, usize o_hi, Tensor& dx,
-                         Tensor& dweight, Tensor& dbias) {
-  for (usize i = i_lo; i < i_hi; ++i) {
-    const float* xi = x.data() + i * in;
-    float* dxi = dx.data() + i * in;
-    for (usize o = o_lo; o < o_hi; ++o) {
-      const float g = dy.at2(i, o);
-      if (g == 0.0f) continue;
-      const float* w = weight.data() + o * in;
-      float* dw = dweight.data() + o * in;
-      if constexpr (kDw) dbias[o] += g;
-      for (usize j = 0; j < in; ++j) {
-        if constexpr (kDw) dw[j] += g * xi[j];
-        if constexpr (kDx) dxi[j] += g * w[j];
+/// Zeroes the C x PH x PW buffer `dst` and copies the C planes of H x W
+/// floats at `src` into it, element (r, q) landing at (r*step + off,
+/// q*step + off). Elements that land outside are dropped.
+void spread_planes(const float* src, usize C, usize H, usize W, usize step, isize off,
+                   usize PH, usize PW, float* dst) {
+  std::fill(dst, dst + C * PH * PW, 0.0f);
+  for (usize c = 0; c < C; ++c) {
+    for (usize r = 0; r < H; ++r) {
+      const isize pr = static_cast<isize>(r * step) + off;
+      if (pr < 0 || pr >= static_cast<isize>(PH)) continue;
+      float* row = dst + (c * PH + static_cast<usize>(pr)) * PW;
+      const float* in = src + (c * H + r) * W;
+      for (usize q = 0; q < W; ++q) {
+        const isize pq = static_cast<isize>(q * step) + off;
+        if (pq >= 0 && pq < static_cast<isize>(PW)) row[pq] = in[q];
       }
     }
   }
 }
 
-template <bool kDx, bool kDw>
-void conv_backward_span(const ConvGeom& g, const Tensor& dy, const Tensor& x,
-                        const Tensor& weight, usize b_lo, usize b_hi, usize oc_lo,
-                        usize oc_hi, Tensor& dx, Tensor& dweight, Tensor& dbias) {
-  const usize K = g.patch_size();
-  for (usize b = b_lo; b < b_hi; ++b) {
-    const float* xb = x.data() + b * g.in_ch * g.h * g.w;
-    float* dxb = dx.data() + b * g.in_ch * g.h * g.w;
-    for (usize oc = oc_lo; oc < oc_hi; ++oc) {
-      float* dwoc = dweight.data() + oc * K;
-      const float* woc = weight.data() + oc * K;
-      for (usize i = 0; i < g.oh; ++i) {
-        for (usize j = 0; j < g.ow; ++j) {
-          const float gy = dy.at4(b, oc, i, j);
-          if (gy == 0.0f) continue;
-          if constexpr (kDw) dbias[oc] += gy;
-          for_each_patch_row(
-              g, i, j,
-              [&](usize kk_row, usize ic, usize hi, usize kj_lo, usize kj_hi, usize wj_lo,
-                  bool row_valid) {
-                if (!row_valid) return;
-                const float* xrow = xb + (ic * g.h + hi) * g.w + wj_lo;
-                float* dxrow = dxb + (ic * g.h + hi) * g.w + wj_lo;
-                float* dwrow = dwoc + kk_row + kj_lo;
-                const float* wrow = woc + kk_row + kj_lo;
-                const usize span = kj_hi - kj_lo;
-                for (usize t = 0; t < span; ++t) {
-                  if constexpr (kDw) dwrow[t] += gy * xrow[t];
-                  if constexpr (kDx) dxrow[t] += gy * wrow[t];
-                }
-              });
+/// Tap-major patch gather from one sample's padded input planes `xp`
+/// (in_ch x (h + 2 pad) x (w + 2 pad)): T row kk = (ic, ki, kj), at
+/// T + kk * ld, receives that tap's value for every output position.
+/// kStride is the stride when fixed at compile time (0: read g.stride).
+template <usize kStride>
+void gather_taps(const float* xp, const ConvGeom& g, float* T, usize ld) {
+  const usize stride = kStride != 0 ? kStride : g.stride;
+  const usize ph = g.h + 2 * g.pad, pw = g.w + 2 * g.pad;
+  usize kk = 0;
+  for (usize ic = 0; ic < g.in_ch; ++ic) {
+    for (usize ki = 0; ki < g.k; ++ki) {
+      for (usize kj = 0; kj < g.k; ++kj, ++kk) {
+        float* dst = T + kk * ld;
+        for (usize oi = 0; oi < g.oh; ++oi, dst += g.ow) {
+          const float* src = xp + (ic * ph + oi * stride + ki) * pw + kj;
+          for (usize oj = 0; oj < g.ow; ++oj) dst[oj] = src[oj * stride];
+        }
+      }
+    }
+  }
+}
+
+/// Patch-major gather of every k x k window of C planes `dp` (each
+/// (h + k - 1) x (w + k - 1)): row (hi, wj) of `col` holds
+/// dp[c][hi + a][wj + b] at column (c, a, b). kK is k when fixed at compile
+/// time (0: read `k`) -- the window rows are only k floats long, so an
+/// unrolled copy is several times faster than a runtime-length loop.
+template <usize kK>
+void gather_windows(const float* dp, usize C, usize k_any, usize h, usize w, float* col) {
+  const usize k = kK != 0 ? kK : k_any;
+  const usize dh = h + k - 1, dw = w + k - 1;
+  for (usize hi = 0; hi < h; ++hi) {
+    for (usize wj = 0; wj < w; ++wj) {
+      for (usize c = 0; c < C; ++c) {
+        const float* src = dp + (c * dh + hi) * dw + wj;
+        for (usize a = 0; a < k; ++a, src += dw, col += k) {
+          for (usize b = 0; b < k; ++b) col[b] = src[b];
         }
       }
     }
@@ -142,32 +157,27 @@ void Dense::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& 
                 gemm::Bias::kPerCol, ws);
 }
 
-void Dense::backward_into(const Tensor& dy, Tensor& dx, Workspace& /*ws*/) {
+void Dense::backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) {
   const usize n = x_cache_.dim(0);
   assert(dy.rank() == 2 && dy.dim(0) == n && dy.dim(1) == out_);
   dx.resize({n, in_});
-  dx.zero();
-  const usize macs = n * out_ * in_;
-  if (gemm::plan_teams(std::max(n, out_), macs) <= 1) {
-    dense_backward_span<true, true>(dy, x_cache_, weight, in_, 0, n, 0, out_, dx, dweight,
-                                    dbias);
-    return;
+  // dx = dy W: dx[i, j] reduces over ascending outputs o. The weight is the
+  // transposed B operand, packed straight from its row-major layout.
+  float* packed = ws.pack_buffer(gemm::packed_b_size(in_, std::max(out_, n)));
+  gemm::pack_bt(weight.data(), in_, in_, out_, packed);
+  gemm::gemm_nt_prepacked(n, in_, out_, dy.data(), out_, packed, dx.data(), in_, 1, nullptr,
+                          gemm::Bias::kNone);
+  // dweight += dy^T x: dweight[o, j] continues its sum over ascending samples.
+  float* dyt = ws.transpose_buffer(out_ * n);
+  for (usize i = 0; i < n; ++i) {
+    for (usize o = 0; o < out_; ++o) dyt[o * n + i] = dy.at2(i, o);
   }
-  // Threaded: two race-free passes over the shared loop body -- dx rows are
-  // per-sample disjoint, dweight/dbias rows per-output disjoint (see
-  // dense_backward_span for the byte-identity argument).
-  ThreadPool::instance().parallel(gemm::plan_teams(n, macs), [&](usize slot, usize nslots) {
-    const usize chunk = (n + nslots - 1) / nslots;
-    const usize lo = std::min(n, slot * chunk), hi = std::min(n, lo + chunk);
-    dense_backward_span<true, false>(dy, x_cache_, weight, in_, lo, hi, 0, out_, dx, dweight,
-                                     dbias);
-  });
-  ThreadPool::instance().parallel(gemm::plan_teams(out_, macs), [&](usize slot, usize nslots) {
-    const usize chunk = (out_ + nslots - 1) / nslots;
-    const usize lo = std::min(out_, slot * chunk), hi = std::min(out_, lo + chunk);
-    dense_backward_span<false, true>(dy, x_cache_, weight, in_, 0, n, lo, hi, dx, dweight,
-                                     dbias);
-  });
+  gemm::pack_bt(x_cache_.data(), in_, in_, n, packed);
+  gemm::gemm_nt_prepacked(out_, in_, n, dyt, n, packed, dweight.data(), in_, 1, nullptr,
+                          gemm::Bias::kAccumulate);
+  for (usize i = 0; i < n; ++i) {
+    for (usize o = 0; o < out_; ++o) dbias[o] += dy.at2(i, o);
+  }
 }
 
 std::vector<ParamRef> Dense::params() {
@@ -421,34 +431,87 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace&
   }
 }
 
-void Conv2d::backward_into(const Tensor& dy, Tensor& dx, Workspace& /*ws*/) {
+void Conv2d::backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) {
   const Tensor& x = x_cache_;
   const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const usize oh = dy.dim(2), ow = dy.dim(3);
   const ConvGeom g = geom(h, w);
-  assert(g.oh == oh && g.ow == ow);
-  const usize K = g.patch_size();
+  assert(dy.dim(2) == g.oh && dy.dim(3) == g.ow);
+  const usize K = g.patch_size(), P = g.oh * g.ow, hw = h * w;
+  const usize kk = k_ * k_, Kd = out_ch_ * kk;  ///< dx GEMM depth: (oc, a, b)
   dx.resize({n, in_ch_, h, w});
-  dx.zero();
-  const usize macs = n * out_ch_ * oh * ow * K;
-  if (gemm::plan_teams(std::max(n, out_ch_), macs) <= 1) {
-    conv_backward_span<true, true>(g, dy, x, weight, 0, n, 0, out_ch_, dx, dweight, dbias);
-    return;
+
+  // dbias[oc] continues its sum over ascending (sample, output position).
+  for (usize oc = 0; oc < out_ch_; ++oc) {
+    float acc = dbias[oc];
+    for (usize b = 0; b < n; ++b) {
+      const float* gy = dy.data() + (b * out_ch_ + oc) * P;
+      for (usize p = 0; p < P; ++p) acc += gy[p];
+    }
+    dbias[oc] = acc;
   }
-  // Threaded: two race-free passes over the shared loop body -- dx slices are
-  // per-sample disjoint, dweight/dbias rows per-output-channel disjoint (see
-  // conv_backward_span for the byte-identity argument).
-  ThreadPool::instance().parallel(gemm::plan_teams(n, macs), [&](usize slot, usize nslots) {
-    const usize chunk = (n + nslots - 1) / nslots;
-    const usize lo = std::min(n, slot * chunk), hi = std::min(n, lo + chunk);
-    conv_backward_span<true, false>(g, dy, x, weight, lo, hi, 0, out_ch_, dx, dweight, dbias);
-  });
-  ThreadPool::instance().parallel(gemm::plan_teams(out_ch_, macs),
-                                  [&](usize slot, usize nslots) {
-    const usize chunk = (out_ch_ + nslots - 1) / nslots;
-    const usize lo = std::min(out_ch_, slot * chunk), hi = std::min(out_ch_, lo + chunk);
-    conv_backward_span<false, true>(g, dy, x, weight, 0, n, lo, hi, dx, dweight, dbias);
-  });
+
+  // dx, one GEMM per sample: dx[ic, hi, wj] = sum over (oc, a, b) of
+  // dy[oc, i, j] * W[oc, ic, k-1-a, k-1-b], where i*stride + (k-1-a) - pad = hi
+  // and likewise for j (terms with no such output position are +0). For a
+  // fixed dx element, ascending a is descending ki and so ascending i, and
+  // ascending b is ascending j: the k order (oc, a, b) is exactly the naive
+  // loops' (oc, i, j) term order, at every stride. The dy windows come from
+  // a plane that spreads dy by the stride and offsets it by k-1-pad.
+  float* wf = ws.transpose_buffer(in_ch_ * Kd);
+  for (usize ic = 0; ic < in_ch_; ++ic) {
+    for (usize oc = 0; oc < out_ch_; ++oc) {
+      const float* src = weight.data() + (oc * in_ch_ + ic) * kk;
+      float* dst = wf + ic * Kd + oc * kk;
+      for (usize t = 0; t < kk; ++t) dst[t] = src[kk - 1 - t];
+    }
+  }
+  float* wpack = ws.pack_buffer(gemm::packed_b_size(in_ch_, Kd));
+  gemm::pack_b(wf, Kd, in_ch_, Kd, wpack);
+  // The same per-sample pass gathers the sample's input taps into the
+  // whole-batch dweight operand (columns b*P .. b*P + P of every tap row).
+  float* taps = ws.taps_buffer(K * n * P);
+  const usize ph = h + 2 * pad_, pw = w + 2 * pad_, dh = h + k_ - 1, dw = w + k_ - 1;
+  const usize xp_size = in_ch_ * ph * pw, dp_size = out_ch_ * dh * dw;
+  const usize scratch = xp_size + dp_size + hw * Kd;
+  const isize dy_off = static_cast<isize>(k_) - 1 - static_cast<isize>(pad_);
+  auto sample = [&](usize b, float* xp) {
+    float* dp = xp + xp_size;
+    float* col = dp + dp_size;
+    spread_planes(x.data() + b * in_ch_ * hw, in_ch_, h, w, 1, static_cast<isize>(pad_), ph,
+                  pw, xp);
+    (stride_ == 1 ? gather_taps<1> : gather_taps<0>)(xp, g, taps + b * P, n * P);
+    spread_planes(dy.data() + b * out_ch_ * P, out_ch_, g.oh, g.ow, stride_, dy_off, dh, dw,
+                  dp);
+    (k_ == 3 ? gather_windows<3> : k_ == 1 ? gather_windows<1> : gather_windows<0>)(
+        dp, out_ch_, k_, h, w, col);
+    gemm::gemm_nt_prepacked(hw, in_ch_, Kd, col, Kd, wpack, dx.data() + b * in_ch_ * hw, 1,
+                            hw, nullptr, gemm::Bias::kNone);
+  };
+  const usize teams = gemm::plan_teams(n, n * hw * in_ch_ * Kd);
+  if (teams > 1) {
+    ws.reserve_team(teams);
+    ThreadPool::instance().parallel(teams, [&](usize slot, usize nslots) {
+      const usize chunk = (n + nslots - 1) / nslots;
+      const usize lo = std::min(n, slot * chunk), hi = std::min(n, lo + chunk);
+      if (lo >= hi) return;
+      float* s = ws.col_buffer(scratch, slot);
+      for (usize b = lo; b < hi; ++b) sample(b, s);
+    });
+  } else {
+    float* s = ws.col_buffer(scratch);
+    for (usize b = 0; b < n; ++b) sample(b, s);
+  }
+
+  // dweight += taps x dy^T, one GEMM over the whole batch: dweight[oc, kk]
+  // continues its sum over ascending (sample, output position), and a short
+  // per-sample reduction (P = 9 in the deepest vgg11 layer) still gets one
+  // long k loop.
+  float* dypack = ws.pack_buffer(gemm::packed_b_size(out_ch_, n * P));
+  for (usize b = 0; b < n; ++b) {
+    gemm::pack_b_block(dy.data() + b * out_ch_ * P, P, out_ch_, P, b * P, n * P, dypack);
+  }
+  gemm::gemm_nt_prepacked(K, out_ch_, n * P, taps, n * P, dypack, dweight.data(), 1, K,
+                          nullptr, gemm::Bias::kAccumulate);
 }
 
 std::vector<ParamRef> Conv2d::params() {

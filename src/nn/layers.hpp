@@ -4,9 +4,10 @@
 //
 // The compute API is arena-based: forward_into/backward_into write into
 // caller-provided tensors and draw all scratch from a Workspace, so the
-// steady state performs zero heap allocations. Dense and Conv2d lower onto
-// the cache-blocked GEMM in nn/gemm.hpp (Conv2d via im2col) while preserving
-// the naive loops' per-output accumulation order bit-exactly. The
+// steady state performs zero heap allocations. Dense and Conv2d lower both
+// passes onto the cache-blocked GEMM in nn/gemm.hpp (Conv2d via patch
+// gathers) while preserving the naive loops' per-output accumulation order
+// bit-exactly. The
 // value-returning forward/backward wrappers remain for tests and one-off use.
 #pragma once
 

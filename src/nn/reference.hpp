@@ -1,11 +1,14 @@
 // Retained naive reference kernels: verbatim copies of the original
-// hand-rolled Dense/Conv2d forward loops that the GEMM engine replaced.
+// hand-rolled Dense/Conv2d forward and backward loops that the GEMM engine
+// replaced.
 //
-// They exist for two reasons: (1) tests/test_gemm.cpp property-checks the
-// lowered GEMM/im2col path against them for bitwise-identical outputs over
-// randomized shapes, and (2) gemm::set_force_naive(true) routes the layers
-// back onto them so bench_inference can measure an honest naive-vs-engine
-// speedup on the same binary.
+// The forward kernels exist for two reasons: (1) tests/test_gemm.cpp
+// property-checks the lowered GEMM/im2col path against them for
+// bitwise-identical outputs over randomized shapes, and (2)
+// gemm::set_force_naive(true) routes the layer forwards back onto them so
+// bench_inference can measure an honest naive-vs-engine speedup on the same
+// binary. The backward kernels are test oracles only: no production path
+// calls them.
 #pragma once
 
 #include "nn/tensor.hpp"
@@ -18,5 +21,19 @@ void dense_forward(const Tensor& x, const Tensor& weight, const Tensor& bias, Te
 /// NCHW convolution, square kernel. `y` must be pre-sized {N, out_ch, oh, ow}.
 void conv2d_forward(const Tensor& x, const Tensor& weight, const Tensor& bias, usize stride,
                     usize pad, Tensor& y);
+
+/// Dense backward: dx = dy W (written; `dx` must be pre-sized {N, in}),
+/// dweight += dy^T x, dbias += column sums of dy. Terms with dy == 0 are
+/// skipped; every accumulator advances over ascending samples (dweight,
+/// dbias) or ascending outputs (dx).
+void dense_backward(const Tensor& dy, const Tensor& x, const Tensor& weight, Tensor& dx,
+                    Tensor& dweight, Tensor& dbias);
+
+/// Conv2d backward (square kernel, NCHW): dx written (`dx` must be pre-sized
+/// like x), dweight/dbias accumulated. Terms with dy == 0 and padded taps are
+/// skipped; dweight/dbias advance over ascending (sample, output position),
+/// each dx element over ascending (output channel, output position).
+void conv2d_backward(const Tensor& dy, const Tensor& x, const Tensor& weight, usize stride,
+                     usize pad, Tensor& dx, Tensor& dweight, Tensor& dbias);
 
 }  // namespace dnnd::nn::reference

@@ -15,7 +15,10 @@
 // buffer -- the steady state stays zero-allocation at any fixed team size.
 // The threaded im2col gather uses the complementary pattern: one SHARED
 // buffer, fully sized before the region (grow() is not safe inside one),
-// into which team slots write disjoint patch-row ranges.
+// into which team slots write disjoint patch-row ranges. The backward
+// lowerings add two more shared buffers of that kind (the whole-batch tap
+// gather and the small transposed operands) and reuse the col/pack buffers
+// for their per-sample gathers and packed panels.
 //
 // `alloc_events()` counts arena growth (new slots, buffer grows); a constant
 // count across iterations is the observable zero-allocation invariant that
@@ -67,6 +70,15 @@ class Workspace {
   /// patches), hence a separate table.
   i8* qx_buffer(usize n, usize team_slot = 0) { return grow(qx_[team_slot], n); }
 
+  /// Conv2d backward's tap-major gather of the whole batch's input patches
+  /// (the dweight GEMM's A operand). Shared, sized outside pool regions;
+  /// team slots may fill disjoint column ranges.
+  float* taps_buffer(usize n) { return grow(taps_, n); }
+
+  /// Small transposed operands of the backward GEMMs (Dense's dy^T,
+  /// Conv2d's tap-flipped weight). Shared, serial use only.
+  float* transpose_buffer(usize n) { return grow(transpose_, n); }
+
   /// Arena growth events so far (slot creations and buffer grows). Constant
   /// across steady-state iterations == no new arena structures. Pair with
   /// slot_capacity() -- which sees reallocation of the slot tensors'
@@ -75,7 +87,7 @@ class Workspace {
     return alloc_events_.load(std::memory_order_relaxed);
   }
 
-  /// Total allocated floats across slot tensors and the col/pack/qa buffers
+  /// Total allocated floats across slot tensors and the scratch buffers
   /// (int8 bytes counted as quarter-floats, rounded up).
   [[nodiscard]] usize slot_capacity() const {
     usize total = 0;
@@ -83,6 +95,7 @@ class Workspace {
     for (const auto& b : pack_) total += b.capacity();
     for (const auto& b : qa_) total += (b.capacity() + 3) / 4;
     for (const auto& b : qx_) total += (b.capacity() + 3) / 4;
+    total += taps_.capacity() + transpose_.capacity();
     for (const auto& [key, t] : slots_) total += t.capacity();
     return total;
   }
@@ -118,6 +131,8 @@ class Workspace {
   std::vector<std::vector<float>> pack_;  ///< indexed by team slot
   std::vector<std::vector<i8>> qa_;       ///< indexed by team slot
   std::vector<std::vector<i8>> qx_;       ///< indexed by team slot
+  std::vector<float> taps_;
+  std::vector<float> transpose_;
   std::atomic<usize> alloc_events_{0};
 };
 

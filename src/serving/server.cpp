@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "attack/bfa.hpp"
@@ -82,6 +83,13 @@ RegimeStats serve_regime(const std::string& name, system::ProtectedSystem& psys,
   u64 digest = plan.digest;
 
   // ----- attacker thread -----------------------------------------------------
+  // The search's constructor runs a forward (and, in the int8 regime, the
+  // activation calibration) on the shared model and workspace, so it is
+  // built here, before any thread starts -- the point where a serial replay
+  // of this loop builds it too. Built on the attacker thread it would race
+  // the server's first evaluate_batch.
+  std::optional<attack::ProgressiveBitSearch> search;
+  if (attack_on) search.emplace(psys.qm(), attack_x, attack_y, attack::BfaConfig{});
   AttackerChannel channel;
   std::thread attacker;
   if (attack_on) {
@@ -89,11 +97,9 @@ RegimeStats serve_regime(const std::string& name, system::ProtectedSystem& psys,
       // Mirrors ProtectedSystem::run_white_box_attack's inner loop: propose
       // on the synced white-box copy, undo the search's local commit (DRAM
       // is authoritative), carry the flip through the device, learn blocks.
-      attack::BfaConfig bcfg;
-      attack::ProgressiveBitSearch search(psys.qm(), attack_x, attack_y, bcfg);
       quant::BitSkipSet learned_blocked;
       while (channel.await_slot()) {
-        auto rec = search.step(learned_blocked);
+        auto rec = search->step(learned_blocked);
         if (rec.has_value()) {
           psys.qm().flip(rec->loc);  // undo the search's commit
           const attack::FlipAttempt attempt = psys.attack_bit(rec->loc);

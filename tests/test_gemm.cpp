@@ -1,12 +1,16 @@
 // Kernel-equivalence property tests: the GEMM/im2col engine path must be
 // bitwise identical to the retained naive reference kernels, across
-// randomized shapes including odd sizes, stride/padding edges, and batch 1/N.
+// randomized shapes including odd sizes, stride/padding edges, and batch 1/N
+// -- for the forward passes and for the GEMM-lowered Dense/Conv2d backward.
 // The threaded kernel must in turn be byte-identical to the serial one for
 // every team size (row-chunk and panel-chunk partitions both), and the fused
 // int8 pack must reproduce the float pack bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -564,6 +568,228 @@ TEST(Gemm, ForceNaiveRoutesLayersOntoReference) {
   gemm::set_force_naive(false);
   ASSERT_FALSE(gemm::force_naive());
   expect_bitwise_equal(engine, naive, "force_naive A/B");
+}
+
+// ----- accumulate mode and the backward lowering ----------------------------
+
+TEST(Gemm, AccumulateModeMatchesScalarOracle) {
+  // Bias::kAccumulate: every accumulator starts at the current C element
+  // (row- and column-strided C alike), so C += A B^T is one ascending-k
+  // reduction per element -- also when the k range is split across calls.
+  SimdGuard simd_guard;
+  ThreadsGuard threads_guard;
+  sys::Rng rng(112);
+  for (int trial = 0; trial < 30; ++trial) {
+    const usize M = 1 + rng.uniform(40), N = 1 + rng.uniform(40), K = 1 + rng.uniform(300);
+    const bool col_major = trial % 2 == 1;
+    const usize crs = col_major ? 1 : N, ccs = col_major ? M : 1;
+    Tensor a({M, K}), b({N, K}), seed({M, N});
+    fill_random(a, rng);
+    fill_random(b, rng);
+    fill_random(seed, rng);
+    Tensor oracle = seed;
+    for (usize m = 0; m < M; ++m) {
+      for (usize n = 0; n < N; ++n) {
+        float acc = oracle[m * crs + n * ccs];
+        for (usize k = 0; k < K; ++k) acc += a[m * K + k] * b[n * K + k];
+        oracle[m * crs + n * ccs] = acc;
+      }
+    }
+    const std::string shape = " M=" + std::to_string(M) + " N=" + std::to_string(N) +
+                              " K=" + std::to_string(K) + " trial " + std::to_string(trial);
+    for (const int scalar : {1, 0}) {
+      for (const usize teams : {usize{1}, usize{4}}) {
+        simd::set_scalar_override(scalar);
+        gemm::set_threads(teams);
+        const std::string what =
+            "scalar=" + std::to_string(scalar) + " teams=" + std::to_string(teams) + shape;
+        Workspace ws;
+        Tensor c = seed;
+        gemm::gemm_nt_strided(M, N, K, a.data(), K, b.data(), K, c.data(), crs, ccs, nullptr,
+                              gemm::Bias::kAccumulate, ws);
+        expect_bitwise_equal(c, oracle, "accumulate " + what);
+        // The same reduction split into two accumulate calls.
+        const usize k1 = K / 3;
+        Tensor split = seed;
+        gemm::gemm_nt_strided(M, N, k1, a.data(), K, b.data(), K, split.data(), crs, ccs,
+                              nullptr, gemm::Bias::kAccumulate, ws);
+        gemm::gemm_nt_strided(M, N, K - k1, a.data() + k1, K, b.data() + k1, K, split.data(),
+                              crs, ccs, nullptr, gemm::Bias::kAccumulate, ws);
+        expect_bitwise_equal(split, oracle, "split accumulate " + what);
+      }
+    }
+  }
+}
+
+/// A gradient with the sparsity the engine really sees: exact +0 and -0
+/// entries, whole ReLU-dead rows of `row` elements, normal values elsewhere.
+void fill_sparse_grad(Tensor& dy, usize row, sys::Rng& rng) {
+  for (usize i = 0; i < dy.size(); ++i) {
+    const u64 pick = rng.uniform(8);
+    dy[i] = pick == 0 ? 0.0f : pick == 1 ? -0.0f : static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  for (usize s = 0; s + row <= dy.size(); s += row) {
+    if (rng.uniform(4) == 0) std::fill(dy.data() + s, dy.data() + s + row, 0.0f);
+  }
+}
+
+/// Runs `layer`'s backward from pre-seeded (non-zero) parameter gradients at
+/// every {forced-scalar, SIMD} x {1, 4 teams} setting and compares dx,
+/// dweight and dbias byte for byte with the reference results.
+template <typename LayerT>
+void expect_backward_matches(LayerT& layer, const Tensor& dy, const Tensor& seed_dw,
+                             const Tensor& seed_db, const Tensor& ref_dx, const Tensor& ref_dw,
+                             const Tensor& ref_db, const std::string& shape) {
+  for (const int scalar : {1, 0}) {
+    for (const usize teams : {usize{1}, usize{4}}) {
+      simd::set_scalar_override(scalar);
+      gemm::set_threads(teams);
+      const std::string what =
+          "scalar=" + std::to_string(scalar) + " teams=" + std::to_string(teams) + shape;
+      layer.dweight = seed_dw;
+      layer.dbias = seed_db;
+      const Tensor dx = layer.backward(dy);
+      expect_bitwise_equal(dx, ref_dx, "dx " + what);
+      expect_bitwise_equal(layer.dweight, ref_dw, "dweight " + what);
+      expect_bitwise_equal(layer.dbias, ref_db, "dbias " + what);
+    }
+  }
+}
+
+TEST(Gemm, DenseBackwardMatchesReference) {
+  SimdGuard simd_guard;
+  ThreadsGuard threads_guard;
+  sys::Rng rng(113);
+  for (int trial = 0; trial < 30; ++trial) {
+    const usize in = 1 + rng.uniform(160);
+    const usize out = 1 + rng.uniform(40);  // below 8 and ragged against the panel
+    const usize n = trial % 3 == 0 ? 1 : 3 + 2 * rng.uniform(4);  // 1 or odd 3..9
+    Dense d(in, out, rng);
+    Tensor x({n, in});
+    fill_random(x, rng);
+    d.forward(x, /*train=*/true);
+    Tensor dy({n, out});
+    fill_sparse_grad(dy, out, rng);
+    Tensor seed_dw(d.weight.shape()), seed_db({out});
+    fill_random(seed_dw, rng);
+    fill_random(seed_db, rng);
+    Tensor ref_dx({n, in}), ref_dw = seed_dw, ref_db = seed_db;
+    reference::dense_backward(dy, x, d.weight, ref_dx, ref_dw, ref_db);
+    expect_backward_matches(d, dy, seed_dw, seed_db, ref_dx, ref_dw, ref_db,
+                            " dense in=" + std::to_string(in) + " out=" +
+                                std::to_string(out) + " n=" + std::to_string(n));
+  }
+}
+
+TEST(Gemm, Conv2dBackwardMatchesReference) {
+  // k in {3, 1, 2} (the zoo's kernels plus one that takes the generic
+  // gather) x stride in {1, 2} x pad in {0, 1} (k=1 with pad 1 reads only
+  // padding at the border), channel counts on both sides of 8, batch 1 and
+  // odd batches, big enough in places to cross the threading threshold.
+  SimdGuard simd_guard;
+  ThreadsGuard threads_guard;
+  sys::Rng rng(114);
+  for (int trial = 0; trial < 48; ++trial) {
+    const usize k = std::array<usize, 3>{3, 1, 2}[trial % 3];
+    const usize stride = 1 + (trial / 3) % 2;
+    const usize pad = (trial / 6) % 2;
+    const usize in_ch = 1 + rng.uniform(13), out_ch = 1 + rng.uniform(13);
+    const usize h = std::max<usize>(k, 1 + rng.uniform(11));
+    const usize w = std::max<usize>(k, 1 + rng.uniform(11));
+    const usize n = trial % 4 == 0 ? 1 : 3 + 2 * rng.uniform(3);  // 1 or odd 3..7
+    Conv2d c(in_ch, out_ch, k, stride, pad, rng);
+    Tensor x({n, in_ch, h, w});
+    fill_random(x, rng);
+    const Tensor y = c.forward(x, /*train=*/true);
+    Tensor dy(y.shape());
+    fill_sparse_grad(dy, y.dim(2) * y.dim(3), rng);
+    Tensor seed_dw(c.weight.shape()), seed_db({out_ch});
+    fill_random(seed_dw, rng);
+    fill_random(seed_db, rng);
+    Tensor ref_dx(x.shape()), ref_dw = seed_dw, ref_db = seed_db;
+    reference::conv2d_backward(dy, x, c.weight, stride, pad, ref_dx, ref_dw, ref_db);
+    expect_backward_matches(
+        c, dy, seed_dw, seed_db, ref_dx, ref_dw, ref_db,
+        " conv trial " + std::to_string(trial) + " ic=" + std::to_string(in_ch) +
+            " oc=" + std::to_string(out_ch) + " k=" + std::to_string(k) + " s=" +
+            std::to_string(stride) + " p=" + std::to_string(pad) + " h=" + std::to_string(h) +
+            " w=" + std::to_string(w) + " n=" + std::to_string(n));
+  }
+}
+
+TEST(Gemm, BackwardWithNonFiniteDyIsPinned) {
+  // A diverged loss hands backward inf and NaN gradients. The naive loops
+  // skipped only dy == 0 and padded taps, so Dense backward and Conv2d's dx
+  // and dbias add exactly the reference's non-finite terms in the same
+  // order: same bytes. Conv2d's dweight is the one documented difference.
+  // The GEMM multiplies a padded tap's +0 by dy like any other entry, and
+  // inf * 0 (or NaN * 0) is NaN where the reference skipped the term. Such an
+  // element is NaN in the engine and finite in the reference. It is pinned
+  // here against a scalar oracle of the GEMM semantics, i.e. the reference
+  // loop with padded taps read as +0.
+  SimdGuard simd_guard;
+  ThreadsGuard threads_guard;
+  sys::Rng rng(115);
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  auto poison = [&](Tensor& dy) {
+    fill_sparse_grad(dy, 1, rng);
+    dy[0] = kInf;
+    dy[dy.size() / 2] = -kInf;
+    dy[dy.size() - 1] = kNaN;
+  };
+
+  const usize n = 2, ic = 3, oc = 5, k = 3, h = 5, w = 5;
+  Conv2d c(ic, oc, k, 1, 1, rng);
+  Tensor x({n, ic, h, w});
+  fill_random(x, rng);
+  const Tensor y = c.forward(x, /*train=*/true);
+  Tensor dy(y.shape());
+  poison(dy);
+  const Tensor zero_dw(c.weight.shape()), zero_db({oc});
+  Tensor ref_dx(x.shape()), ref_dw = zero_dw, ref_db = zero_db;
+  reference::conv2d_backward(dy, x, c.weight, 1, 1, ref_dx, ref_dw, ref_db);
+  Tensor oracle_dw = zero_dw;
+  for (usize b = 0; b < n; ++b) {
+    for (usize o = 0; o < oc; ++o) {
+      for (usize i = 0; i < h; ++i) {
+        for (usize j = 0; j < w; ++j) {
+          const float gy = dy.at4(b, o, i, j);
+          for (usize kk = 0; kk < ic * k * k; ++kk) {
+            const isize hi = static_cast<isize>(i + (kk / k) % k) - 1;
+            const isize wj = static_cast<isize>(j + kk % k) - 1;
+            const bool inside = hi >= 0 && hi < static_cast<isize>(h) && wj >= 0 &&
+                                wj < static_cast<isize>(w);
+            const float xv = inside ? x.at4(b, kk / (k * k), static_cast<usize>(hi),
+                                            static_cast<usize>(wj))
+                                    : 0.0f;
+            oracle_dw[o * ic * k * k + kk] += gy * xv;
+          }
+        }
+      }
+    }
+  }
+  usize diverged = 0;
+  for (usize i = 0; i < ref_dw.size(); ++i) {
+    if (std::memcmp(&ref_dw[i], &oracle_dw[i], sizeof(float)) == 0) continue;
+    EXPECT_TRUE(std::isnan(oracle_dw[i]) && std::isfinite(ref_dw[i])) << "dweight " << i;
+    ++diverged;
+  }
+  EXPECT_GT(diverged, 0u) << "the poisoned border outputs should reach padded taps";
+  expect_backward_matches(c, dy, zero_dw, zero_db, ref_dx, oracle_dw, ref_db,
+                          " conv non-finite");
+
+  Dense d(7, 4, rng);
+  Tensor xd({3, 7});
+  fill_random(xd, rng);
+  d.forward(xd, /*train=*/true);
+  Tensor dyd({3, 4});
+  poison(dyd);
+  const Tensor zero_ddw(d.weight.shape()), zero_ddb({4});
+  Tensor ref_ddx({3, 7}), ref_ddw = zero_ddw, ref_ddb = zero_ddb;
+  reference::dense_backward(dyd, xd, d.weight, ref_ddx, ref_ddw, ref_ddb);
+  expect_backward_matches(d, dyd, zero_ddw, zero_ddb, ref_ddx, ref_ddw, ref_ddb,
+                          " dense non-finite");
 }
 
 }  // namespace

@@ -384,6 +384,35 @@ TEST(Workspace, ZeroAllocSteadyStateUnderThreadedProbes) {
       << "threaded steady-state probes reallocated arena storage";
 }
 
+TEST(Workspace, ZeroAllocSteadyStateThreadedTrainingCycle) {
+  // The backward lowering's gathers, transposed operands and packed panels
+  // live in the arena too: at a fixed team size, full loss_and_grad cycles
+  // grow nothing once warm -- on vgg11 and on resnet20, whose stride-2
+  // convolutions and 1x1 projections take the strided gathers.
+  ThreadsGuard guard;
+  gemm::set_threads(4);
+  for (const char* arch : {"vgg11", "resnet20"}) {
+    auto m = models::make_by_name(arch, 10, /*seed=*/5);
+    sys::Rng rng(64);
+    Tensor x({8, 3, 12, 12});
+    for (usize i = 0; i < x.size(); ++i) x[i] = static_cast<float>(rng.normal(0.0, 1.0));
+    const std::vector<u32> y{0, 1, 2, 3, 4, 5, 6, 7};
+    auto cycle = [&] {
+      m->zero_grad();
+      m->loss_and_grad(x, y);
+    };
+    cycle();
+    cycle();
+    const usize warm = m->workspace().alloc_events();
+    const usize warm_capacity = m->workspace().slot_capacity();
+    for (int iter = 0; iter < 4; ++iter) cycle();
+    EXPECT_EQ(m->workspace().alloc_events(), warm)
+        << arch << ": threaded steady-state training grew the workspace arena";
+    EXPECT_EQ(m->workspace().slot_capacity(), warm_capacity)
+        << arch << ": threaded steady-state training reallocated arena storage";
+  }
+}
+
 TEST(FusedInt8, LoadStateDropsResidentPanelsInsteadOfGoingStale) {
   // Direct weight mutation bypassing the QuantizedModel (Model::load_state)
   // must not leave inference reading a stale resident panel: the guard drops

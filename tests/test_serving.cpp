@@ -1,7 +1,8 @@
 // Serving subsystem tests: deterministic plan (arrivals, coalescing, drops,
 // ticks), latency reservoir vs a sorted-copy oracle, bounded-queue edge
 // cases, report round trip + validation, and the end-to-end decision-stream
-// determinism gate across GEMM thread counts.
+// determinism gates: across GEMM thread counts, and threaded run against a
+// single-threaded replay with the attacker live.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "attack/bfa.hpp"
 #include "core/priority_profiler.hpp"
 #include "quant/quantizer.hpp"
 #include "serving/report.hpp"
@@ -237,7 +239,10 @@ TEST(BoundedRequestQueue, CleanShutdownWithInFlightConsumer) {
 
 // ----- end-to-end regime determinism ----------------------------------------
 
-RegimeStats run_test_regime(const ServeConfig& cfg, bool defended, bool attacked) {
+/// Builds the test victim (trained MLP, optionally DNN-Defender-protected)
+/// and hands fn(psys, pool, eval_x, eval_y, attack_x, attack_y) to the caller.
+template <typename Fn>
+auto with_test_system(const ServeConfig& cfg, bool defended, Fn&& fn) {
   auto model = testutil::trained_mlp();
   const nn::SplitDataset& data = testutil::easy_data();
   auto [ex, ey] = data.test.head(100);
@@ -250,7 +255,67 @@ RegimeStats run_test_regime(const ServeConfig& cfg, bool defended, bool attacked
     core::PriorityProfiler profiler(qm, ax, ay);
     psys.install_dnn_defender(profiler.profile_blocked_attacker(40));
   }
-  return serve_regime("test", psys, data.test, ex, ey, ax, ay, cfg, attacked);
+  return fn(psys, data.test, ex, ey, ax, ay);
+}
+
+RegimeStats run_test_regime(const ServeConfig& cfg, bool defended, bool attacked) {
+  return with_test_system(cfg, defended, [&](system::ProtectedSystem& psys,
+                                             const nn::Dataset& pool, const nn::Tensor& ex,
+                                             const std::vector<u32>& ey, const nn::Tensor& ax,
+                                             const std::vector<u32>& ay) {
+    return serve_regime("test", psys, pool, ex, ey, ax, ay, cfg, attacked);
+  });
+}
+
+/// serve_regime's decision digest for a defended, attacked run, recomputed
+/// on one thread: the same plan, defender ticks and attack slots inline, in
+/// serve_regime's fold order. No thread can interleave anything here, so a
+/// threaded run that matches it is free of ordering effects.
+u64 replay_digest(const ServeConfig& cfg) {
+  return with_test_system(cfg, /*defended=*/true, [&](system::ProtectedSystem& psys,
+                                                      const nn::Dataset& pool,
+                                                      const nn::Tensor& ex,
+                                                      const std::vector<u32>& ey,
+                                                      const nn::Tensor& ax,
+                                                      const std::vector<u32>& ay) {
+    const ServingPlan plan = plan_serving(cfg, pool.size());
+    nn::Model& model = psys.qm().model();
+    model.evaluate_batch(ex, ey);
+    attack::ProgressiveBitSearch search(psys.qm(), ax, ay, attack::BfaConfig{});
+    quant::BitSkipSet learned_blocked;
+    u64 digest = plan.digest;
+    const u64 tick_ns = static_cast<u64>(cfg.tick_every_us) * 1000ULL;
+    usize ticks = 0;
+    nn::Tensor batch_x;
+    std::vector<u32> batch_y;
+    std::vector<usize> sample_idx;
+    for (const PlannedBatch& b : plan.batches) {
+      sample_idx.clear();
+      for (usize k = 0; k < b.count; ++k) {
+        const Request& r = plan.arrivals[plan.admitted[b.first + k]];
+        digest = sys::hash_combine(digest, r.id);
+        sample_idx.push_back(r.sample);
+      }
+      while (tick_ns > 0 && (ticks + 1) * tick_ns <= b.finish_ns) {
+        ++ticks;
+        psys.advance_time_to(static_cast<Picoseconds>(ticks * tick_ns) * 1000);
+      }
+      if (b.attack_before) {
+        const auto rec = search.step(learned_blocked);
+        if (rec.has_value()) {
+          psys.qm().flip(rec->loc);
+          const attack::FlipAttempt attempt = psys.attack_bit(rec->loc);
+          if (!attempt.success) learned_blocked.insert(rec->loc);
+          digest = sys::hash_combine(digest, rec->loc.key(), static_cast<u64>(attempt.success));
+        } else {
+          digest = sys::hash_combine(digest, sys::stable_hash64("bfa-exhausted"));
+        }
+      }
+      pool.gather_into(sample_idx, batch_x, batch_y);
+      digest = sys::hash_combine(digest, model.evaluate_batch(batch_x, batch_y).correct);
+    }
+    return sys::hash_combine(digest, ticks);
+  });
 }
 
 TEST(ServeRegime, StatsReplayThePlanExactly) {
@@ -294,6 +359,21 @@ TEST(ServeRegime, DecisionStreamIsIdenticalAcrossGemmThreadCounts) {
   nn::gemm::set_threads(1);
   const RegimeStats t3 = run_test_regime(cfg, /*defended=*/true, /*attacked=*/true);
   EXPECT_EQ(t1.digest, t3.digest);
+}
+
+TEST(ServeRegime, ThreadedDigestEqualsSerialReplayWithLiveAttacker) {
+  // Generator, server and attacker threads at a GEMM team of 4 against the
+  // single-threaded replay, over five plan seeds: the decision stream may
+  // not depend on how the threads interleave.
+  const testutil::ThreadsGuard guard;
+  nn::gemm::set_threads(4);
+  for (u64 seed = 0; seed < 5; ++seed) {
+    ServeConfig cfg = small_config();
+    cfg.seed = seed;
+    const RegimeStats threaded = run_test_regime(cfg, /*defended=*/true, /*attacked=*/true);
+    EXPECT_GT(threaded.attack_attempts, 0u) << "seed " << seed;
+    EXPECT_EQ(threaded.digest, replay_digest(cfg)) << "seed " << seed;
+  }
 }
 
 // ----- report ----------------------------------------------------------------
