@@ -16,9 +16,6 @@
 //                       rrs, srs, shadow, graphene, hydra, dnn-defender
 //   DNND_GRID_FULL_PRODUCT=1 keeps cells whose defense cannot engage the
 //                            attack (normally pruned).
-//   DNND_NAIVE_GEMM=1        forces Dense/Conv2d onto the retained naive
-//                            kernels (A/B the GEMM engine's wall-clock win;
-//                            results are bitwise identical either way).
 //   DNND_INT8=1              true-integer int8 forward regime (requantized
 //                            outputs; a DIFFERENT numeric regime -- the
 //                            campaign JSON carries an "int8" marker and is
@@ -41,7 +38,6 @@
 #include "harness/registry.hpp"
 #include "harness/shard.hpp"
 #include "harness/sink.hpp"
-#include "nn/gemm.hpp"
 #include "nn/simd.hpp"
 
 using namespace dnnd;
@@ -97,10 +93,6 @@ int main(int argc, char** argv) {
   }
   if (const char* v = std::getenv("DNND_GRID"); v != nullptr && std::string(v) == "tiny") {
     tiny = true;
-  }
-  if (const char* v = std::getenv("DNND_NAIVE_GEMM"); v != nullptr && v[0] == '1') {
-    nn::gemm::set_force_naive(true);
-    std::printf("[grid] DNND_NAIVE_GEMM=1: naive reference kernels\n");
   }
   if (nn::simd::int8_enabled()) {
     std::printf("[grid] DNND_INT8=1: true-integer forward regime (campaign JSON carries "

@@ -1,26 +1,23 @@
 // bench_inference: throughput benchmark for the GEMM inference engine.
 //
-// Measures (1) full-forward throughput of the engine vs. the retained naive
-// reference kernels (gemm::set_force_naive) on a zoo conv model, and (2) the
-// cost of an incremental forward_from(k) probe for every top-level layer k --
-// the flip/probe primitive of the BFA family, whose cost should scale with
-// the remaining depth, not the whole network.
+// Measures (1) full-forward throughput of the engine on a zoo conv model, and
+// (2) the cost of an incremental forward_from(k) probe for every top-level
+// layer k -- the flip/probe primitive of the BFA family, whose cost should
+// scale with the remaining depth, not the whole network.
 //
 // Emits machine-readable JSON (the BENCH trajectory seed): to stdout, and to
 // the file named by DNND_JSON_OUT when set (the campaign sink convention).
 // The JSON carries "threads" (the resolved GEMM team size) and "simd" (the
 // active kernel ISA) fields so the CI DNND_THREADS x DNND_SIMD matrix
 // uploads distinguishable artifacts. The explicit-SIMD kernels are A/B'd
-// against the forced-scalar path (byte-identical, only wall clock moves) and
-// the opt-in FMA fast path (allowed to diverge in rounding; reported
-// separately and excluded from every byte gate).
+// against the forced-scalar path (byte-identical, only wall clock moves), and
+// the float path against the true-integer int8 regime.
 //
 //   DNND_BENCH_MODEL   zoo arch (default vgg11)
 //   DNND_BENCH_BATCH   batch size (default 32)
 //   DNND_BENCH_SCALE   small -> shorter timed windows
 //   DNND_THREADS       GEMM team size (0/unset = hardware concurrency)
 //   DNND_SIMD          0 = force the scalar microkernels
-//   DNND_FMA           1 = fused fast path (divergent rounding allowed)
 //   DNND_INT8          1 = true-integer int8 forward (requantized, NOT
 //                      byte-gated against the float path; the scalar and SIMD
 //                      int8 kernels ARE byte-gated against each other)
@@ -73,7 +70,7 @@ int main() {
   const usize threads = nn::gemm::threads();
   const nn::simd::Isa isa = nn::simd::active_isa();
 
-  bench::banner("Inference engine throughput -- naive vs GEMM, incremental probes",
+  bench::banner("Inference engine throughput -- GEMM engine, incremental probes",
                 "engine microbenchmark (BENCH trajectory; not a paper figure)");
   std::printf("[threads] GEMM team size: %zu\n", threads);
   std::printf("[simd] kernel ISA: %s (best supported: %s)\n", nn::simd::isa_name(isa),
@@ -84,45 +81,28 @@ int main() {
   nn::Tensor x({batch, 3, 12, 12});
   for (usize i = 0; i < x.size(); ++i) x[i] = static_cast<float>(rng.normal(0.0, 1.0));
 
-  // ---- full-forward throughput, naive vs engine -----------------------------
-  nn::gemm::set_force_naive(true);
-  const double naive_spc = time_per_call(window, [&] { model->forward_cached(x); });
-  nn::gemm::set_force_naive(false);
+  // ---- full-forward throughput ----------------------------------------------
   const double engine_spc = time_per_call(window, [&] { model->forward_cached(x); });
-  const double naive_ips = static_cast<double>(batch) / naive_spc;
   const double engine_ips = static_cast<double>(batch) / engine_spc;
-  const double speedup = naive_spc / engine_spc;
   std::printf("[forward] %s batch=%zu\n", arch.c_str(), batch);
-  std::printf("  naive  : %8.1f images/s (%.3f ms/batch)\n", naive_ips, naive_spc * 1e3);
   std::printf("  engine : %8.1f images/s (%.3f ms/batch)\n", engine_ips, engine_spc * 1e3);
-  std::printf("  speedup: %.2fx\n", speedup);
 
-  // ---- explicit SIMD tiles vs forced scalar, plus the FMA fast path ---------
-  // The scalar leg is byte-identical to the engine leg by construction (only
-  // the wall clock moves); the FMA leg may diverge in rounding and is
-  // excluded from every zero-tolerance gate -- it is reported here so the
-  // speed/accuracy trade is visible before anyone opts in.
+  // ---- explicit SIMD tiles vs forced scalar ---------------------------------
+  // The scalar leg is byte-identical to the SIMD leg by construction; only
+  // the wall clock moves.
   const int saved_scalar = nn::simd::scalar_override();
-  const int saved_fma = nn::simd::fma_override();
   nn::simd::set_scalar_override(1);
-  nn::simd::set_fma_override(0);
   const double scalar_spc = time_per_call(window, [&] { model->forward_cached(x); });
   nn::simd::set_scalar_override(0);
   const double simd_spc = time_per_call(window, [&] { model->forward_cached(x); });
-  nn::simd::set_fma_override(1);
-  const double fma_spc = time_per_call(window, [&] { model->forward_cached(x); });
   nn::simd::set_scalar_override(saved_scalar);
-  nn::simd::set_fma_override(saved_fma);
   const double scalar_ips = static_cast<double>(batch) / scalar_spc;
   const double simd_ips = static_cast<double>(batch) / simd_spc;
-  const double fma_ips = static_cast<double>(batch) / fma_spc;
   std::printf("[simd] explicit %s tiles vs forced scalar (byte-identical paths):\n",
               nn::simd::isa_name(nn::simd::best_isa()));
   std::printf("  scalar : %8.1f images/s (%.3f ms/batch)\n", scalar_ips, scalar_spc * 1e3);
   std::printf("  simd   : %8.1f images/s (%.2fx over scalar)\n", simd_ips,
               scalar_spc / simd_spc);
-  std::printf("  fma    : %8.1f images/s (opt-in, divergent rounding, NOT byte-gated)\n",
-              fma_ips);
 
   // ---- incremental probe cost per layer -------------------------------------
   // forward_from(k) recomputes layers >= k over the cached prefix; a probe at
@@ -194,18 +174,7 @@ int main() {
     bfa.step({});
     qm.restore(clean_codes);
   });
-  // A/B the fused int8 resident-panel path against the dequantize-
-  // materialize path (panels detached: every probe forward re-packs the
-  // float weights). Byte-identical results; only the wall clock moves.
-  qm.set_fused(false);
-  const double step_materialized = time_per_call(window, [&] {
-    attack::ProgressiveBitSearch bfa(qm, x, y, bcfg);
-    bfa.step({});
-    qm.restore(clean_codes);
-  });
-  qm.set_fused(true);
-  std::printf("[bfa] one progressive-bit-search step: %.2f ms fused, %.2f ms materialized\n",
-              step_engine * 1e3, step_materialized * 1e3);
+  std::printf("[bfa] one progressive-bit-search step: %.2f ms\n", step_engine * 1e3);
 
   // ---- JSON -----------------------------------------------------------------
   sys::JsonWriter w;
@@ -215,19 +184,15 @@ int main() {
   w.key("batch").value(batch);
   w.key("threads").value(threads);
   w.key("simd").value(nn::simd::isa_name(isa));
-  w.key("naive_images_per_s").value(naive_ips);
   w.key("engine_images_per_s").value(engine_ips);
-  w.key("speedup").value(speedup);
   w.key("scalar_images_per_s").value(scalar_ips);
   w.key("simd_images_per_s").value(simd_ips);
   w.key("simd_speedup").value(scalar_spc / simd_spc);
-  w.key("fma_images_per_s").value(fma_ips);
   w.key("int8_images_per_s").value(int8_ips);
   w.key("int8_speedup").value(int8_speedup);
   w.key("int8_byte_identical").value(int8_byte_identical);
   w.key("full_forward_us").value(full_us);
   w.key("bfa_step_ms").value(step_engine * 1e3);
-  w.key("bfa_step_materialized_ms").value(step_materialized * 1e3);
   w.key("forward_from_us").begin_array();
   for (usize k = 0; k < layers; ++k) {
     w.begin_object();

@@ -15,7 +15,6 @@ namespace dnnd::nn::gemm {
 
 namespace {
 
-std::atomic<bool> g_force_naive{false};
 std::atomic<usize> g_threads{0};  ///< 0 = auto (env, then hardware)
 
 /// Work below this many multiply-accumulates runs serial: a pool region costs
@@ -157,9 +156,6 @@ void kernel_int8(const simd::I8Kernels& ik, usize M, usize N, usize K, const i8*
 
 }  // namespace
 
-void set_force_naive(bool on) { g_force_naive.store(on, std::memory_order_relaxed); }
-bool force_naive() { return g_force_naive.load(std::memory_order_relaxed); }
-
 void set_threads(usize n) { g_threads.store(n, std::memory_order_relaxed); }
 
 usize threads() {
@@ -175,10 +171,6 @@ usize plan_teams(usize items, usize macs) {
 }
 
 usize packed_b_size(usize N, usize K) { return ((N + kNr - 1) / kNr) * kNr * K; }
-
-usize packed_index(usize n, usize k, usize K) {
-  return (n / kNr) * kNr * K + k * kNr + n % kNr;
-}
 
 void pack_b(const float* B, usize ldb, usize N, usize K, float* packed) {
   pack_b_block(B, ldb, N, K, 0, K, packed);
@@ -199,20 +191,6 @@ void pack_bt(const float* Bt, usize ldbt, usize N, usize K, float* packed) {
       const float* src = Bt + k * ldbt + n0;
       float* dst = panel + k * kNr;
       for (usize r = 0; r < rows; ++r) dst[r] = src[r];
-      for (usize r = rows; r < kNr; ++r) dst[r] = 0.0f;
-    }
-  }
-}
-
-void pack_b_int8(const i8* q, usize N, usize K, float scale, float* packed) {
-  for (usize n0 = 0; n0 < N; n0 += kNr) {
-    const usize rows = std::min(kNr, N - n0);
-    const i8* src = q + n0 * K;
-    float* panel = packed + n0 * K;
-    for (usize k = 0; k < K; ++k) {
-      float* dst = panel + k * kNr;
-      // Same arithmetic as QuantizedModel::materialize: float(q) * scale.
-      for (usize r = 0; r < rows; ++r) dst[r] = static_cast<float>(src[r * K + k]) * scale;
       for (usize r = rows; r < kNr; ++r) dst[r] = 0.0f;
     }
   }

@@ -30,9 +30,8 @@
 // The inner k loops are explicit SIMD register tiles (nn/simd.hpp): runtime-
 // dispatched AVX2/NEON microkernels that put one output column per vector
 // lane and issue a distinct non-contracted multiply and add per lane -- the
-// same contract again, so the default SIMD path is byte-identical to the
-// scalar path (DNND_SIMD=0 forces scalar; DNND_FMA=1 opts into a fused fast
-// path that may diverge in rounding and is excluded from the byte gates).
+// same contract again, so the SIMD path is byte-identical to the scalar path
+// (DNND_SIMD=0 forces scalar).
 #pragma once
 
 #include "sys/types.hpp"
@@ -97,11 +96,6 @@ void gemm_nt_prepacked(usize M, usize N, usize K, const float* A, usize lda,
                        const float* packed_b, float* C, usize crs, usize ccs,
                        const float* bias, Bias bias_kind);
 
-/// Forces Dense/Conv2d forward onto the retained naive reference kernels.
-/// Process-global A/B switch for bench_inference; not used on any hot path.
-void set_force_naive(bool on);
-[[nodiscard]] bool force_naive();
-
 /// Sets the GEMM team size. 0 (the default) resolves to the DNND_THREADS env
 /// var, else to std::thread::hardware_concurrency(). Process-global; outputs
 /// are byte-identical for every value.
@@ -131,16 +125,6 @@ class [[nodiscard]] ThreadsGuard {
 /// when threading is off, the work is too small to amortise a region, or the
 /// caller is already inside a pool region (nested parallelism runs serial).
 [[nodiscard]] usize plan_teams(usize items, usize macs);
-
-/// Packs an N x K int8 code matrix with dequant-on-load: the packed panel
-/// holds float(q) * scale, which is bit-for-bit the materialization
-/// arithmetic of quant::QuantizedModel -- so a GEMM over this panel is
-/// byte-identical to one over the packed dequantized float weights.
-void pack_b_int8(const i8* q, usize N, usize K, float scale, float* packed);
-
-/// Flat position of B element (n, k) inside the packed-panel layout; the
-/// fused int8 path uses it to update a single panel float per bit flip.
-[[nodiscard]] usize packed_index(usize n, usize k, usize K);
 
 // ---- true-integer int8 path (DNND_INT8 regime) ------------------------------
 // B stays in raw int8 codes (no dequantization), A is quantized per call to

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
-#include "nn/reference.hpp"
 #include "nn/simd.hpp"
 #include "nn/thread_pool.hpp"
 
@@ -130,10 +129,6 @@ void Dense::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& 
   record_act(x);
   const usize n = x.dim(0);
   y.resize({n, out_});
-  if (gemm::force_naive()) {
-    reference::dense_forward(x, weight, bias, y);
-    return;
-  }
   // True-integer regime: quantize the input rows and run the int8 GEMM over
   // the raw weight codes -- no dequantized floats anywhere on the path.
   if (const Int8Pack& ip = int8_pack(); ip.panel != nullptr && simd::int8_enabled()) {
@@ -146,13 +141,6 @@ void Dense::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& 
     return;
   }
   // y = x W^T + b: both operands K-major, bias per output feature (column).
-  // With a resident panel attached (fused int8 path) the pack step vanishes:
-  // the panel already holds exactly what pack_b(weight) would produce.
-  if (const float* panel = packed_weight(); panel != nullptr) {
-    gemm::gemm_nt_prepacked(n, out_, in_, x.data(), in_, panel, y.data(), out_, 1,
-                            bias.data(), gemm::Bias::kPerCol);
-    return;
-  }
   gemm::gemm_nt(n, out_, in_, x.data(), in_, weight.data(), in_, y.data(), out_, bias.data(),
                 gemm::Bias::kPerCol, ws);
 }
@@ -319,10 +307,6 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace&
   const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const usize oh = out_size(h), ow = out_size(w);
   y.resize({n, out_ch_, oh, ow});
-  if (gemm::force_naive()) {
-    reference::conv2d_forward(x, weight, bias, stride_, pad_, y);
-    return;
-  }
   // Lowering: per sample, y[oc, p] = bias[oc] + dot(col[p, :], W[oc, :]) over
   // the patch dimension. Patches stream as GEMM rows against the packed
   // weight panels (the small operand), and the strided store writes the NCHW
@@ -380,12 +364,8 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace&
     for (usize b = 0; b < n; ++b) int8_sample(b, qx, qa);
     return;
   }
-  const float* packed_w = packed_weight();
-  if (packed_w == nullptr) {
-    float* fresh = ws.pack_buffer(gemm::packed_b_size(out_ch_, K));
-    gemm::pack_b(weight.data(), K, out_ch_, K, fresh);  // once, not per sample
-    packed_w = fresh;
-  }
+  float* packed_w = ws.pack_buffer(gemm::packed_b_size(out_ch_, K));
+  gemm::pack_b(weight.data(), K, out_ch_, K, packed_w);  // once, not per sample
   // One sample's lowered GEMM over an already-gathered col buffer.
   auto gemm_sample = [&](usize b, const float* col) {
     gemm::gemm_nt_prepacked(P, out_ch_, K, col, K, packed_w, y.data() + b * out_ch_ * P, 1,

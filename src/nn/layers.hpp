@@ -7,7 +7,8 @@
 // steady state performs zero heap allocations. Dense and Conv2d lower both
 // passes onto the cache-blocked GEMM in nn/gemm.hpp (Conv2d via patch
 // gathers) while preserving the naive loops' per-output accumulation order
-// bit-exactly. The
+// bit-exactly; the float forward packs the weight operand from the float
+// tensor on every call, so it can never read stale weights. The
 // value-returning forward/backward wrappers remain for tests and one-off use.
 #pragma once
 
@@ -39,8 +40,8 @@ struct ParamRef {
   /// incrementally re-evaluate after the parameter is perturbed.
   usize top_layer = 0;
   /// The layer object the parameter belongs to (the innermost one, not a
-  /// wrapping Sequential). QuantizedModel uses it to attach resident packed
-  /// weight panels to Dense/Conv2d for the fused int8 forward path.
+  /// wrapping Sequential). QuantizedModel uses it to attach resident int8
+  /// code panels to Dense/Conv2d for the true-integer forward path.
   Layer* owner = nullptr;
 };
 
@@ -73,27 +74,6 @@ class Layer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Fused int8 residency: `panel` is a pre-packed weight panel (gemm::pack_b
-  /// layout over the layer's {dim(0), size/dim(0)} weight matrix) that the
-  /// provider (quant::QuantizedModel) keeps bit-identical to
-  /// pack_b(weight) at all times. Layers whose forward lowers onto a packed
-  /// GEMM B operand (Dense, Conv2d) consume it directly instead of re-packing
-  /// `weight` every call; for every other layer attaching is inert.
-  void attach_packed_weight(const float* panel) { resident_pack_ = panel; }
-  void detach_packed_weight(const float* panel) {
-    if (resident_pack_ == panel) resident_pack_ = nullptr;
-  }
-  /// Guard hook for code that mutates parameter tensors directly instead of
-  /// through quant::QuantizedModel (Model::load_state, the optimizer): drops
-  /// any attached panel (float and int8) so forward falls back to reading the
-  /// float weights -- slower but never stale. QuantizedModel::set_fused(true)
-  /// re-attaches.
-  void drop_packed_weight() {
-    resident_pack_ = nullptr;
-    int8_pack_ = {};
-  }
-  [[nodiscard]] const float* packed_weight() const { return resident_pack_; }
-
   /// True-integer int8 residency (the DNND_INT8 regime): raw weight codes in
   /// gemm::pack_b_q8 layout plus the symmetric scales needed to requantize.
   /// act_scale == 0 means "uncalibrated": forward derives a per-call scale
@@ -110,6 +90,12 @@ class Layer {
   }
   [[nodiscard]] const Int8Pack& int8_pack() const { return int8_pack_; }
 
+  /// Guard hook for code that mutates parameter tensors directly instead of
+  /// through quant::QuantizedModel (Model::load_state, the optimizer): drops
+  /// the attached int8 code panel so forward falls back to the float path
+  /// over the current weights -- slower but never stale.
+  void drop_packed_weight() { int8_pack_ = {}; }
+
   /// Activation-calibration probe: while set, every Dense/Conv2d forward
   /// folds max|input| into *sink. QuantizedModel::calibrate_int8 points it at
   /// the per-layer amax accumulator for one recording pass, then clears it.
@@ -123,7 +109,6 @@ class Layer {
 
  private:
   std::unique_ptr<Workspace> legacy_ws_;  ///< lazily created for the wrappers
-  const float* resident_pack_ = nullptr;
   Int8Pack int8_pack_;
   float* act_probe_ = nullptr;
 };

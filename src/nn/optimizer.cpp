@@ -20,9 +20,9 @@ void SgdOptimizer::step() {
       v[j] = mu * v[j] - lr * (g[j] + wd * w[j]);
       w[j] += v[j];
     }
-    // Direct weight mutation: drop any resident packed panel (see
-    // Layer::drop_packed_weight) and mark cached activations stale from this
-    // layer on, so fused/incremental inference never reads pre-step state.
+    // Direct weight mutation: drop any resident int8 panel (see
+    // Layer::drop_packed_weight) and mark cached activations stale, so
+    // int8/incremental inference never reads pre-step state.
     if (params[i].owner != nullptr) params[i].owner->drop_packed_weight();
   }
   model_.invalidate_from(0);

@@ -2,13 +2,10 @@
 // hand-rolled Dense/Conv2d forward and backward loops that the GEMM engine
 // replaced.
 //
-// The forward kernels exist for two reasons: (1) tests/test_gemm.cpp
-// property-checks the lowered GEMM/im2col path against them for
-// bitwise-identical outputs over randomized shapes, and (2)
-// gemm::set_force_naive(true) routes the layer forwards back onto them so
-// bench_inference can measure an honest naive-vs-engine speedup on the same
-// binary. The backward kernels are test oracles only: no production path
-// calls them.
+// They are test oracles only: tests/test_gemm.cpp property-checks the
+// lowered GEMM/im2col forward and the lowered backward against them for
+// bitwise-identical outputs over randomized shapes. No production path calls
+// them.
 #pragma once
 
 #include "nn/tensor.hpp"

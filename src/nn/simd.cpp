@@ -49,8 +49,7 @@ void row1_scalar(usize K, const float* a, const float* panel, float* acc) {
 // ---- AVX2 -------------------------------------------------------------------
 // One ymm register per A row holds all eight column accumulators; each k step
 // loads one panel line and broadcasts one A element per row. mul then add as
-// two distinct instructions keeps the two-rounding scalar semantics; the
-// *_fma variants are the opt-in single-rounding fast path.
+// two distinct instructions keeps the two-rounding scalar semantics.
 
 #ifdef DNND_SIMD_X86
 
@@ -72,28 +71,6 @@ __attribute__((target("avx2"))) void row1_avx2(usize K, const float* a, const fl
   __m256 c = _mm256_loadu_ps(acc);
   for (usize k = 0; k < K; ++k, panel += kNr) {
     c = _mm256_add_ps(c, _mm256_mul_ps(_mm256_set1_ps(a[k]), _mm256_loadu_ps(panel)));
-  }
-  _mm256_storeu_ps(acc, c);
-}
-
-__attribute__((target("avx2,fma"))) void tile8_avx2_fma(usize K, const float* const* a,
-                                                        const float* panel, float* acc) {
-  __m256 c[kMr];
-  for (usize i = 0; i < kMr; ++i) c[i] = _mm256_loadu_ps(acc + i * kNr);
-  for (usize k = 0; k < K; ++k, panel += kNr) {
-    const __m256 b = _mm256_loadu_ps(panel);
-    for (usize i = 0; i < kMr; ++i) {
-      c[i] = _mm256_fmadd_ps(_mm256_set1_ps(a[i][k]), b, c[i]);
-    }
-  }
-  for (usize i = 0; i < kMr; ++i) _mm256_storeu_ps(acc + i * kNr, c[i]);
-}
-
-__attribute__((target("avx2,fma"))) void row1_avx2_fma(usize K, const float* a,
-                                                       const float* panel, float* acc) {
-  __m256 c = _mm256_loadu_ps(acc);
-  for (usize k = 0; k < K; ++k, panel += kNr) {
-    c = _mm256_fmadd_ps(_mm256_set1_ps(a[k]), _mm256_loadu_ps(panel), c);
   }
   _mm256_storeu_ps(acc, c);
 }
@@ -307,8 +284,7 @@ void interleave_quads_i8_sse2(const i8* T, usize P, usize KQ, i8* out) {
 
 // ---- NEON -------------------------------------------------------------------
 // Eight lanes = two q registers per A row. vmul+vadd (not vmla, which the
-// compiler may emit as fused FMLA) for the bit-transparent path; vfma for the
-// opt-in fast path.
+// compiler may emit as fused FMLA) keeps the path bit-transparent.
 
 #ifdef DNND_SIMD_NEON
 
@@ -343,68 +319,20 @@ void row1_neon(usize K, const float* a, const float* panel, float* acc) {
   vst1q_f32(acc + 4, hi);
 }
 
-void tile8_neon_fma(usize K, const float* const* a, const float* panel, float* acc) {
-  float32x4_t lo[kMr], hi[kMr];
-  for (usize i = 0; i < kMr; ++i) {
-    lo[i] = vld1q_f32(acc + i * kNr);
-    hi[i] = vld1q_f32(acc + i * kNr + 4);
-  }
-  for (usize k = 0; k < K; ++k, panel += kNr) {
-    const float32x4_t blo = vld1q_f32(panel), bhi = vld1q_f32(panel + 4);
-    for (usize i = 0; i < kMr; ++i) {
-      const float32x4_t av = vdupq_n_f32(a[i][k]);
-      lo[i] = vfmaq_f32(lo[i], av, blo);
-      hi[i] = vfmaq_f32(hi[i], av, bhi);
-    }
-  }
-  for (usize i = 0; i < kMr; ++i) {
-    vst1q_f32(acc + i * kNr, lo[i]);
-    vst1q_f32(acc + i * kNr + 4, hi[i]);
-  }
-}
-
-void row1_neon_fma(usize K, const float* a, const float* panel, float* acc) {
-  float32x4_t lo = vld1q_f32(acc), hi = vld1q_f32(acc + 4);
-  for (usize k = 0; k < K; ++k, panel += kNr) {
-    const float32x4_t av = vdupq_n_f32(a[k]);
-    lo = vfmaq_f32(lo, av, vld1q_f32(panel));
-    hi = vfmaq_f32(hi, av, vld1q_f32(panel + 4));
-  }
-  vst1q_f32(acc, lo);
-  vst1q_f32(acc + 4, hi);
-}
-
 #endif  // DNND_SIMD_NEON
 
 // ---- dispatch ---------------------------------------------------------------
 
 std::atomic<int> g_scalar_override{-1};  ///< -1 env, 0 simd on, 1 scalar
-std::atomic<int> g_fma_override{-1};     ///< -1 env, 0 off, 1 on
 std::atomic<int> g_int8_override{-1};    ///< -1 env, 0 off, 1 integer path
 
-/// CPUID results never change mid-process; probe once.
-struct CpuCaps {
-  Isa isa = Isa::kScalar;
-  bool fma = false;
-};
-
-CpuCaps detect_caps() {
-  CpuCaps caps;
+Isa detect_isa() {
 #if defined(DNND_SIMD_X86)
-  if (__builtin_cpu_supports("avx2")) {
-    caps.isa = Isa::kAvx2;
-    caps.fma = __builtin_cpu_supports("fma");
-  }
+  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
 #elif defined(DNND_SIMD_NEON)
-  caps.isa = Isa::kNeon;
-  caps.fma = true;
+  return Isa::kNeon;
 #endif
-  return caps;
-}
-
-const CpuCaps& caps() {
-  static const CpuCaps c = detect_caps();
-  return c;
+  return Isa::kScalar;
 }
 
 }  // namespace
@@ -418,7 +346,11 @@ const char* isa_name(Isa isa) {
   return "scalar";
 }
 
-Isa best_isa() { return caps().isa; }
+Isa best_isa() {
+  // CPUID results never change mid-process; probe once.
+  static const Isa isa = detect_isa();
+  return isa;
+}
 
 void set_scalar_override(int v) { g_scalar_override.store(v, std::memory_order_relaxed); }
 int scalar_override() { return g_scalar_override.load(std::memory_order_relaxed); }
@@ -427,15 +359,6 @@ bool force_scalar() {
   const int v = g_scalar_override.load(std::memory_order_relaxed);
   if (v >= 0) return v != 0;
   return sys::env_usize("DNND_SIMD", 1) == 0;
-}
-
-void set_fma_override(int v) { g_fma_override.store(v, std::memory_order_relaxed); }
-int fma_override() { return g_fma_override.load(std::memory_order_relaxed); }
-
-bool fma_enabled() {
-  const int v = g_fma_override.load(std::memory_order_relaxed);
-  if (v >= 0) return v != 0;
-  return sys::env_usize("DNND_FMA", 0) != 0;
 }
 
 void set_int8_override(int v) { g_int8_override.store(v, std::memory_order_relaxed); }
@@ -451,24 +374,17 @@ Isa active_isa() { return force_scalar() ? Isa::kScalar : best_isa(); }
 
 Kernels active_kernels() {
   const Isa isa = active_isa();
-  const bool fuse = fma_enabled() && caps().fma;
   switch (isa) {
 #ifdef DNND_SIMD_X86
-    case Isa::kAvx2:
-      if (fuse) return {tile8_avx2_fma, row1_avx2_fma, isa, true};
-      return {tile8_avx2, row1_avx2, isa, false};
+    case Isa::kAvx2: return {tile8_avx2, row1_avx2, isa};
 #endif
 #ifdef DNND_SIMD_NEON
-    case Isa::kNeon:
-      if (fuse) return {tile8_neon_fma, row1_neon_fma, isa, true};
-      return {tile8_neon, row1_neon, isa, false};
+    case Isa::kNeon: return {tile8_neon, row1_neon, isa};
 #endif
     default:
       break;
   }
-  // Scalar never fuses: the fast path only exists where a fused instruction
-  // does, and the scalar path doubles as the byte-identity reference.
-  return {tile8_scalar, row1_scalar, Isa::kScalar, false};
+  return {tile8_scalar, row1_scalar, Isa::kScalar};
 }
 
 I8Kernels active_int8_kernels() {
@@ -477,7 +393,7 @@ I8Kernels active_int8_kernels() {
   // minimum target) and scalar share the reference loops -- which is fine,
   // because the int8 byte gate only needs the variants to agree, and the
   // scalar quad loop already autovectorizes reasonably.
-  if (!force_scalar() && caps().isa == Isa::kAvx2) {
+  if (!force_scalar() && best_isa() == Isa::kAvx2) {
     return {i8_tile8_avx2, i8_row1_avx2, Isa::kAvx2};
   }
 #endif
@@ -486,7 +402,7 @@ I8Kernels active_int8_kernels() {
 
 void quantize_panel_i8(const float* A, usize M, usize K, usize lda, float inv, i8* out) {
 #ifdef DNND_SIMD_X86
-  if (!force_scalar() && caps().isa == Isa::kAvx2) {
+  if (!force_scalar() && best_isa() == Isa::kAvx2) {
     quantize_panel_i8_avx2(A, M, K, lda, inv, out);
     return;
   }

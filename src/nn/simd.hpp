@@ -14,16 +14,10 @@
 // scalar path by construction, on every ISA. The build pins
 // -ffp-contract=off so the scalar path cannot silently become fused either
 // (tests/test_gemm.cpp sweeps simd-vs-scalar byte equality over randomized
-// shapes; the campaign baseline gates it end to end).
+// shapes; the campaign baseline gates it end to end). No kernel here uses a
+// fused multiply-add: there is one float regime, and it is byte-gated.
 //
-// The one deliberate exception is the opt-in FMA fast path (DNND_FMA=1 /
-// set_fma_override): it uses explicit fused multiply-add intrinsics, which
-// round once instead of twice per term and may therefore diverge from the
-// scalar path in the last ulp. It is excluded from every zero-tolerance
-// byte gate and exists purely as a speed/accuracy trade the operator must
-// ask for.
-//
-// The third numeric regime is the true-integer int8 path (DNND_INT8=1):
+// The second numeric regime is the true-integer int8 path (DNND_INT8=1):
 // u8xs8 -> s16 -> s32 microkernels over raw weight codes with int32
 // accumulators and a float requantization epilogue. Integer addition is
 // associative, so unlike the float kernels the AVX2 and scalar int8 variants
@@ -36,7 +30,6 @@
 //
 // Knobs (resolved per kernel selection, overridable in-process):
 //   DNND_SIMD=0   force the scalar microkernels (CI's forced-scalar leg)
-//   DNND_FMA=1    enable the fused fast path (divergent rounding allowed)
 //   DNND_INT8=1   true-integer int8 forward for layers with quantized weights
 #pragma once
 
@@ -67,12 +60,10 @@ struct Kernels {
   Tile8Fn tile8;
   Row1Fn row1;
   Isa isa;
-  bool fma;  ///< true only on the opt-in divergent fast path
 };
 
 /// The microkernels the GEMM should use right now: best supported ISA,
-/// downgraded by the scalar override / DNND_SIMD=0, upgraded to the fused
-/// variants by the FMA override / DNND_FMA=1 (when the CPU has FMA).
+/// downgraded by the scalar override / DNND_SIMD=0.
 [[nodiscard]] Kernels active_kernels();
 
 /// The ISA active_kernels() currently resolves to (knobs applied).
@@ -88,9 +79,6 @@ struct Kernels {
 void set_scalar_override(int v);              ///< -1 env, 0 simd on, 1 force scalar
 [[nodiscard]] int scalar_override();
 [[nodiscard]] bool force_scalar();            ///< resolved DNND_SIMD knob
-void set_fma_override(int v);                 ///< -1 env, 0 off, 1 fused fast path
-[[nodiscard]] int fma_override();
-[[nodiscard]] bool fma_enabled();             ///< resolved DNND_FMA knob
 void set_int8_override(int v);                ///< -1 env, 0 off, 1 integer path
 [[nodiscard]] int int8_override();
 [[nodiscard]] bool int8_enabled();            ///< resolved DNND_INT8 knob

@@ -30,8 +30,8 @@ void validate_bit_key_bounds(usize layer_count, usize max_layer_size) {
 
 namespace {
 
-/// One weight's float and packed-panel values from its code -- the single
-/// materialization arithmetic everything (full pass, flip, restore) shares.
+/// One weight's float value from its code -- the single materialization
+/// arithmetic everything (full pass, flip, restore) shares.
 inline float dequant(i8 q, float scale) { return static_cast<float>(q) * scale; }
 
 }  // namespace
@@ -70,8 +70,6 @@ QuantizedModel::~QuantizedModel() {
 }
 
 void QuantizedModel::build_pack(QuantizedLayer& l) {
-  l.packed.resize(nn::gemm::packed_b_size(l.pack_rows, l.pack_cols));
-  nn::gemm::pack_b_int8(l.q.data(), l.pack_rows, l.pack_cols, l.scale, l.packed.data());
   l.packed_q.resize(nn::gemm::packed_b_int8_size(l.pack_rows, l.pack_cols));
   nn::gemm::pack_b_q8(l.q.data(), l.pack_rows, l.pack_cols, l.packed_q.data());
 }
@@ -79,20 +77,10 @@ void QuantizedModel::build_pack(QuantizedLayer& l) {
 void QuantizedModel::attach_pack(QuantizedLayer& l, bool on) {
   if (l.owner == nullptr) return;
   if (on) {
-    l.owner->attach_packed_weight(l.packed.data());
     l.owner->attach_int8_pack({l.packed_q.data(), l.scale, l.act_scale});
   } else {
-    l.owner->detach_packed_weight(l.packed.data());
     l.owner->detach_int8_pack(l.packed_q.data());
   }
-}
-
-void QuantizedModel::set_fused(bool on) {
-  // Attaching is idempotent and deliberately not short-circuited when already
-  // fused: set_fused(true) also recovers panels dropped by a direct-mutation
-  // guard (Model::load_state, optimizer steps) after a materialize().
-  fused_ = on;
-  for (auto& l : layers_) attach_pack(l, on);
 }
 
 u64 QuantizedModel::total_weights() const {
@@ -117,8 +105,6 @@ void QuantizedModel::flip(const BitLocation& loc) {
   const i8 code = flip_bit_value(l.q[loc.index], loc.bit);
   l.q[loc.index] = code;
   (*l.value)[loc.index] = dequant(code, l.scale);
-  l.packed[nn::gemm::packed_index(loc.index / l.pack_cols, loc.index % l.pack_cols,
-                                  l.pack_cols)] = dequant(code, l.scale);
   l.packed_q[nn::gemm::packed_q8_index(loc.index / l.pack_cols, loc.index % l.pack_cols,
                                        l.pack_cols)] = code;
   // Keep the incremental-forward cache honest: activations computed from the
@@ -135,8 +121,6 @@ void QuantizedModel::set_q(usize layer, usize index, i8 code) {
   if (l.q.at(index) == code) return;  // unchanged: floats and cache stay valid
   l.q[index] = code;
   (*l.value)[index] = dequant(code, l.scale);
-  l.packed[nn::gemm::packed_index(index / l.pack_cols, index % l.pack_cols, l.pack_cols)] =
-      dequant(code, l.scale);
   l.packed_q[nn::gemm::packed_q8_index(index / l.pack_cols, index % l.pack_cols,
                                        l.pack_cols)] = code;
   model_.invalidate_from(l.net_layer);
@@ -161,33 +145,30 @@ void QuantizedModel::restore(const std::vector<std::vector<i8>>& snap) {
 
 void QuantizedModel::calibrate_int8(const nn::Tensor& x) {
   // One recording pass: point each quantizable layer's activation probe at
-  // its amax accumulator and run a FLOAT forward (the int8 override is forced
-  // off so the scales come from reference numerics, not from a
-  // partially-calibrated integer pass). Probes are cleared and the override
-  // restored even if the forward throws.
+  // its amax accumulator and run a FLOAT forward -- the scales come from
+  // reference numerics, not from a partially-calibrated integer pass. The
+  // pass detaches this model's own int8 panels (a layer without one runs the
+  // float path whatever the DNND_INT8 knob says) instead of switching the
+  // process-global override, which concurrent campaign workers share. Probes
+  // are cleared and the panels re-attached even if the forward throws.
+  auto finish = [&] {
+    for (auto& l : layers_) {
+      if (l.owner != nullptr) l.owner->set_act_probe(nullptr);
+      attach_pack(l, true);
+    }
+  };
   for (auto& l : layers_) {
+    attach_pack(l, false);
     if (l.owner != nullptr) l.owner->set_act_probe(&l.act_amax);
   }
-  const int saved = nn::simd::int8_override();
-  nn::simd::set_int8_override(0);
   try {
     model_.forward_cached(x);
   } catch (...) {
-    nn::simd::set_int8_override(saved);
-    for (auto& l : layers_) {
-      if (l.owner != nullptr) l.owner->set_act_probe(nullptr);
-    }
+    finish();
     throw;
   }
-  nn::simd::set_int8_override(saved);
-  for (auto& l : layers_) {
-    if (l.owner != nullptr) l.owner->set_act_probe(nullptr);
-    l.act_scale = l.act_amax > 0.0f ? l.act_amax / 127.0f : 1.0f;
-  }
-  // Re-attach so the owners see the frozen act_scale (attach is idempotent).
-  if (fused_) {
-    for (auto& l : layers_) attach_pack(l, true);
-  }
+  for (auto& l : layers_) l.act_scale = l.act_amax > 0.0f ? l.act_amax / 127.0f : 1.0f;
+  finish();  // the re-attached panels carry the frozen act_scale
   // The recorded activation cache is float-path output; an integer forward
   // must not splice onto it via forward_from.
   model_.invalidate_from(0);

@@ -74,17 +74,12 @@ struct QuantizedLayer {
   /// The Dense/Conv2d the tensor belongs to (for panel attachment).
   nn::Layer* owner = nullptr;
 
-  /// Fused int8 residency: the dequantized weight panel in gemm::pack_b
-  /// layout, kept bit-identical to pack_b(materialized floats) at all times.
-  /// While attached to the owning layer, forward consumes it directly and a
-  /// bit flip costs ONE panel float update instead of a per-forward repack.
-  std::vector<float> packed;
   usize pack_rows = 0;  ///< N: weight.dim(0) (out features / out channels)
   usize pack_cols = 0;  ///< K: weights per output (in features / in_ch*k*k)
 
   /// True-integer residency (the DNND_INT8 regime): the raw codes in
-  /// gemm::pack_b_q8 panel layout. Maintained in lockstep with `packed` -- a
-  /// bit flip updates ONE byte here, so the incremental forward_from(k) probe
+  /// gemm::pack_b_q8 panel layout. Maintained in lockstep with `q` -- a bit
+  /// flip updates ONE byte here, so the incremental forward_from(k) probe
   /// contract holds in the integer regime too.
   std::vector<i8> packed_q;
   float act_scale = 0.0f;  ///< calibrated activation scale (0 = uncalibrated)
@@ -94,19 +89,21 @@ struct QuantizedLayer {
 };
 
 /// Quantized view over a Model's weight tensors. Owns the integer codes and
-/// the resident packed panels of the fused int8 forward path; the float
-/// model remains the inference engine (and stays in sync code-for-code).
+/// the int8 code panels of the true-integer forward path; the float model
+/// remains the inference engine (and stays in sync code-for-code).
 ///
 /// Invariant: while a QuantizedModel is alive, every mutation of a quantized
 /// weight tensor must go through it (flip / set_q / restore / materialize) so
-/// codes, floats, and packed panels never diverge. All in-tree mutators
-/// (attacks, ReconstructionGuard, WeightMapping::download) already do.
+/// codes, floats, and int8 panels never diverge. All in-tree mutators
+/// (attacks, ReconstructionGuard, WeightMapping::download) already do; code
+/// that writes the floats directly (Model::load_state, the optimizer) drops
+/// the int8 panels, so the float forward never reads stale weights.
 class QuantizedModel {
  public:
   /// Quantizes all quantizable parameters of `model`, materializes the
   /// dequantized values into the model (so inference == quantized inference),
-  /// and attaches resident packed panels to the owning Dense/Conv2d layers
-  /// (the fused int8 path; byte-identical to re-packing the floats).
+  /// and attaches the int8 code panels to the owning Dense/Conv2d layers
+  /// (used only while the DNND_INT8 regime is enabled).
   explicit QuantizedModel(nn::Model& model);
   ~QuantizedModel();
   QuantizedModel(const QuantizedModel&) = delete;
@@ -122,13 +119,13 @@ class QuantizedModel {
   [[nodiscard]] u64 total_weights() const;
   [[nodiscard]] u64 total_bits() const { return total_weights() * 8; }
 
-  /// Rewrites every float weight (and packed panel) from its code -- the full
+  /// Rewrites every float weight (and int8 panel) from its code -- the full
   /// dequantization pass. flip/set_q/restore keep everything in sync
   /// incrementally, so this is only needed after external code edits.
   void materialize();
 
   /// Flips one bit: updates the code, the corresponding float weight, and
-  /// the one affected packed-panel float.
+  /// the one affected int8 panel byte.
   void flip(const BitLocation& loc);
 
   /// Reads / writes one code (set_q also updates the float weight and panel).
@@ -143,26 +140,21 @@ class QuantizedModel {
   /// Full snapshot of the integer codes (cheap: one byte per weight).
   [[nodiscard]] std::vector<std::vector<i8>> snapshot() const;
   /// Restores a snapshot incrementally: only codes that differ are rewritten
-  /// (code + float + panel), and the forward cache is invalidated from the
+  /// (code + float + panel byte), and the forward cache is invalidated from the
   /// earliest changed layer only -- not a full materialization pass.
   void restore(const std::vector<std::vector<i8>>& snap);
-
-  /// Detaches (set_fused(false)) or re-attaches the resident packed panels.
-  /// The panels stay maintained either way, so toggling is O(layers); this is
-  /// the A/B knob bench_inference uses to price the fused path. Results are
-  /// byte-identical in both modes.
-  void set_fused(bool on);
-  [[nodiscard]] bool fused() const { return fused_; }
 
   /// Hamming distance of current codes to a snapshot (total flipped bits).
   [[nodiscard]] u64 hamming_distance(const std::vector<std::vector<i8>>& snap) const;
 
   /// Freezes static activation scales for the true-integer regime from one
-  /// recording pass: a FLOAT forward over `x` (the int8 override is forced
-  /// off for the pass) folds each quantizable layer's input abs-max into its
-  /// accumulator, then act_scale = amax / 127. Accumulates across calls, so
-  /// calibrating on several representative batches only widens the range.
-  /// Invalidates the forward cache (the recorded activations are float-path).
+  /// recording pass: a FLOAT forward over `x` (this model's int8 panels are
+  /// detached for the pass, so no process-global knob is touched and
+  /// concurrent models are unaffected) folds each quantizable layer's input
+  /// abs-max into its accumulator, then act_scale = amax / 127. Accumulates
+  /// across calls, so calibrating on several representative batches only
+  /// widens the range. Re-attaches the panels (with the frozen scales) and
+  /// invalidates the forward cache (the recorded activations are float-path).
   void calibrate_int8(const nn::Tensor& x);
 
   /// calibrate_int8(x) once per model, and only when the integer regime is
@@ -172,14 +164,13 @@ class QuantizedModel {
   [[nodiscard]] bool int8_calibrated() const { return int8_calibrated_; }
 
  private:
-  /// (Re)builds layer `l`'s packed panel from its codes.
+  /// (Re)builds layer `l`'s int8 panel from its codes.
   void build_pack(QuantizedLayer& l);
   /// Attaches/detaches layer `l`'s panel on its owning Dense/Conv2d.
   void attach_pack(QuantizedLayer& l, bool on);
 
   nn::Model& model_;
   std::vector<QuantizedLayer> layers_;
-  bool fused_ = true;
   bool int8_calibrated_ = false;
 };
 

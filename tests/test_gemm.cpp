@@ -3,8 +3,7 @@
 // randomized shapes including odd sizes, stride/padding edges, and batch 1/N
 // -- for the forward passes and for the GEMM-lowered Dense/Conv2d backward.
 // The threaded kernel must in turn be byte-identical to the serial one for
-// every team size (row-chunk and panel-chunk partitions both), and the fused
-// int8 pack must reproduce the float pack bit-for-bit.
+// every team size (row-chunk and panel-chunk partitions both).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -195,39 +194,6 @@ TEST(Gemm, ThreadedConvAndDenseForwardMatchSerial) {
   }
 }
 
-TEST(Gemm, PackBInt8MatchesFloatPackBitwise) {
-  // The fused path's invariant: pack_b_int8(codes, scale) must equal
-  // pack_b(materialized floats) byte-for-byte, and packed_index must address
-  // exactly the panel float a single code update has to rewrite.
-  sys::Rng rng(107);
-  for (int trial = 0; trial < 20; ++trial) {
-    const usize N = 1 + rng.uniform(40), K = 1 + rng.uniform(60);
-    const float scale = 0.001f + static_cast<float>(rng.uniform(1000)) * 1e-4f;
-    std::vector<i8> q(N * K);
-    for (auto& v : q) v = static_cast<i8>(static_cast<int>(rng.uniform(256)) - 128);
-
-    std::vector<float> floats(N * K);
-    for (usize i = 0; i < q.size(); ++i) floats[i] = static_cast<float>(q[i]) * scale;
-
-    const usize panel_size = gemm::packed_b_size(N, K);
-    std::vector<float> from_floats(panel_size, -1.0f), from_codes(panel_size, -2.0f);
-    gemm::pack_b(floats.data(), K, N, K, from_floats.data());
-    gemm::pack_b_int8(q.data(), N, K, scale, from_codes.data());
-    ASSERT_EQ(0, std::memcmp(from_floats.data(), from_codes.data(),
-                             panel_size * sizeof(float)))
-        << "trial " << trial << " N=" << N << " K=" << K;
-
-    // Point update == full repack after one code change.
-    const usize idx = rng.uniform(N * K);
-    q[idx] = static_cast<i8>(q[idx] ^ 0x40);
-    from_codes[gemm::packed_index(idx / K, idx % K, K)] = static_cast<float>(q[idx]) * scale;
-    std::vector<float> repacked(panel_size);
-    gemm::pack_b_int8(q.data(), N, K, scale, repacked.data());
-    ASSERT_EQ(0, std::memcmp(repacked.data(), from_codes.data(), panel_size * sizeof(float)))
-        << "point update diverged, trial " << trial;
-  }
-}
-
 TEST(Gemm, SimdMatchesForcedScalarByteExactOverRandomShapes) {
   // The tentpole invariant: the explicit SIMD register tiles (AVX2/NEON,
   // lane-per-output-column, non-contracted mul+add) must be byte-identical
@@ -292,45 +258,6 @@ TEST(Gemm, SimdThreadsMatrixMatchesScalarSerial) {
                                " teams=" + std::to_string(teams));
     }
   }
-}
-
-TEST(Gemm, FmaFastPathIsCloseButExcludedFromByteContract) {
-  // DNND_FMA=1 is allowed to diverge in rounding (fused single-rounding
-  // terms); it must stay numerically close, and switching it back off must
-  // return to byte-identity with scalar. On hosts without a fused ISA the
-  // fma path IS the default path and the divergence is exactly zero.
-  SimdGuard guard;
-  sys::Rng rng(110);
-  const usize M = 24, N = 19, K = 150;
-  Tensor a({M, K}), b({N, K}), bias({N});
-  fill_random(a, rng);
-  fill_random(b, rng);
-  fill_random(bias, rng);
-
-  simd::set_scalar_override(1);
-  simd::set_fma_override(0);
-  Workspace ws1;
-  Tensor scalar({M, N});
-  gemm::gemm_nt(M, N, K, a.data(), K, b.data(), K, scalar.data(), N, bias.data(),
-                gemm::Bias::kPerCol, ws1);
-
-  simd::set_scalar_override(0);
-  simd::set_fma_override(1);
-  Workspace ws2;
-  Tensor fused({M, N});
-  gemm::gemm_nt(M, N, K, a.data(), K, b.data(), K, fused.data(), N, bias.data(),
-                gemm::Bias::kPerCol, ws2);
-  for (usize i = 0; i < fused.size(); ++i) {
-    EXPECT_NEAR(fused[i], scalar[i], 1e-4 * (1.0 + std::abs(scalar[i])))
-        << "fma drifted beyond rounding at " << i;
-  }
-
-  simd::set_fma_override(0);
-  Workspace ws3;
-  Tensor back({M, N});
-  gemm::gemm_nt(M, N, K, a.data(), K, b.data(), K, back.data(), N, bias.data(),
-                gemm::Bias::kPerCol, ws3);
-  expect_bitwise_equal(back, scalar, "fma off must restore byte-identity");
 }
 
 TEST(Gemm, ThreadedIm2colGatherMatchesSerialByteExact) {
@@ -555,19 +482,6 @@ TEST(Gemm, Int8ThreadedMatchesSerialByteExact) {
                                std::to_string(trial));
     }
   }
-}
-
-TEST(Gemm, ForceNaiveRoutesLayersOntoReference) {
-  sys::Rng rng(104);
-  Dense d(13, 9, rng);
-  Tensor x({3, 13});
-  fill_random(x, rng);
-  const Tensor engine = d.forward(x, false);
-  gemm::set_force_naive(true);
-  const Tensor naive = d.forward(x, false);
-  gemm::set_force_naive(false);
-  ASSERT_FALSE(gemm::force_naive());
-  expect_bitwise_equal(engine, naive, "force_naive A/B");
 }
 
 // ----- accumulate mode and the backward lowering ----------------------------

@@ -408,6 +408,25 @@ TEST(Campaign, GoldenBaselineStableUnderForcedScalarSimd) {
   EXPECT_EQ(res.to_json() + "\n", golden);
 }
 
+// The int8 regime is not byte-gated against the float golden, but it is
+// deterministic: int8 calibration must touch no process-global state, so
+// concurrent workers running int8 forwards while another worker calibrates
+// still produce the bytes of a single-worker run, every time.
+TEST(Campaign, Int8RegimeDeterministicAcrossWorkers) {
+  const testutil::SimdGuard guard;
+  nn::simd::set_int8_override(1);
+  const auto grid = tiny_test_grid();
+  CampaignRunner serial(CampaignConfig{.threads = 1});
+  const auto base = serial.run(grid);
+  for (const auto& r : base.results) ASSERT_TRUE(r.ok) << r.id << ": " << r.error;
+  const std::string base_json = base.to_json();
+  for (int run = 0; run < 2; ++run) {
+    CampaignRunner runner(CampaignConfig{.threads = 4});
+    EXPECT_EQ(runner.run(grid).to_json(), base_json) << "4-worker run " << run;
+  }
+  EXPECT_EQ(nn::simd::int8_override(), 1) << "calibration leaked an override change";
+}
+
 TEST(Campaign, RepeatedRunsOnWarmCacheAreIdentical) {
   // Two runs through the SAME runner (second run hits the artifact cache):
   // cached artifacts must be indistinguishable from freshly built ones.

@@ -1,7 +1,6 @@
 // Inference-engine behaviour: incremental re-evaluation (forward_from) is
-// bitwise identical to a full fresh forward for a flip in ANY layer, the
-// fused int8 resident-panel path is byte-identical to the dequantize-
-// materialize path across arbitrary flip sequences, the incremental
+// bitwise identical to a full fresh forward for a flip in ANY layer and
+// across arbitrary flip/unflip/restore sequences, the incremental
 // evaluation helpers match their full-pass counterparts, results are
 // byte-identical at every GEMM team size, and the workspace arena reaches a
 // zero-allocation steady state -- serial and threaded.
@@ -182,60 +181,46 @@ TEST(Workspace, ZeroAllocAcrossIncrementalProbes) {
 }
 
 TEST(FusedInt8, ProbeForwardMatchesMaterializedPathAcrossRandomFlips) {
-  // Twin models with identical weights: `fused` keeps the resident packed
-  // panels attached (a flip updates one code + one panel float), `plain` has
-  // them detached so every forward re-packs the materialized float weights.
-  // Every probe -- including out-of-order flip/unflip sequences riding
-  // forward_from over a deliberately dirty cache -- must agree byte-for-byte.
-  sys::Rng rng_a(51), rng_b(51);
-  auto fused_model = make_conv_dense(rng_a);
-  auto plain_model = make_conv_dense(rng_b);
+  // Out-of-order flip/unflip sequences ride forward_from over a deliberately
+  // dirty cache, and the diff-aware restore lands back on a snapshot. Every
+  // probe must be byte-identical to a full forward_cached of a twin rebuilt
+  // from the same codes by a full materialize() pass.
+  sys::Rng rng(51);
+  auto model = make_conv_dense(rng);
   sys::Rng xrng(52);
   const Tensor x = random_input(3, xrng);
-  quant::QuantizedModel fused(*fused_model);
-  quant::QuantizedModel plain(*plain_model);
-  plain.set_fused(false);
-  ASSERT_TRUE(fused.fused());
-  ASSERT_FALSE(plain.fused());
-
-  EXPECT_TRUE(bitwise_equal(fused_model->forward_cached(x), plain_model->forward_cached(x)));
+  quant::QuantizedModel qm(*model);
+  auto rebuilt_forward = [&] {
+    sys::Rng twin_rng(51);
+    auto twin = make_conv_dense(twin_rng);
+    quant::QuantizedModel twin_qm(*twin);
+    for (usize l = 0; l < twin_qm.num_layers(); ++l) twin_qm.layer(l).q = qm.layer(l).q;
+    twin_qm.materialize();
+    Tensor logits = twin->forward_cached(x);
+    return logits;
+  };
+  const auto clean = qm.snapshot();
+  const Tensor clean_logits = model->forward_cached(x);
+  EXPECT_TRUE(bitwise_equal(clean_logits, rebuilt_forward()));
 
   sys::Rng order(53);
   for (int probe = 0; probe < 16; ++probe) {
-    const usize l = order.uniform(fused.num_layers());
-    const quant::BitLocation loc{l, order.uniform(fused.layer(l).size()),
+    const usize l = order.uniform(qm.num_layers());
+    const quant::BitLocation loc{l, order.uniform(qm.layer(l).size()),
                                  static_cast<u32>(order.uniform(8))};
-    fused.flip(loc);
-    plain.flip(loc);
-    const Tensor a = fused_model->forward_from(fused.layer(l).net_layer);
-    const Tensor b = plain_model->forward_from(plain.layer(l).net_layer);
-    EXPECT_TRUE(bitwise_equal(a, b)) << "probe " << probe << " layer " << l;
-    if (probe % 3 != 0) {  // leave some flips committed, unflip the rest
-      fused.flip(loc);
-      plain.flip(loc);
-    }
+    qm.flip(loc);
+    const Tensor probed = model->forward_from(qm.layer(l).net_layer);
+    EXPECT_TRUE(bitwise_equal(probed, rebuilt_forward())) << "probe " << probe << " layer " << l;
+    if (probe % 3 != 0) qm.flip(loc);  // leave some flips committed, unflip the rest
   }
-  // Restore-to-snapshot (the diff-aware path) must land both models on
-  // byte-identical logits again.
-  const auto snap = fused.snapshot();
-  plain.restore(snap);
-  fused.restore(snap);
-  EXPECT_TRUE(bitwise_equal(fused_model->forward_from(0), plain_model->forward_from(0)));
-}
-
-TEST(FusedInt8, SetFusedTogglesWithoutChangingResults) {
-  sys::Rng rng(54);
-  auto m = make_conv_dense(rng);
-  sys::Rng xrng(55);
-  const Tensor x = random_input(2, xrng);
-  quant::QuantizedModel qm(*m);
-  const Tensor with_fused = m->forward_cached(x);
-  qm.set_fused(false);
-  const Tensor without = m->forward_cached(x);
-  qm.set_fused(true);
-  const Tensor again = m->forward_cached(x);
-  EXPECT_TRUE(bitwise_equal(with_fused, without));
-  EXPECT_TRUE(bitwise_equal(with_fused, again));
+  // Restore-to-snapshot rewrites only the committed codes and invalidates
+  // from the earliest one; re-forwarding from the frontier must land on the
+  // clean logits again.
+  ASSERT_GT(qm.hamming_distance(clean), 0u);
+  qm.restore(clean);
+  const Tensor restored = model->forward_from(model->net().layer_count());
+  EXPECT_TRUE(bitwise_equal(restored, clean_logits));
+  EXPECT_TRUE(bitwise_equal(restored, rebuilt_forward()));
 }
 
 TEST(IncrementalEval, MatchesFullEvaluationAfterFlipBursts) {
@@ -415,9 +400,12 @@ TEST(Workspace, ZeroAllocSteadyStateThreadedTrainingCycle) {
 
 TEST(FusedInt8, LoadStateDropsResidentPanelsInsteadOfGoingStale) {
   // Direct weight mutation bypassing the QuantizedModel (Model::load_state)
-  // must not leave inference reading a stale resident panel: the guard drops
-  // the panels and invalidates the cache, so both the plain forward and the
-  // incremental evaluation honor the restored weights.
+  // must not leave inference reading a stale resident int8 panel: the guard
+  // drops the panels and invalidates the cache, so both the plain forward
+  // and the incremental evaluation honor the restored weights. The int8
+  // regime is on, so a panel that survived would be used.
+  testutil::SimdGuard guard;
+  simd::set_int8_override(1);
   sys::Rng rng(64);
   auto m = make_conv_dense(rng);
   sys::Rng xrng(65);
@@ -427,7 +415,7 @@ TEST(FusedInt8, LoadStateDropsResidentPanelsInsteadOfGoingStale) {
   const Tensor clean_logits = m->forward_cached(x);
   const double clean_loss = m->evaluate_batch(x, y).loss;
 
-  quant::QuantizedModel qm(*m);  // attaches panels, quantizes the weights
+  quant::QuantizedModel qm(*m);  // attaches int8 panels, quantizes the weights
   m->evaluate_batch_incremental(x, y);  // cache now holds quantized activations
   m->load_state(clean);
   EXPECT_TRUE(bitwise_equal(m->forward_cached(x), clean_logits))

@@ -18,16 +18,14 @@ namespace dnnd::testutil {
 /// campaign runner itself uses (nn/gemm.hpp).
 using ThreadsGuard = nn::gemm::ThreadsGuard;
 
-/// Restores the process-global SIMD knob overrides (force-scalar, FMA, int8
+/// Restores the process-global SIMD knob overrides (force-scalar, int8
 /// regime) on scope exit, so kernel-selection sweeps cannot leak into later
 /// tests.
 struct SimdGuard {
   int saved_scalar = nn::simd::scalar_override();
-  int saved_fma = nn::simd::fma_override();
   int saved_int8 = nn::simd::int8_override();
   ~SimdGuard() {
     nn::simd::set_scalar_override(saved_scalar);
-    nn::simd::set_fma_override(saved_fma);
     nn::simd::set_int8_override(saved_int8);
   }
 };
