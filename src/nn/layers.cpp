@@ -99,17 +99,25 @@ void gather_windows(const float* dp, usize C, usize k_any, usize h, usize w, flo
 
 // ----------------------------------------------------------------- Layer ----
 
+// The wrappers keep the last forward's x and y in slots keyed by the private
+// workspace itself, which no layer uses as a slot owner.
+
 Tensor Layer::forward(const Tensor& x, bool train) {
   if (!legacy_ws_) legacy_ws_ = std::make_unique<Workspace>();
-  Tensor y;
-  forward_into(x, y, train, *legacy_ws_);
-  return y;
+  Workspace& ws = *legacy_ws_;
+  Tensor& xs = ws.slot(&ws, Workspace::SlotKind::kActivation, 0);
+  Tensor& ys = ws.slot(&ws, Workspace::SlotKind::kActivation, 1);
+  xs = x;
+  forward_into(xs, ys, train, ws);
+  return ys;
 }
 
 Tensor Layer::backward(const Tensor& dy) {
-  if (!legacy_ws_) legacy_ws_ = std::make_unique<Workspace>();
+  if (!legacy_ws_) throw std::logic_error("Layer::backward: no forward to differentiate");
+  Workspace& ws = *legacy_ws_;
   Tensor dx;
-  backward_into(dy, dx, *legacy_ws_);
+  backward_into(ws.slot(&ws, Workspace::SlotKind::kActivation, 0),
+                ws.slot(&ws, Workspace::SlotKind::kActivation, 1), dy, dx, ws);
   return dx;
 }
 
@@ -125,7 +133,6 @@ Dense::Dense(usize in_features, usize out_features, sys::Rng& rng)
 
 void Dense::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& ws) {
   assert(x.rank() == 2 && x.dim(1) == in_);
-  x_cache_ = x;
   record_act(x);
   const usize n = x.dim(0);
   y.resize({n, out_});
@@ -145,8 +152,9 @@ void Dense::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& 
                 gemm::Bias::kPerCol, ws);
 }
 
-void Dense::backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) {
-  const usize n = x_cache_.dim(0);
+void Dense::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor& dx,
+                          Workspace& ws) {
+  const usize n = x.dim(0);
   assert(dy.rank() == 2 && dy.dim(0) == n && dy.dim(1) == out_);
   dx.resize({n, in_});
   // dx = dy W: dx[i, j] reduces over ascending outputs o. The weight is the
@@ -160,7 +168,7 @@ void Dense::backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) {
   for (usize i = 0; i < n; ++i) {
     for (usize o = 0; o < out_; ++o) dyt[o * n + i] = dy.at2(i, o);
   }
-  gemm::pack_bt(x_cache_.data(), in_, in_, n, packed);
+  gemm::pack_bt(x.data(), in_, in_, n, packed);
   gemm::gemm_nt_prepacked(out_, in_, n, dyt, n, packed, dweight.data(), in_, 1, nullptr,
                           gemm::Bias::kAccumulate);
   for (usize i = 0; i < n; ++i) {
@@ -302,7 +310,6 @@ void Conv2d::gather_taps_i8(const i8* xq, const ConvGeom& g, i8* T) const {
 
 void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& ws) {
   assert(x.rank() == 4 && x.dim(1) == in_ch_);
-  x_cache_ = x;
   record_act(x);
   const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const usize oh = out_size(h), ow = out_size(w);
@@ -411,8 +418,8 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace&
   }
 }
 
-void Conv2d::backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) {
-  const Tensor& x = x_cache_;
+void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor& dx,
+                           Workspace& ws) {
   const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const ConvGeom g = geom(h, w);
   assert(dy.dim(2) == g.oh && dy.dim(3) == g.ow);
@@ -502,66 +509,85 @@ std::vector<ParamRef> Conv2d::params() {
 // ----------------------------------------------------------------- ReLU ----
 
 void ReLU::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& /*ws*/) {
-  mask_.resize(x.shape());
   y.resize(x.shape());
-  for (usize i = 0; i < x.size(); ++i) {
-    const bool pos = x[i] > 0.0f;
-    mask_[i] = pos ? 1.0f : 0.0f;
-    y[i] = pos ? x[i] : 0.0f;
-  }
+  for (usize i = 0; i < x.size(); ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
 }
 
-void ReLU::backward_into(const Tensor& dy, Tensor& dx, Workspace& /*ws*/) {
-  assert(dy.size() == mask_.size());
+namespace {
+
+/// dy times the relu mask, taken from the output: y > 0 exactly where x > 0
+/// (y is x there and +0 elsewhere). The mask multiplies as 1.0f or 0.0f
+/// instead of selecting dy, so an inf or NaN dy still turns into NaN at a
+/// dead unit.
+void relu_mask_into(const Tensor& y, const Tensor& dy, Tensor& dx) {
+  assert(dy.size() == y.size());
   dx.resize(dy.shape());
-  for (usize i = 0; i < dy.size(); ++i) dx[i] = dy[i] * mask_[i];
+  for (usize i = 0; i < dy.size(); ++i) dx[i] = dy[i] * (y[i] > 0.0f ? 1.0f : 0.0f);
+}
+
+}  // namespace
+
+void ReLU::backward_into(const Tensor& /*x*/, const Tensor& y, const Tensor& dy, Tensor& dx,
+                         Workspace& /*ws*/) {
+  relu_mask_into(y, dy, dx);
 }
 
 // ------------------------------------------------------------ MaxPool2d ----
 
-void MaxPool2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& /*ws*/) {
-  assert(x.rank() == 4);
-  in_shape_ = x.shape();
+namespace {
+
+/// Calls f(out_idx, idx, best) for every 2x2 window of the NCHW tensor x in
+/// output order, where best is the window maximum under a strict-> scan from
+/// -inf and idx the flat index of the element holding it. A window with no
+/// element above -inf (all NaN or all -inf) reports best = -inf at its own
+/// first element.
+template <typename F>
+void for_each_pool_window(const Tensor& x, F&& f) {
   const usize n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const usize oh = h / 2, ow = w / 2;
-  y.resize({n, c, oh, ow});
-  argmax_.assign(n * c * oh * ow, 0);
   usize out_idx = 0;
-  for (usize b = 0; b < n; ++b) {
-    for (usize ch = 0; ch < c; ++ch) {
-      for (usize i = 0; i < oh; ++i) {
-        for (usize j = 0; j < ow; ++j) {
-          float best = -std::numeric_limits<float>::infinity();
-          usize best_idx = 0;
-          for (usize di = 0; di < 2; ++di) {
-            for (usize dj = 0; dj < 2; ++dj) {
-              const usize hi = i * 2 + di, wj = j * 2 + dj;
-              const usize idx = ((b * c + ch) * h + hi) * w + wj;
-              if (x[idx] > best) {
-                best = x[idx];
-                best_idx = idx;
-              }
-            }
+  for (usize bc = 0; bc < n * c; ++bc) {
+    for (usize i = 0; i < oh; ++i) {
+      for (usize j = 0; j < ow; ++j) {
+        const usize first = (bc * h + i * 2) * w + j * 2;
+        float best = -std::numeric_limits<float>::infinity();
+        usize best_idx = first;
+        for (const usize idx : {first, first + 1, first + w, first + w + 1}) {
+          if (x[idx] > best) {
+            best = x[idx];
+            best_idx = idx;
           }
-          y.at4(b, ch, i, j) = best;
-          argmax_[out_idx++] = best_idx;
         }
+        f(out_idx++, best_idx, best);
       }
     }
   }
 }
 
-void MaxPool2d::backward_into(const Tensor& dy, Tensor& dx, Workspace& /*ws*/) {
-  dx.resize(in_shape_);
+}  // namespace
+
+void MaxPool2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& /*ws*/) {
+  assert(x.rank() == 4);
+  y.resize({x.dim(0), x.dim(1), x.dim(2) / 2, x.dim(3) / 2});
+  for_each_pool_window(x, [&](usize out_idx, usize /*idx*/, float best) {
+    y[out_idx] = best;
+  });
+}
+
+void MaxPool2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
+                              Tensor& dx, Workspace& /*ws*/) {
+  // Re-runs the forward's scan over x to find each window's chosen element.
+  dx.resize(x.shape());
   dx.zero();
-  for (usize i = 0; i < dy.size(); ++i) dx[argmax_[i]] += dy[i];
+  for_each_pool_window(x, [&](usize out_idx, usize idx, float /*best*/) {
+    dx[idx] += dy[out_idx];
+  });
 }
 
 // -------------------------------------------------------- GlobalAvgPool ----
 
 void GlobalAvgPool::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& /*ws*/) {
   assert(x.rank() == 4);
-  in_shape_ = x.shape();
   const usize n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
   y.resize({n, c});
   for (usize b = 0; b < n; ++b) {
@@ -574,9 +600,10 @@ void GlobalAvgPool::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Wor
   }
 }
 
-void GlobalAvgPool::backward_into(const Tensor& dy, Tensor& dx, Workspace& /*ws*/) {
-  const usize n = in_shape_[0], c = in_shape_[1], hw = in_shape_[2] * in_shape_[3];
-  dx.resize(in_shape_);
+void GlobalAvgPool::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
+                                  Tensor& dx, Workspace& /*ws*/) {
+  const usize n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
+  dx.resize(x.shape());
   const float inv = 1.0f / static_cast<float>(hw);
   for (usize b = 0; b < n; ++b) {
     for (usize ch = 0; ch < c; ++ch) {
@@ -590,15 +617,15 @@ void GlobalAvgPool::backward_into(const Tensor& dy, Tensor& dx, Workspace& /*ws*
 // -------------------------------------------------------------- Flatten ----
 
 void Flatten::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& /*ws*/) {
-  in_shape_ = x.shape();
   usize f = 1;
   for (usize i = 1; i < x.rank(); ++i) f *= x.dim(i);
   y.resize({x.dim(0), f});
   std::memcpy(y.data(), x.data(), x.size() * sizeof(float));
 }
 
-void Flatten::backward_into(const Tensor& dy, Tensor& dx, Workspace& /*ws*/) {
-  dx.resize(in_shape_);
+void Flatten::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor& dx,
+                            Workspace& /*ws*/) {
+  dx.resize(x.shape());
   std::memcpy(dx.data(), dy.data(), dy.size() * sizeof(float));
 }
 
@@ -615,15 +642,16 @@ BatchNorm2d::BatchNorm2d(usize channels, float momentum, float eps)
       momentum_(momentum),
       eps_(eps) {}
 
-void BatchNorm2d::forward_into(const Tensor& x, Tensor& y, bool train, Workspace& /*ws*/) {
+void BatchNorm2d::forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) {
   assert(x.rank() == 4 && x.dim(1) == channels_);
-  in_shape_ = x.shape();
   const usize n = x.dim(0), c = channels_, hw = x.dim(2) * x.dim(3);
   const usize count = n * hw;
-  batch_mean_.assign(c, 0.0f);
-  batch_inv_std_.assign(c, 0.0f);
+  // Row 0: the mean each channel was normalised with; row 1: its 1/std.
+  Tensor& stats = ws.slot(this, Workspace::SlotKind::kScratch, 0);
+  stats.resize({2, c});
+  float* batch_mean = stats.data();
+  float* batch_inv_std = stats.data() + c;
   y.resize(x.shape());
-  x_hat_.resize(x.shape());
   // Channels are fully independent (statistics, normalisation, and running-
   // stat updates all live per channel), so a channel partition is trivially
   // byte-identical to the serial loop.
@@ -655,26 +683,31 @@ void BatchNorm2d::forward_into(const Tensor& x, Tensor& y, bool train, Workspace
             mean = running_mean[ch];
             var = running_var[ch];
           }
+          const float mean_f = static_cast<float>(mean);
           const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-          batch_mean_[ch] = static_cast<float>(mean);
-          batch_inv_std_[ch] = inv_std;
+          batch_mean[ch] = mean_f;
+          batch_inv_std[ch] = inv_std;
           for (usize b = 0; b < n; ++b) {
             const float* p = x.data() + (b * c + ch) * hw;
-            float* xh = x_hat_.data() + (b * c + ch) * hw;
             float* yp = y.data() + (b * c + ch) * hw;
             for (usize i = 0; i < hw; ++i) {
-              xh[i] = (p[i] - static_cast<float>(mean)) * inv_std;
-              yp[i] = gamma[ch] * xh[i] + beta[ch];
+              const float xh = (p[i] - mean_f) * inv_std;
+              yp[i] = gamma[ch] * xh + beta[ch];
             }
           }
         }
       });
 }
 
-void BatchNorm2d::backward_into(const Tensor& dy, Tensor& dx, Workspace& /*ws*/) {
-  const usize n = in_shape_[0], c = channels_, hw = in_shape_[2] * in_shape_[3];
+void BatchNorm2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
+                                Tensor& dx, Workspace& ws) {
+  const usize n = x.dim(0), c = channels_, hw = x.dim(2) * x.dim(3);
   const double count = static_cast<double>(n * hw);
-  dx.resize(in_shape_);
+  const Tensor& stats = ws.slot(this, Workspace::SlotKind::kScratch, 0);
+  assert(stats.size() == 2 * c);
+  const float* batch_mean = stats.data();
+  const float* batch_inv_std = stats.data() + c;
+  dx.resize(x.shape());
   // Per-channel independent (reductions, dgamma/dbeta, and dx slices), so the
   // channel partition is byte-identical to the serial loop.
   ThreadPool::instance().parallel(
@@ -682,28 +715,33 @@ void BatchNorm2d::backward_into(const Tensor& dy, Tensor& dx, Workspace& /*ws*/)
         const usize chunk = (c + nslots - 1) / nslots;
         const usize ch_lo = std::min(c, slot * chunk), ch_hi = std::min(c, ch_lo + chunk);
         for (usize ch = ch_lo; ch < ch_hi; ++ch) {
-          // Standard batch-norm backward using cached x_hat and inv_std.
+          // Standard batch-norm backward. x_hat is recomputed from x with
+          // the forward's float expression, so it matches the forward's bytes
+          // (the build pins -ffp-contract=off).
+          const float mean = batch_mean[ch], inv_std = batch_inv_std[ch];
           double sum_dy = 0.0, sum_dy_xhat = 0.0;
           for (usize b = 0; b < n; ++b) {
+            const float* p = x.data() + (b * c + ch) * hw;
             const float* gy = dy.data() + (b * c + ch) * hw;
-            const float* xh = x_hat_.data() + (b * c + ch) * hw;
             for (usize i = 0; i < hw; ++i) {
+              const float xh = (p[i] - mean) * inv_std;
               sum_dy += gy[i];
-              sum_dy_xhat += static_cast<double>(gy[i]) * xh[i];
+              sum_dy_xhat += static_cast<double>(gy[i]) * xh;
             }
           }
           dbeta[ch] += static_cast<float>(sum_dy);
           dgamma[ch] += static_cast<float>(sum_dy_xhat);
-          const float g = gamma[ch], inv_std = batch_inv_std_[ch];
+          const float g = gamma[ch];
           for (usize b = 0; b < n; ++b) {
+            const float* p = x.data() + (b * c + ch) * hw;
             const float* gy = dy.data() + (b * c + ch) * hw;
-            const float* xh = x_hat_.data() + (b * c + ch) * hw;
             float* gx = dx.data() + (b * c + ch) * hw;
             for (usize i = 0; i < hw; ++i) {
+              const float xh = (p[i] - mean) * inv_std;
               gx[i] = static_cast<float>(
                   static_cast<double>(g) * inv_std *
                   (static_cast<double>(gy[i]) - sum_dy / count -
-                   static_cast<double>(xh[i]) * sum_dy_xhat / count));
+                   static_cast<double>(xh) * sum_dy_xhat / count));
             }
           }
         }
@@ -753,7 +791,9 @@ const Tensor& Sequential::backward_cached(const Tensor& dy, Workspace& ws) {
   const Tensor* g = &dy;
   for (usize i = layers_.size(); i-- > 0;) {
     Tensor& gx = ws.slot(this, Workspace::SlotKind::kGradient, i);
-    layers_[i]->backward_into(*g, gx, ws);
+    layers_[i]->backward_into(ws.slot(this, Workspace::SlotKind::kActivation, i),
+                              ws.slot(this, Workspace::SlotKind::kActivation, i + 1), *g, gx,
+                              ws);
     g = &gx;
   }
   return *g;
@@ -763,7 +803,8 @@ void Sequential::forward_into(const Tensor& x, Tensor& y, bool train, Workspace&
   y = forward_cached(x, train, ws);
 }
 
-void Sequential::backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) {
+void Sequential::backward_into(const Tensor& /*x*/, const Tensor& /*y*/, const Tensor& dy,
+                               Tensor& dx, Workspace& ws) {
   dx = backward_cached(dy, ws);
 }
 
@@ -809,19 +850,16 @@ void ResidualBlock::forward_into(const Tensor& x, Tensor& y, bool train, Workspa
   const Tensor& s = projection_ ? projection_->forward_cached(x, train, ws) : x;
   assert(f.size() == s.size());
   y.resize(f.shape());
-  sum_mask_.resize(f.shape());
   for (usize i = 0; i < f.size(); ++i) {
     const float v = f[i] + s[i];
-    const bool pos = v > 0.0f;
-    sum_mask_[i] = pos ? 1.0f : 0.0f;
-    y[i] = pos ? v : 0.0f;
+    y[i] = v > 0.0f ? v : 0.0f;
   }
 }
 
-void ResidualBlock::backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) {
+void ResidualBlock::backward_into(const Tensor& /*x*/, const Tensor& y, const Tensor& dy,
+                                  Tensor& dx, Workspace& ws) {
   Tensor& dsum = ws.slot(this, Workspace::SlotKind::kScratch, 0);
-  dsum.resize(dy.shape());
-  for (usize i = 0; i < dy.size(); ++i) dsum[i] = dy[i] * sum_mask_[i];
+  relu_mask_into(y, dy, dsum);
   dx = body_.backward_cached(dsum, ws);
   if (projection_) {
     dx.add_(projection_->backward_cached(dsum, ws));

@@ -1,6 +1,13 @@
-// Neural-network layers with full forward/backward passes. Every layer caches
-// what its backward pass needs during forward; backward accumulates parameter
-// gradients (call Model::zero_grad between batches) and returns dL/dx.
+// Neural-network layers with full forward/backward passes. A layer object
+// holds only its parameters, their gradients, persistent statistics
+// (BatchNorm's running mean/var) and shape configuration -- no per-forward
+// state. Everything a backward pass needs is read from the layer's input and
+// output activations, which the enclosing Sequential keeps in its Workspace,
+// or recomputed from them; per-layer scratch that outlives one call (BatchNorm
+// batch statistics) lives in a workspace slot keyed by the layer. So a layer
+// is a function of the activation cache: a forward into another workspace
+// cannot disturb a pending backward. Backward accumulates parameter gradients
+// (call Model::zero_grad between batches) and returns dL/dx.
 //
 // The compute API is arena-based: forward_into/backward_into write into
 // caller-provided tensors and draw all scratch from a Workspace, so the
@@ -51,17 +58,24 @@ class Layer {
   virtual ~Layer() = default;
 
   /// Computes the layer output into `y` (resized as needed). `train` toggles
-  /// batch-statistics behaviour (BatchNorm) -- it does not change caching;
-  /// backward is always legal after forward. All scratch comes from `ws`;
-  /// with stable shapes and workspace this allocates nothing.
+  /// batch-statistics behaviour (BatchNorm); backward is always legal after
+  /// forward. All scratch comes from `ws`; with stable shapes and workspace
+  /// this allocates nothing.
   virtual void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) = 0;
 
   /// Propagates dL/dy -> dL/dx into `dx`, accumulating parameter gradients.
-  virtual void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) = 0;
+  /// `x` and `y` must be the input and output of this layer's latest
+  /// forward_into against `ws`, unmodified since (Sequential::backward_cached
+  /// passes its activation slots i and i + 1). Backward reads nothing else of
+  /// that forward: what it needs beyond x and y it recomputes, or reads from
+  /// the layer's own slots in `ws`.
+  virtual void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                             Workspace& ws) = 0;
 
   /// Value-returning convenience wrappers over the arena API. They run
-  /// against a layer-owned workspace; the engine paths (Model, attacks)
-  /// use the *_into forms with the model's workspace instead.
+  /// against a layer-owned workspace that also keeps the last forward's x
+  /// and y for backward; the engine paths (Model, attacks) use the *_into
+  /// forms with the model's workspace instead.
   Tensor forward(const Tensor& x, bool train);
   Tensor backward(const Tensor& dy);
 
@@ -119,7 +133,8 @@ class Dense final : public Layer {
   Dense(usize in_features, usize out_features, sys::Rng& rng);
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) override;
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                     Workspace& ws) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override { return "dense"; }
 
@@ -133,7 +148,6 @@ class Dense final : public Layer {
 
  private:
   usize in_, out_;
-  Tensor x_cache_;
 };
 
 /// 2-D convolution, square kernel, NCHW. y = conv(x, W) + b, computed as a
@@ -143,7 +157,8 @@ class Conv2d final : public Layer {
   Conv2d(usize in_ch, usize out_ch, usize kernel, usize stride, usize padding, sys::Rng& rng);
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) override;
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                     Workspace& ws) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override { return "conv2d"; }
 
@@ -182,61 +197,55 @@ class Conv2d final : public Layer {
   void gather_taps_i8(const i8* xq, const ConvGeom& g, i8* T) const;
 
   usize in_ch_, out_ch_, k_, stride_, pad_;
-  Tensor x_cache_;
 };
 
 /// Elementwise max(x, 0).
 class ReLU final : public Layer {
  public:
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) override;
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                     Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "relu"; }
-
- private:
-  Tensor mask_;  ///< 1 where x > 0
 };
 
 /// 2x2 max pooling with stride 2 (the only configuration the zoo needs).
 class MaxPool2d final : public Layer {
  public:
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) override;
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                     Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "maxpool2d"; }
-
- private:
-  std::vector<usize> argmax_;  ///< flat input index chosen per output element
-  std::vector<usize> in_shape_;
 };
 
 /// Global average pooling: {N,C,H,W} -> {N,C}.
 class GlobalAvgPool final : public Layer {
  public:
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) override;
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                     Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "gap"; }
-
- private:
-  std::vector<usize> in_shape_;
 };
 
 /// {N,C,H,W} -> {N, C*H*W}.
 class Flatten final : public Layer {
  public:
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) override;
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                     Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "flatten"; }
-
- private:
-  std::vector<usize> in_shape_;
 };
 
 /// Per-channel batch normalisation for NCHW tensors with running statistics.
+/// Forward leaves the per-channel mean and 1/std it normalised with in the
+/// workspace scratch slot (this, kScratch, 0); backward recomputes x_hat
+/// from x with the forward's own float expression.
 class BatchNorm2d final : public Layer {
  public:
   explicit BatchNorm2d(usize channels, float momentum = 0.1f, float eps = 1e-5f);
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) override;
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                     Workspace& ws) override;
   std::vector<ParamRef> params() override;
   std::vector<Tensor*> state_tensors() override { return {&running_mean, &running_var}; }
   [[nodiscard]] std::string name() const override { return "batchnorm2d"; }
@@ -247,15 +256,12 @@ class BatchNorm2d final : public Layer {
  private:
   usize channels_;
   float momentum_, eps_;
-  // caches for backward
-  Tensor x_hat_;
-  std::vector<float> batch_mean_, batch_inv_std_;
-  std::vector<usize> in_shape_;
 };
 
 /// Executes contained layers in order. Used standalone and as the body of
 /// residual blocks. Caches every layer's activation in the workspace, which
-/// is what makes incremental re-evaluation (forward_from) possible.
+/// is what makes incremental re-evaluation (forward_from) possible and what
+/// every layer's backward reads.
 class Sequential final : public Layer {
  public:
   Sequential() = default;
@@ -281,7 +287,8 @@ class Sequential final : public Layer {
   /// keep their parameters. Throws std::logic_error without a prior cache.
   const Tensor& forward_from(usize first_changed, bool train, Workspace& ws);
 
-  /// dL/d(input) of the last forward, via workspace gradient slots.
+  /// dL/d(input) of the last forward, via workspace gradient slots. Layer i
+  /// differentiates against activation slots i and i + 1.
   const Tensor& backward_cached(const Tensor& dy, Workspace& ws);
 
   /// Records that the parameters of layer `first_changed` were mutated
@@ -298,7 +305,8 @@ class Sequential final : public Layer {
   [[nodiscard]] bool has_cache(const Workspace& ws) const { return cache_ws_ == &ws; }
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) override;
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                     Workspace& ws) override;
   std::vector<ParamRef> params() override;
   std::vector<Tensor*> state_tensors() override;
   [[nodiscard]] std::string name() const override { return "sequential"; }
@@ -315,13 +323,16 @@ class Sequential final : public Layer {
 
 /// ResNet basic block: y = relu(F(x) + shortcut(x)), where F is
 /// conv-bn-relu-conv-bn and shortcut is identity or a 1x1 projection.
+/// F and the projection cache their activations in the workspace under their
+/// own Sequential keys; backward takes the final relu's mask from y.
 class ResidualBlock final : public Layer {
  public:
   /// stride > 1 or in_ch != out_ch selects a projection shortcut.
   ResidualBlock(usize in_ch, usize out_ch, usize stride, sys::Rng& rng);
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& dy, Tensor& dx, Workspace& ws) override;
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+                     Workspace& ws) override;
   std::vector<ParamRef> params() override;
   std::vector<Tensor*> state_tensors() override;
   [[nodiscard]] std::string name() const override { return "resblock"; }
@@ -329,7 +340,6 @@ class ResidualBlock final : public Layer {
  private:
   Sequential body_;
   std::unique_ptr<Sequential> projection_;  ///< null for identity shortcut
-  Tensor sum_mask_;  ///< relu mask of (F(x) + shortcut)
 };
 
 }  // namespace dnnd::nn

@@ -9,6 +9,13 @@
 // on first use, and retain their storage forever after, so the steady state
 // (same shapes, same workspace) performs zero heap allocations.
 //
+// The workspace is also the whole of a network's forward state. Layers keep
+// no copy of what a forward saw: backward reads each layer's input and
+// output from the activation slots (kActivation, keyed by the enclosing
+// Sequential) and per-layer leftovers such as BatchNorm's batch statistics
+// from kScratch slots keyed by the layer. A forward into one workspace
+// therefore never disturbs a backward pending in another.
+//
 // Threaded forwards extend the arena with per-team-slot col/pack buffers:
 // reserve_team(teams) (serial, before entering a pool region) sizes the
 // buffer tables, after which each team slot grows and reuses only its own
@@ -99,8 +106,6 @@ class Workspace {
     for (const auto& [key, t] : slots_) total += t.capacity();
     return total;
   }
-
-  [[nodiscard]] usize slot_count() const { return slots_.size(); }
 
  private:
   struct Key {

@@ -2,8 +2,9 @@
 // bitwise identical to a full fresh forward for a flip in ANY layer and
 // across arbitrary flip/unflip/restore sequences, the incremental
 // evaluation helpers match their full-pass counterparts, results are
-// byte-identical at every GEMM team size, and the workspace arena reaches a
-// zero-allocation steady state -- serial and threaded.
+// byte-identical at every GEMM team size, the workspace arena reaches a
+// zero-allocation steady state -- serial and threaded -- and holds all of a
+// network's forward state.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -395,6 +396,41 @@ TEST(Workspace, ZeroAllocSteadyStateThreadedTrainingCycle) {
         << arch << ": threaded steady-state training grew the workspace arena";
     EXPECT_EQ(m->workspace().slot_capacity(), warm_capacity)
         << arch << ": threaded steady-state training reallocated arena storage";
+  }
+}
+
+TEST(Workspace, LayersKeepNoForwardState) {
+  // A layer's backward reads only the workspace its forward ran in. Forwarding
+  // another batch through the same net into a second workspace, between the
+  // forward and the backward, must leave the gradients byte-identical to an
+  // uninterrupted forward + backward. Train mode, so BatchNorm normalises
+  // with batch statistics that differ between the two batches.
+  for (const char* arch : {"vgg11", "resnet20"}) {
+    sys::Rng rng(66);
+    Tensor a({4, 3, 12, 12}), b({4, 3, 12, 12});
+    for (usize i = 0; i < a.size(); ++i) a[i] = static_cast<float>(rng.normal(0.0, 1.0));
+    for (usize i = 0; i < b.size(); ++i) b[i] = static_cast<float>(rng.normal(0.5, 2.0));
+    const std::vector<u32> y{0, 1, 2, 3};
+
+    auto fresh = models::make_by_name(arch, 10, /*seed=*/6);
+    fresh->zero_grad();
+    fresh->loss_and_grad(a, y, /*train_mode=*/true);
+
+    auto m = models::make_by_name(arch, 10, /*seed=*/6);
+    m->zero_grad();
+    LossResult ce;
+    softmax_cross_entropy_into(m->forward_cached(a, /*train=*/true), y, ce);
+    Workspace other;
+    m->net().forward_cached(b, /*train=*/true, other);
+    m->backward(ce.dlogits);
+
+    auto got = m->params();
+    auto want = fresh->params();
+    ASSERT_EQ(got.size(), want.size());
+    for (usize i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(*got[i].grad, *want[i].grad))
+          << arch << " grad " << got[i].name;
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "nn/dataset.hpp"
 #include "nn/layers.hpp"
@@ -208,6 +209,40 @@ TEST(MaxPool, ForwardPicksMaxAndRoutesGradient) {
   Tensor dx = p.backward(dy);
   EXPECT_FLOAT_EQ(dx[1], 2.0f);
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
+}
+
+TEST(MaxPool, DeadWindowRoutesGradientIntoItsOwnWindow) {
+  // A window with no element above -inf (all NaN, or all -inf) has no
+  // strict-> winner. Its gradient goes to the window's own first element,
+  // never to element 0 of the tensor.
+  MaxPool2d p;
+  Tensor x({2, 2, 4, 4});
+  for (usize i = 0; i < x.size(); ++i) x[i] = 1.0f + static_cast<float>(i % 7);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (usize di = 0; di < 2; ++di) {
+    for (usize dj = 0; dj < 2; ++dj) {
+      x.at4(1, 1, 2 + di, dj) = nan;       // window (b, ch, i, j) = (1, 1, 1, 0)
+      x.at4(1, 0, di, 2 + dj) = ninf;      // window (1, 0, 0, 1)
+    }
+  }
+  Tensor y = p.forward(x, false);
+  EXPECT_EQ(y.at4(1, 1, 1, 0), ninf);
+  EXPECT_EQ(y.at4(1, 0, 0, 1), ninf);
+  Tensor dy(y.shape());
+  for (usize i = 0; i < dy.size(); ++i) dy[i] = static_cast<float>(i + 1);
+  Tensor dx = p.backward(dy);
+  for (usize di = 0; di < 2; ++di) {
+    for (usize dj = 0; dj < 2; ++dj) {
+      const bool first = di == 0 && dj == 0;
+      EXPECT_EQ(dx.at4(1, 1, 2 + di, dj), first ? dy.at4(1, 1, 1, 0) : 0.0f);
+      EXPECT_EQ(dx.at4(1, 0, di, 2 + dj), first ? dy.at4(1, 0, 0, 1) : 0.0f);
+    }
+  }
+  // Window 0's maximum is element 5, so element 0 receives nothing.
+  EXPECT_EQ(dx[0], 0.0f);
+  EXPECT_EQ(dx[5], dy[0]);
+  EXPECT_EQ(dx.sum(), dy.sum());
 }
 
 TEST(GlobalAvgPool, ForwardAndGradient) {
