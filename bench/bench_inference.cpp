@@ -1,9 +1,10 @@
 // bench_inference: throughput benchmark for the GEMM inference engine.
 //
-// Measures (1) full-forward throughput of the engine on a zoo conv model, and
-// (2) the cost of an incremental forward_from(k) probe for every top-level
-// layer k -- the flip/probe primitive of the BFA family, whose cost should
-// scale with the remaining depth, not the whole network.
+// Measures (1) full-forward throughput of the engine on a zoo conv model,
+// (2) the cost of a dense forward_from(k) probe for every top-level layer k,
+// which should scale with the remaining depth, not the whole network, and
+// (3) the median cost of the channel-sparse QuantizedModel::probe -- the
+// flip/probe primitive of the BFA family -- for every quantized layer.
 //
 // Emits machine-readable JSON (the BENCH trajectory seed): to stdout, and to
 // the file named by DNND_JSON_OUT when set (the campaign sink convention).
@@ -58,6 +59,20 @@ double time_per_call(double window, Fn&& fn) {
   return elapsed / static_cast<double>(calls);
 }
 
+/// Median seconds of `samples` calls of fn(i), after one warmup call.
+template <typename Fn>
+double median_per_call(usize samples, Fn&& fn) {
+  fn(usize{0});
+  std::vector<double> t(samples);
+  for (usize i = 0; i < samples; ++i) {
+    const bench::Stopwatch sw;
+    fn(i);
+    t[i] = sw.seconds();
+  }
+  std::nth_element(t.begin(), t.begin() + static_cast<isize>(samples / 2), t.end());
+  return t[samples / 2];
+}
+
 }  // namespace
 
 int main() {
@@ -104,22 +119,22 @@ int main() {
   std::printf("  simd   : %8.1f images/s (%.2fx over scalar)\n", simd_ips,
               scalar_spc / simd_spc);
 
-  // ---- incremental probe cost per layer -------------------------------------
+  // ---- dense probe cost per layer -------------------------------------------
   // forward_from(k) recomputes layers >= k over the cached prefix; a probe at
   // the last layer should cost a small fraction of a probe at layer 0.
   const usize layers = model->net().layer_count();
-  std::vector<double> probe_us(layers, 0.0);
+  std::vector<double> from_us(layers, 0.0);
   model->forward_cached(x);
   for (usize k = 0; k < layers; ++k) {
     const double spc = time_per_call(window / 4.0, [&] { model->forward_from(k); });
-    probe_us[k] = spc * 1e6;
+    from_us[k] = spc * 1e6;
   }
   const double full_us = engine_spc * 1e6;
   std::printf("[forward_from] probe cost by first recomputed layer (full fwd %.0f us):\n",
               full_us);
   for (usize k = 0; k < layers; ++k) {
     std::printf("  layer %2zu %-12s %8.1f us (%.2fx of full)\n", k,
-                model->net().layer(k).name().c_str(), probe_us[k], probe_us[k] / full_us);
+                model->net().layer(k).name().c_str(), from_us[k], from_us[k] / full_us);
   }
 
   // ---- quantized model (int8 regime A/B + one BFA step) ---------------------
@@ -127,6 +142,27 @@ int main() {
   for (usize i = 0; i < batch; ++i) y[i] = static_cast<u32>(i % 10);
   quant::QuantizedModel qm(*model);
   const auto clean_codes = qm.snapshot();
+
+  // ---- channel-sparse probe cost per quantized layer ------------------------
+  // QuantizedModel::probe over one clean cache, each call a different weight
+  // row (sign bit); forward_from(k) of the same top-level layer beside it.
+  const usize probe_samples = bench::small_scale() ? 51 : 201;
+  std::vector<double> sparse_us(qm.num_layers(), 0.0);
+  model->forward_cached(x);
+  for (usize l = 0; l < qm.num_layers(); ++l) {
+    const usize size = qm.layer(l).size();
+    sparse_us[l] = 1e6 * median_per_call(probe_samples, [&](usize i) {
+                     qm.probe({l, (i * 7919) % size, 7});
+                   });
+  }
+  std::printf("[probe] channel-sparse probe cost by quantized layer (median of %zu):\n",
+              probe_samples);
+  for (usize l = 0; l < qm.num_layers(); ++l) {
+    const usize k = qm.layer(l).net_layer;
+    std::printf("  quant %2zu layer %2zu %-12s %8.1f us (forward_from %8.1f us, %.1fx)\n", l,
+                k, model->net().layer(k).name().c_str(), sparse_us[l], from_us[k],
+                from_us[k] / sparse_us[l]);
+  }
 
   // ---- true-integer int8 regime ---------------------------------------------
   // Same quantized model, two forward regimes: the float engine path over the
@@ -163,7 +199,7 @@ int main() {
 
   // ---- one BFA step on the engine path --------------------------------------
   // End-to-end cost of the attack inner loop: gradient ranking plus candidate
-  // flip/probe/unflip evaluations, all riding forward_cached/forward_from.
+  // channel-sparse QuantizedModel::probe evaluations over one clean cache.
   attack::BfaConfig bcfg;
   bcfg.max_flips = 1;
   // Every iteration searches the same clean model: the restore undoes the
@@ -198,7 +234,18 @@ int main() {
     w.begin_object();
     w.key("layer").value(k);
     w.key("name").value(model->net().layer(k).name());
-    w.key("us").value(probe_us[k]);
+    w.key("us").value(from_us[k]);
+    w.end_object();
+  }
+  w.end_array();
+  w.key("probe_us").begin_array();
+  for (usize l = 0; l < qm.num_layers(); ++l) {
+    const usize k = qm.layer(l).net_layer;
+    w.begin_object();
+    w.key("quant_layer").value(l);
+    w.key("layer").value(k);
+    w.key("name").value(model->net().layer(k).name());
+    w.key("us").value(sparse_us[l]);
     w.end_object();
   }
   w.end_array();

@@ -32,9 +32,9 @@ std::optional<EngineStep> ProbeEngine::step(const quant::BitSkipSet& skip) {
   nn::Model& model = qm_.model();
   // (1) base objective + bit gradients on the attack batch. The forward half
   // is incremental: when the previous step left a cache on this batch, only
-  // layers at/beyond the earliest flip/probe re-run (byte-identical to a
-  // full pass). It also (re)populates the activation cache every candidate
-  // probe below re-evaluates incrementally from its flip layer onward.
+  // layers at/beyond the earliest committed flip re-run (byte-identical to
+  // a full pass). It also leaves the activation cache clean, which every
+  // candidate probe below reads and none writes.
   model.zero_grad();
   const double base = objective_.prepare(model, attack_x_, attack_y_);
 
@@ -74,14 +74,11 @@ std::optional<EngineStep> ProbeEngine::step(const quant::BitSkipSet& skip) {
   ProbeMeasurement probe;
   for (const LayerBest& lb : per_layer) {
     for (const quant::FlipCandidate& cand : lb.cands) {
-      // flip / incremental forward / unflip: only layers at and beyond the
-      // flipped tensor are recomputed; every metric the objective reports
-      // comes from the single resulting logits tensor.
-      qm_.flip(cand.loc);
-      const nn::Tensor& logits =
-          model.forward_from(qm_.layer(cand.loc.layer).net_layer, /*train=*/false);
-      objective_.measure(logits, attack_y_, probe);
-      qm_.flip(cand.loc);  // revert
+      // flip / channel-sparse forward / revert in one call: only what the
+      // flipped row can change is recomputed, in the probe workspace, so the
+      // clean cache serves every candidate. Every metric the objective
+      // reports comes from the single resulting logits tensor.
+      objective_.measure(qm_.probe(cand.loc), attack_y_, probe);
       if (!probe.admissible) {
         continue;  // violates the objective's constraint (stealthy admission)
       }
@@ -119,10 +116,9 @@ std::optional<EngineStep> ProbeEngine::step(const quant::BitSkipSet& skip) {
   qm_.flip(*best_loc);
   flipped_.insert(*best_loc);
   if (fallback) {
-    // A fallback flip was never priced: measure the committed state.
-    const nn::Tensor& logits =
-        model.forward_from(qm_.layer(best_loc->layer).net_layer, /*train=*/false);
-    objective_.measure(logits, attack_y_, best);
+    // A fallback flip was never priced: measure the committed state. The
+    // refresh leaves the cache clean for the next step's prepare.
+    objective_.measure(model.forward_incremental_logits(attack_x_), attack_y_, best);
     best_key = probe_loss_key(best.objective);
   }
   EngineStep out;

@@ -7,8 +7,12 @@
 //   (3) intra-layer search: per-layer top-k candidates by first-order gain
 //       (quant::top_k_flips over the accumulated gradients),
 //   (4) inter-layer search: restrict to the most promising layers, then price
-//       each shortlisted candidate EXACTLY by flip -> incremental
-//       forward_from(net_layer) -> objective->measure -> unflip,
+//       each shortlisted candidate EXACTLY with one QuantizedModel::probe:
+//       flip without invalidating, re-forward only the channel the flipped
+//       row feeds until the first channel-mixing layer and densely from
+//       there (all in the model's probe workspace), revert the exact bytes,
+//       then objective->measure. The clean activation cache is never written
+//       by a probe, so every candidate reuses it,
 //   (5) commit the best admissible improving flip (probe_loss_key ordering,
 //       so a NaN-saturating probe ranks as +inf: a win for a maximizer, a
 //       loss for a minimizer), optionally falling back to the best

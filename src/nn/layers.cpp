@@ -152,6 +152,40 @@ void Dense::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& 
                 gemm::Bias::kPerCol, ws);
 }
 
+bool Dense::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& ws) {
+  assert(x.rank() == 2 && x.dim(1) == in_ && row < out_);
+  const usize n = x.dim(0);
+  y.resize({n, 1});
+  // One output feature of forward_into, term for term. Int8: the batch's
+  // activation scale, the same elementwise codes (a row quantized alone gets
+  // the codes it gets inside the batch panel), an exact int32 dot over the
+  // raw weight codes, and the GEMM epilogue float(acc) * requant + bias.
+  if (const Int8Pack& ip = int8_pack(); ip.panel != nullptr && simd::int8_enabled()) {
+    const float sa =
+        ip.act_scale > 0.0f ? ip.act_scale : gemm::activation_scale(x.data(), n, in_, in_);
+    const float requant = sa * ip.weight_scale;
+    i8* qa = ws.qa_buffer(gemm::padded_k_int8(in_));
+    for (usize b = 0; b < n; ++b) {
+      gemm::quantize_activations(x.data() + b * in_, 1, in_, in_, sa, qa);
+      i32 acc = 0;
+      for (usize k = 0; k < in_; ++k) {
+        acc += i32{qa[k]} * i32{ip.panel[gemm::packed_q8_index(row, k, in_)]};
+      }
+      y[b] = static_cast<float>(acc) * requant + bias[row];
+    }
+    return true;
+  }
+  // Float: the GEMM contract's single accumulator, bias first, ascending k.
+  const float* w = weight.data() + row * in_;
+  for (usize b = 0; b < n; ++b) {
+    const float* xb = x.data() + b * in_;
+    float acc = bias[row];
+    for (usize k = 0; k < in_; ++k) acc = acc + xb[k] * w[k];
+    y[b] = acc;
+  }
+  return true;
+}
+
 void Dense::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor& dx,
                           Workspace& ws) {
   const usize n = x.dim(0);
@@ -418,6 +452,83 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace&
   }
 }
 
+bool Conv2d::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& ws) {
+  assert(x.rank() == 4 && x.dim(1) == in_ch_ && row < out_ch_);
+  const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const ConvGeom g = geom(h, w);
+  const usize K = g.patch_size(), P = g.oh * g.ow, chw = in_ch_ * h * w;
+  y.resize({n, 1, g.oh, g.ow});
+  const Int8Pack int8 = int8_pack();
+  if (int8.panel != nullptr && simd::int8_enabled()) {
+    // Int8: forward_into's per-sample (or calibrated) scale, codes and tap
+    // gather, an exact int32 dot with the row's raw weight codes, then the
+    // GEMM epilogue.
+    const usize chw4 = gemm::padded_k_int8(chw);
+    i8* qx = ws.qx_buffer(chw4 + K);
+    i8* wq = qx + chw4;
+    i8* T = ws.qa_buffer(gemm::padded_k_int8(K) * P + 16);
+    for (usize kk = 0; kk < K; ++kk) wq[kk] = int8.panel[gemm::packed_q8_index(row, kk, K)];
+    for (usize b = 0; b < n; ++b) {
+      const float* xb = x.data() + b * chw;
+      const float sa =
+          int8.act_scale > 0.0f ? int8.act_scale : gemm::activation_scale(xb, 1, chw, chw);
+      const float requant = sa * int8.weight_scale;
+      gemm::quantize_activations(xb, 1, chw, chw, sa, qx);
+      gather_taps_i8(qx, g, T);
+      float* yb = y.data() + b * P;
+      for (usize p = 0; p < P; ++p) {
+        i32 acc = 0;
+        for (usize kk = 0; kk < K; ++kk) acc += i32{T[kk * P + p]} * i32{wq[kk]};
+        yb[p] = static_cast<float>(acc) * requant + bias[row];
+      }
+    }
+    return true;
+  }
+  // Float: one accumulator per output position, bias first, then the taps in
+  // ascending (ic, ki, kj) as a separate multiply and add -- the gemm.hpp
+  // contract, so the bytes equal the GEMM's. Tap (ic, ki, kj) of output
+  // (oi, oj) is the zero-bordered input element (ic, oi*stride + ki,
+  // oj*stride + kj): the im2col entry, padding zeros included. The padded
+  // planes are stored channel-major over the whole batch, xp[ic][b][ph][pw],
+  // and the accumulators run over the same padded grid, acc[b][r][c]: output
+  // (oi, oj) of sample b is grid point (oi*stride, oj*stride), and tap
+  // (ki, kj) of every grid point is one fixed offset away in xp. So each tap
+  // is a single contiguous multiply-add over the batch; grid points that are
+  // not outputs are computed and dropped.
+  const usize ph = h + 2 * pad_, pw = w + 2 * pad_, grid = ph * pw, G = n * grid;
+  const usize span = (n - 1) * grid + (g.oh - 1) * stride_ * pw + (g.ow - 1) * stride_ + 1;
+  float* xp = ws.col_buffer(in_ch_ * G + G);
+  float* acc = xp + in_ch_ * G;
+  std::fill(xp, xp + in_ch_ * G, 0.0f);
+  for (usize ic = 0; ic < in_ch_; ++ic) {
+    for (usize b = 0; b < n; ++b) {
+      const float* src = x.data() + (b * in_ch_ + ic) * h * w;
+      float* dst = xp + (ic * n + b) * grid + pad_ * pw + pad_;
+      for (usize i = 0; i < h; ++i) std::memcpy(dst + i * pw, src + i * w, w * sizeof(float));
+    }
+  }
+  std::fill(acc, acc + span, bias[row]);
+  const float* wrow = weight.data() + row * K;
+  usize kk = 0;
+  for (usize ic = 0; ic < in_ch_; ++ic) {
+    for (usize ki = 0; ki < k_; ++ki) {
+      for (usize kj = 0; kj < k_; ++kj, ++kk) {
+        const float wk = wrow[kk];
+        const float* src = xp + ic * G + ki * pw + kj;
+        for (usize q = 0; q < span; ++q) acc[q] = acc[q] + src[q] * wk;
+      }
+    }
+  }
+  for (usize b = 0; b < n; ++b) {
+    float* yb = y.data() + b * P;
+    for (usize oi = 0; oi < g.oh; ++oi) {
+      const float* a = acc + b * grid + oi * stride_ * pw;
+      for (usize oj = 0; oj < g.ow; ++oj) yb[oi * g.ow + oj] = a[oj * stride_];
+    }
+  }
+  return true;
+}
+
 void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor& dx,
                            Workspace& ws) {
   const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
@@ -631,6 +742,20 @@ void Flatten::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& 
 
 // ---------------------------------------------------------- BatchNorm2d ----
 
+namespace {
+
+/// y = gamma * ((x - mean) * inv_std) + beta over `count` floats: the one
+/// normalisation expression of the full and the one-channel forward.
+void bn_normalize(const float* x, float* y, usize count, float mean, float inv_std,
+                  float gamma, float beta) {
+  for (usize i = 0; i < count; ++i) {
+    const float xh = (x[i] - mean) * inv_std;
+    y[i] = gamma * xh + beta;
+  }
+}
+
+}  // namespace
+
 BatchNorm2d::BatchNorm2d(usize channels, float momentum, float eps)
     : gamma(Tensor::full({channels}, 1.0f)),
       beta(Tensor::zeros({channels})),
@@ -688,15 +813,22 @@ void BatchNorm2d::forward_into(const Tensor& x, Tensor& y, bool train, Workspace
           batch_mean[ch] = mean_f;
           batch_inv_std[ch] = inv_std;
           for (usize b = 0; b < n; ++b) {
-            const float* p = x.data() + (b * c + ch) * hw;
-            float* yp = y.data() + (b * c + ch) * hw;
-            for (usize i = 0; i < hw; ++i) {
-              const float xh = (p[i] - mean_f) * inv_std;
-              yp[i] = gamma[ch] * xh + beta[ch];
-            }
+            const usize off = (b * c + ch) * hw;
+            bn_normalize(x.data() + off, y.data() + off, hw, mean_f, inv_std, gamma[ch],
+                         beta[ch]);
           }
         }
       });
+}
+
+void BatchNorm2d::forward_channel_into(const Tensor& x, usize c, Tensor& y,
+                                       Workspace& /*ws*/) {
+  assert(x.rank() == 4 && x.dim(1) == 1 && c < channels_);
+  y.resize(x.shape());
+  // The eval branch of forward_into: the running statistics round-trip
+  // through double exactly, so mean and 1/std are the same floats.
+  bn_normalize(x.data(), y.data(), x.size(), running_mean[c],
+               1.0f / std::sqrt(running_var[c] + eps_), gamma[c], beta[c]);
 }
 
 void BatchNorm2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
@@ -769,22 +901,67 @@ const Tensor& Sequential::forward_cached(const Tensor& x, bool train, Workspace&
   return *in;
 }
 
-const Tensor& Sequential::forward_from(usize first_changed, bool train, Workspace& ws) {
+const Tensor& Sequential::refresh(usize upto, Workspace& ws) {
   if (cache_ws_ != &ws) {
-    throw std::logic_error(
-        "Sequential::forward_from: no cached forward to reuse in this workspace");
+    throw std::logic_error("Sequential::refresh: no cached forward to reuse in this workspace");
   }
-  // Activations beyond the clean frontier may carry an earlier probe's
-  // perturbation; restart from whichever is earlier.
-  const usize start = std::min(first_changed, clean_frontier_);
-  const Tensor* in = &ws.slot(this, Workspace::SlotKind::kActivation, start);
-  for (usize i = start; i < layers_.size(); ++i) {
-    Tensor& out = ws.slot(this, Workspace::SlotKind::kActivation, i + 1);
-    layers_[i]->forward_into(*in, out, train, ws);
-    in = &out;
+  upto = std::min(upto, layers_.size());
+  for (; clean_frontier_ < upto; ++clean_frontier_) {
+    const usize i = clean_frontier_;
+    layers_[i]->forward_into(ws.slot(this, Workspace::SlotKind::kActivation, i),
+                             ws.slot(this, Workspace::SlotKind::kActivation, i + 1),
+                             /*train=*/false, ws);
   }
-  clean_frontier_ = std::min(first_changed, layers_.size());
-  return *in;
+  return ws.slot(this, Workspace::SlotKind::kActivation, upto);
+}
+
+const Tensor& Sequential::run_probe(usize first, const Tensor& in, Workspace& probe) {
+  const Tensor* x = &in;
+  for (usize i = first; i < layers_.size(); ++i) {
+    Tensor& out = probe.slot(this, Workspace::SlotKind::kActivation, i + 1);
+    layers_[i]->forward_into(*x, out, /*train=*/false, probe);
+    x = &out;
+  }
+  return *x;
+}
+
+const Tensor& Sequential::probe_from(usize first_changed, Workspace& ws, Workspace& probe) {
+  first_changed = std::min(first_changed, layers_.size());
+  return run_probe(first_changed, refresh(first_changed, ws), probe);
+}
+
+const Tensor& Sequential::probe_row(usize k, usize row, Workspace& ws, Workspace& probe) {
+  const Tensor& x = refresh(k, ws);
+  if (k >= layers_.size()) return x;
+  // Layers (k, j) are channel-local: row `row` of layer k's output reaches
+  // layer j's input as channel `row`, and nothing else does.
+  usize j = k + 1;
+  while (j < layers_.size() && layers_[j]->channel_local()) ++j;
+  // The splice target (activation j) must be clean, the batch non-empty, and
+  // layer k must have a one-row kernel; otherwise take the dense path from k.
+  Tensor* chan = &probe.slot(this, Workspace::SlotKind::kScratch, k + 1);
+  if (clean_frontier_ < j || x.size() == 0 ||
+      !layers_[k]->forward_row_into(x, row, *chan, probe)) {
+    return run_probe(k, x, probe);
+  }
+  for (usize i = k + 1; i < j; ++i) {
+    Tensor& out = probe.slot(this, Workspace::SlotKind::kScratch, i + 1);
+    layers_[i]->forward_channel_into(*chan, row, out, probe);
+    chan = &out;
+  }
+  // Layer j's input: the clean activation with channel `row` replaced. Every
+  // channel-local layer keeps channel c at the same per-sample block, so the
+  // channel lands at offset row * block of each sample.
+  const Tensor& clean = ws.slot(this, Workspace::SlotKind::kActivation, j);
+  Tensor& xj = probe.slot(this, Workspace::SlotKind::kActivation, j);
+  xj = clean;
+  const usize n = clean.dim(0), per_sample = clean.size() / n, block = chan->size() / n;
+  assert((row + 1) * block <= per_sample);
+  for (usize b = 0; b < n; ++b) {
+    std::memcpy(xj.data() + b * per_sample + row * block, chan->data() + b * block,
+                block * sizeof(float));
+  }
+  return run_probe(j, xj, probe);
 }
 
 const Tensor& Sequential::backward_cached(const Tensor& dy, Workspace& ws) {
@@ -822,7 +999,7 @@ std::vector<ParamRef> Sequential::params() {
     for (auto& p : layers_[i]->params()) {
       p.name = std::to_string(i) + "." + layers_[i]->name() + "." + p.name;
       // The outermost Sequential wins, so after Model::params() this is the
-      // index within the model's top-level net -- the forward_from argument.
+      // index within the model's top-level net -- the probes' layer argument.
       p.top_layer = i;
       out.push_back(p);
     }

@@ -43,8 +43,8 @@ struct ParamRef {
   bool quantizable = false;
   /// Index of the layer that owns this parameter within the outermost
   /// Sequential that enumerated it (the Model's net for Model::params()).
-  /// This is the `first_changed` argument Sequential::forward_from needs to
-  /// incrementally re-evaluate after the parameter is perturbed.
+  /// This is the layer argument the probes (Sequential::probe_from /
+  /// probe_row) and invalidate_from take after the parameter is perturbed.
   usize top_layer = 0;
   /// The layer object the parameter belongs to (the innermost one, not a
   /// wrapping Sequential). QuantizedModel uses it to attach resident int8
@@ -71,6 +71,27 @@ class Layer {
   /// the layer's own slots in `ws`.
   virtual void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
                              Workspace& ws) = 0;
+
+  /// One-row forward for the channel-sparse probe: computes output row
+  /// `row` alone -- the output channel of a Conv2d, the output feature of a
+  /// Dense -- for the whole batch, into `y` as an {N, 1, ...} tensor whose
+  /// bytes equal that row of forward_into's output (eval mode, same regime).
+  /// Returns false, computing nothing, for layers without such a kernel.
+  virtual bool forward_row_into(const Tensor& /*x*/, usize /*row*/, Tensor& /*y*/,
+                                Workspace& /*ws*/) {
+    return false;
+  }
+
+  /// True when, in eval mode, output channel c depends on input channel c
+  /// alone (BatchNorm, ReLU, pooling, Flatten). forward_channel_into then
+  /// maps channel `c` of the input, passed alone as an {N, 1, ...} tensor, to
+  /// channel c of the output in the same one-channel form, byte-identical to
+  /// that channel of forward_into. The default suits layers that treat every
+  /// channel alike and read no per-channel parameters.
+  [[nodiscard]] virtual bool channel_local() const { return false; }
+  virtual void forward_channel_into(const Tensor& x, usize /*c*/, Tensor& y, Workspace& ws) {
+    forward_into(x, y, /*train=*/false, ws);
+  }
 
   /// Value-returning convenience wrappers over the arena API. They run
   /// against a layer-owned workspace that also keeps the last forward's x
@@ -135,6 +156,7 @@ class Dense final : public Layer {
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
   void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
                      Workspace& ws) override;
+  bool forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& ws) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override { return "dense"; }
 
@@ -159,6 +181,7 @@ class Conv2d final : public Layer {
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
   void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
                      Workspace& ws) override;
+  bool forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& ws) override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::string name() const override { return "conv2d"; }
 
@@ -206,6 +229,7 @@ class ReLU final : public Layer {
   void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
                      Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "relu"; }
+  [[nodiscard]] bool channel_local() const override { return true; }
 };
 
 /// 2x2 max pooling with stride 2 (the only configuration the zoo needs).
@@ -215,6 +239,7 @@ class MaxPool2d final : public Layer {
   void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
                      Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "maxpool2d"; }
+  [[nodiscard]] bool channel_local() const override { return true; }
 };
 
 /// Global average pooling: {N,C,H,W} -> {N,C}.
@@ -224,6 +249,7 @@ class GlobalAvgPool final : public Layer {
   void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
                      Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "gap"; }
+  [[nodiscard]] bool channel_local() const override { return true; }
 };
 
 /// {N,C,H,W} -> {N, C*H*W}.
@@ -233,6 +259,7 @@ class Flatten final : public Layer {
   void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
                      Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "flatten"; }
+  [[nodiscard]] bool channel_local() const override { return true; }
 };
 
 /// Per-channel batch normalisation for NCHW tensors with running statistics.
@@ -249,6 +276,8 @@ class BatchNorm2d final : public Layer {
   std::vector<ParamRef> params() override;
   std::vector<Tensor*> state_tensors() override { return {&running_mean, &running_var}; }
   [[nodiscard]] std::string name() const override { return "batchnorm2d"; }
+  [[nodiscard]] bool channel_local() const override { return true; }
+  void forward_channel_into(const Tensor& x, usize c, Tensor& y, Workspace& ws) override;
 
   Tensor gamma, beta, dgamma, dbeta;
   Tensor running_mean, running_var;
@@ -260,8 +289,17 @@ class BatchNorm2d final : public Layer {
 
 /// Executes contained layers in order. Used standalone and as the body of
 /// residual blocks. Caches every layer's activation in the workspace, which
-/// is what makes incremental re-evaluation (forward_from) possible and what
-/// every layer's backward reads.
+/// is what every layer's backward reads and what the probes below re-run
+/// from.
+///
+/// The clean cache and its frontier. After forward_cached(x, ws), activation
+/// slot i in `ws` holds the input of layer i under the current parameters.
+/// Only two things move that: a parameter change reported through
+/// invalidate_from(k), which marks activations beyond k stale, and a refresh
+/// (forward_cached, refresh), which recomputes them. Probes never write
+/// `ws`: they compute in a second, probe-private workspace, reading the
+/// clean slots, so any number of probes at any layers leave the cache
+/// exactly as they found it.
 class Sequential final : public Layer {
  public:
   Sequential() = default;
@@ -275,33 +313,45 @@ class Sequential final : public Layer {
   /// reference to the final activation, valid until the next call using `ws`.
   const Tensor& forward_cached(const Tensor& x, bool train, Workspace& ws);
 
-  /// Incremental re-evaluation after the parameters of layer `first_changed`
-  /// (and only that layer) were perturbed: recomputes layers >= the earliest
-  /// layer whose cached activation could be stale and returns the new final
-  /// activation. Cost scales with the remaining depth, not the full network.
-  ///
-  /// Contract: a forward_cached on the same input batch and workspace must
-  /// precede; interleaved probes at different layers are handled (the
-  /// internal frontier tracks how much of the cache is still clean), but the
-  /// cached prefix is only valid as long as layers before `first_changed`
-  /// keep their parameters. Throws std::logic_error without a prior cache.
-  const Tensor& forward_from(usize first_changed, bool train, Workspace& ws);
+  /// Brings the clean cache up to date through activation `upto` (clamped to
+  /// the layer count) by re-running, in eval mode, the stale layers between
+  /// the frontier and `upto`; returns that activation. Throws
+  /// std::logic_error unless a forward_cached into `ws` came first.
+  const Tensor& refresh(usize upto, Workspace& ws);
+
+  /// Dense probe: the final activation with the parameters of layer
+  /// `first_changed` (and only that layer) perturbed since the cache was
+  /// clean. Refreshes the cache up to that layer's input, then runs layers
+  /// >= first_changed in eval mode into `probe`; `ws` is read, never
+  /// written by the probe itself. The result lives in `probe` (or, for
+  /// first_changed == layer_count(), is the cached final activation).
+  const Tensor& probe_from(usize first_changed, Workspace& ws, Workspace& probe);
+
+  /// Channel-sparse probe: like probe_from, for a perturbation confined to
+  /// output row `row` of layer `k` (one output channel or feature). When
+  /// layer k has a one-row kernel, only that row is recomputed and carried
+  /// through the channel-local layers after it; the input of the first layer
+  /// that mixes channels is the clean activation with that channel replaced,
+  /// and the dense forward runs from there. Byte-identical to probe_from(k).
+  /// Falls back to probe_from(k) when layer k has no row kernel, or when the
+  /// clean activation the channel run splices into is stale.
+  const Tensor& probe_row(usize k, usize row, Workspace& ws, Workspace& probe);
 
   /// dL/d(input) of the last forward, via workspace gradient slots. Layer i
   /// differentiates against activation slots i and i + 1.
   const Tensor& backward_cached(const Tensor& dy, Workspace& ws);
 
   /// Records that the parameters of layer `first_changed` were mutated
-  /// outside a probe (e.g. a committed flip), so cached activations beyond it
-  /// are stale. O(1); forward_from restarts from the clamped frontier.
+  /// (a committed flip, a restore), so cached activations beyond it are
+  /// stale. O(1); the next refresh re-runs from the clamped frontier.
   void invalidate_from(usize first_changed) {
     clean_frontier_ = std::min(clean_frontier_, first_changed);
   }
 
   /// True when `ws` holds this network's activation cache (a forward_cached
-  /// ran against it), i.e. forward_from is legal. The cache's input batch is
-  /// whatever that forward received -- Model tracks it for the incremental
-  /// evaluation helpers.
+  /// ran against it), i.e. refresh and the probes are legal. The cache's
+  /// input batch is whatever that forward received -- Model tracks it for
+  /// the incremental evaluation helpers.
   [[nodiscard]] bool has_cache(const Workspace& ws) const { return cache_ws_ == &ws; }
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
@@ -312,11 +362,15 @@ class Sequential final : public Layer {
   [[nodiscard]] std::string name() const override { return "sequential"; }
 
  private:
+  /// Runs layers >= first in eval mode into `probe`, layer `first` reading
+  /// `in`; returns the final activation (`in` itself when nothing runs).
+  const Tensor& run_probe(usize first, const Tensor& in, Workspace& probe);
+
   std::vector<std::unique_ptr<Layer>> layers_;
   /// Activations 0..clean_frontier_ in the cache were computed with the
-  /// current (un-probed) parameters of their producing layers. The cache
-  /// lives in exactly one workspace at a time (cache_ws_); forward_from
-  /// against any other workspace is rejected.
+  /// current parameters of their producing layers. The cache lives in
+  /// exactly one workspace at a time (cache_ws_); refreshes and probes
+  /// against any other workspace are rejected.
   usize clean_frontier_ = 0;
   const Workspace* cache_ws_ = nullptr;
 };

@@ -1,6 +1,7 @@
 #include "nn/model.hpp"
 
 #include <cstring>
+#include <stdexcept>
 
 namespace dnnd::nn {
 
@@ -65,8 +66,17 @@ const Tensor& Model::forward_incremental(const Tensor& x) {
                                     sizeof(float)) == 0;
   if (!reusable) return forward_cached(x, /*train=*/false);
   // Same batch, eval mode: re-run only layers at/beyond the invalidation
-  // frontier (forward_from clamps to it internally).
-  return net_.forward_from(net_.layer_count(), /*train=*/false, ws_);
+  // frontier.
+  return net_.refresh(net_.layer_count(), ws_);
+}
+
+const Tensor& Model::forward_from(usize first_changed, bool train) {
+  if (train) throw std::invalid_argument("Model::forward_from: probes run in eval mode");
+  return net_.probe_from(first_changed, ws_, probe_ws_);
+}
+
+const Tensor& Model::probe_row(usize layer, usize row) {
+  return net_.probe_row(layer, row, ws_, probe_ws_);
 }
 
 const LossResult& Model::loss_and_grad_incremental(const Tensor& x,

@@ -2,12 +2,15 @@
 // and attacks need -- flat parameter enumeration, gradient reset, batch
 // forward/backward, and prediction helpers.
 //
-// The model owns the Workspace arena its network computes in: forward_cached
-// runs the full net and caches every layer activation there (zero heap
-// allocations in steady state), and forward_from(k) incrementally re-
-// evaluates layers >= k over the cached prefix -- the probe primitive the
-// BFA-family attacks use to price candidate bit flips at a cost proportional
-// to the remaining depth instead of the whole network.
+// The model owns two Workspace arenas. The clean one holds the activation
+// cache: forward_cached runs the full net and caches every layer activation
+// there (zero heap allocations in steady state), and backward reads it. The
+// probe workspace is where the probes compute -- the primitive the BFA-family
+// attacks use to price candidate bit flips: forward_from(k) re-runs layers
+// >= k over the cached prefix, and probe_row(k, row) re-runs only the one
+// channel a flip can change until the first layer that mixes channels. A
+// probe never writes the clean cache, so its frontier moves only when
+// parameters change (invalidate_from) or on a refresh.
 #pragma once
 
 #include <memory>
@@ -42,15 +45,26 @@ class Model {
     return net_.forward_cached(x, train, ws_);
   }
 
-  /// Incremental re-evaluation after perturbing parameters of top-level layer
-  /// `first_changed` (see Sequential::forward_from for the cache contract).
-  const Tensor& forward_from(usize first_changed, bool train = false) {
-    return net_.forward_from(first_changed, train, ws_);
-  }
+  /// The probes' private arena (see the file comment).
+  [[nodiscard]] Workspace& probe_workspace() { return probe_ws_; }
+
+  /// Dense probe: the logits with the parameters of top-level layer
+  /// `first_changed` perturbed since the cache was clean, recomputing layers
+  /// >= first_changed in the probe workspace (Sequential::probe_from). Probes
+  /// are inference-only: train = true throws std::invalid_argument, because
+  /// a train-mode BatchNorm would update its running statistics. Throws
+  /// std::logic_error without a prior forward_cached. The reference is valid
+  /// until the next probe or forward on this model.
+  const Tensor& forward_from(usize first_changed, bool train = false);
+
+  /// Channel-sparse probe: the logits with only output row `row` of
+  /// top-level layer `layer` perturbed (Sequential::probe_row), byte-identical
+  /// to forward_from(layer). Same contract and lifetime as forward_from.
+  const Tensor& probe_row(usize layer, usize row);
 
   /// Marks cached activations beyond top-level layer `first_changed` stale
   /// after a parameter mutation (committed flips route through this via
-  /// QuantizedModel so a later forward_from cannot read pre-flip state).
+  /// QuantizedModel so a later probe or refresh cannot read pre-flip state).
   void invalidate_from(usize first_changed) { net_.invalidate_from(first_changed); }
 
   /// Value-returning forward for callers that keep the logits.
@@ -140,6 +154,7 @@ class Model {
   std::string name_;
   Sequential net_;
   Workspace ws_;
+  Workspace probe_ws_;  ///< probes compute here; never the clean cache
   LossResult loss_scratch_;  ///< reused by loss_and_grad (zero-alloc steady state)
   // Identity of the last forwarded batch, for the incremental helpers:
   // pointer + size plus an edge-value fingerprint, so a batch refilled in

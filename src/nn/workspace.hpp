@@ -1,6 +1,8 @@
-// Workspace: a per-model scratch arena for the inference engine.
+// Workspace: a scratch arena for the inference engine. Each Model owns two:
+// the clean one, holding the activation cache that backward reads, and a
+// probe workspace, in which the BFA probes compute.
 //
-// The engine's hot paths (Sequential::forward_cached / forward_from /
+// The engine's hot paths (Sequential::forward_cached / refresh / the probes /
 // backward_cached and the GEMM lowering of Dense/Conv2d) never allocate their
 // own tensors. Instead every piece of scratch -- per-layer activations, the
 // im2col patch buffer, the GEMM pack panel, gradient intermediates, composite
@@ -14,7 +16,11 @@
 // output from the activation slots (kActivation, keyed by the enclosing
 // Sequential) and per-layer leftovers such as BatchNorm's batch statistics
 // from kScratch slots keyed by the layer. A forward into one workspace
-// therefore never disturbs a backward pending in another.
+// therefore never disturbs a backward pending in another -- which is what
+// lets a probe run in the probe workspace, under the same slot keys, while
+// the clean cache stays byte for byte as the last forward left it. A
+// channel-sparse probe adds its one-channel activations there as kScratch
+// slots keyed by the Sequential.
 //
 // Threaded forwards extend the arena with per-team-slot col/pack buffers:
 // reserve_team(teams) (serial, before entering a pool region) sizes the

@@ -112,6 +112,33 @@ void QuantizedModel::flip(const BitLocation& loc) {
   model_.invalidate_from(l.net_layer);
 }
 
+const nn::Tensor& QuantizedModel::probe(const BitLocation& loc) {
+  QuantizedLayer& l = layers_.at(loc.layer);
+  assert(loc.index < l.size());
+  const usize row = loc.index / l.pack_cols;
+  i8& panel_byte = l.packed_q[nn::gemm::packed_q8_index(row, loc.index % l.pack_cols,
+                                                        l.pack_cols)];
+  float& weight = (*l.value)[loc.index];
+  const i8 code = l.q[loc.index];
+  const float value = weight;
+  auto set = [&](i8 c, float v) {
+    l.q[loc.index] = c;
+    weight = v;
+    panel_byte = c;
+  };
+  const i8 flipped = flip_bit_value(code, loc.bit);
+  set(flipped, dequant(flipped, l.scale));
+  const nn::Tensor* logits = nullptr;
+  try {
+    logits = &model_.probe_row(l.net_layer, row);
+  } catch (...) {
+    set(code, value);
+    throw;
+  }
+  set(code, value);
+  return *logits;
+}
+
 i8 QuantizedModel::get_q(usize layer, usize index) const {
   return layers_.at(layer).q.at(index);
 }
@@ -170,7 +197,7 @@ void QuantizedModel::calibrate_int8(const nn::Tensor& x) {
   for (auto& l : layers_) l.act_scale = l.act_amax > 0.0f ? l.act_amax / 127.0f : 1.0f;
   finish();  // the re-attached panels carry the frozen act_scale
   // The recorded activation cache is float-path output; an integer forward
-  // must not splice onto it via forward_from.
+  // must not be reused by a refresh or a probe.
   model_.invalidate_from(0);
   int8_calibrated_ = true;
 }

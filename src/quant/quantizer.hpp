@@ -68,7 +68,7 @@ struct QuantizedLayer {
   nn::Tensor* value = nullptr;  ///< float weights used by inference
   nn::Tensor* grad = nullptr;   ///< gradient buffer of the float weights
   /// Index of the owning layer in the model's top-level Sequential -- the
-  /// Model::forward_from argument that incrementally re-evaluates a flip in
+  /// Model::forward_from / probe_row argument that re-evaluates a flip in
   /// this tensor (only layers >= net_layer can see the changed weight).
   usize net_layer = 0;
   /// The Dense/Conv2d the tensor belongs to (for panel attachment).
@@ -79,8 +79,8 @@ struct QuantizedLayer {
 
   /// True-integer residency (the DNND_INT8 regime): the raw codes in
   /// gemm::pack_b_q8 panel layout. Maintained in lockstep with `q` -- a bit
-  /// flip updates ONE byte here, so the incremental forward_from(k) probe
-  /// contract holds in the integer regime too.
+  /// flip updates ONE byte here, so the probes' byte contract holds in the
+  /// integer regime too.
   std::vector<i8> packed_q;
   float act_scale = 0.0f;  ///< calibrated activation scale (0 = uncalibrated)
   float act_amax = 0.0f;   ///< running input abs-max across calibration passes
@@ -127,6 +127,16 @@ class QuantizedModel {
   /// Flips one bit: updates the code, the corresponding float weight, and
   /// the one affected int8 panel byte.
   void flip(const BitLocation& loc);
+
+  /// Prices one flip exactly: flips bit `loc` WITHOUT invalidating the
+  /// forward cache, runs the channel-sparse probe from the flipped row
+  /// (Model::probe_row), then restores the code, float weight and panel byte
+  /// to their exact prior bytes. Returns the post-flip logits, held in the
+  /// model's probe workspace until its next probe or forward. The probe
+  /// writes nothing of the clean cache (it only refreshes a stale prefix
+  /// below the flipped layer), so probe after probe reuses it; committing a
+  /// flip is flip()'s job.
+  const nn::Tensor& probe(const BitLocation& loc);
 
   /// Reads / writes one code (set_q also updates the float weight and panel).
   /// Writing the value a code already holds is a no-op: it neither touches

@@ -1,14 +1,17 @@
-// Inference-engine behaviour: incremental re-evaluation (forward_from) is
-// bitwise identical to a full fresh forward for a flip in ANY layer and
-// across arbitrary flip/unflip/restore sequences, the incremental
-// evaluation helpers match their full-pass counterparts, results are
-// byte-identical at every GEMM team size, the workspace arena reaches a
-// zero-allocation steady state -- serial and threaded -- and holds all of a
-// network's forward state.
+// Inference-engine behaviour: the probes (dense forward_from and the
+// channel-sparse QuantizedModel::probe) are bitwise identical to a full fresh
+// forward for a flip in ANY layer, in every numeric regime and across
+// arbitrary flip/unflip/restore sequences, and never write the clean
+// activation cache; the incremental evaluation helpers match their full-pass
+// counterparts, results are byte-identical at every GEMM team size, the
+// workspace arenas reach a zero-allocation steady state -- serial and
+// threaded -- and hold all of a network's forward state.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <thread>
+#include <tuple>
 
 #include "models/model_zoo.hpp"
 #include "nn/gemm.hpp"
@@ -69,12 +72,13 @@ TEST(ForwardFrom, BitwiseIdenticalToFullForwardForEveryLayer) {
 
 TEST(ForwardFrom, OutOfOrderProbesStayExact) {
   // The BFA evaluates candidates in estimated-gain order, which jumps between
-  // layers arbitrarily WITHOUT refreshing the cache between probes -- so the
-  // clean-frontier restart path (recomputing from an earlier, still-clean
-  // activation when a probe lands above the frontier) must keep every probe
-  // equal to a from-scratch forward. A twin model with identical weights
-  // provides the pristine reference; the probed model's cache is never
-  // re-cleaned inside the loop.
+  // layers arbitrarily. Here each probe commits its flip through qm.flip,
+  // which marks the cache stale from that layer, so a later probe above the
+  // lowest such layer must first refresh the clean prefix it reads; the
+  // probe's own layers run in the probe workspace and leave the cache alone.
+  // Every probe must equal a from-scratch forward. A twin model with
+  // identical weights provides the pristine reference; the probed model is
+  // never fully re-forwarded inside the loop.
   sys::Rng rng_a(42), rng_b(42);
   auto probed = make_conv_dense(rng_a);
   auto twin = make_conv_dense(rng_b);
@@ -160,25 +164,219 @@ TEST(Workspace, ZeroAllocSteadyStateForwardBackward) {
 }
 
 TEST(Workspace, ZeroAllocAcrossIncrementalProbes) {
+  // Both arenas, the clean cache and the probe workspace, stop growing once
+  // every probe shape has run: dense forward_from probes and channel-sparse
+  // QuantizedModel::probe calls alike.
   sys::Rng rng(47);
   auto m = make_conv_dense(rng);
   const Tensor x = random_input(2, rng);
   quant::QuantizedModel qm(*m);
 
-  m->forward_cached(x);
-  for (usize l = 0; l < qm.num_layers(); ++l) {
-    qm.flip({l, 0, 7});
-    m->forward_from(qm.layer(l).net_layer);
-    qm.flip({l, 0, 7});
-  }
+  auto round = [&] {
+    m->forward_cached(x);
+    for (usize l = 0; l < qm.num_layers(); ++l) {
+      qm.flip({l, 0, 7});
+      m->forward_from(qm.layer(l).net_layer);
+      qm.flip({l, 0, 7});
+      qm.probe({l, qm.layer(l).size() - 1, 7});
+    }
+  };
+  round();
   const usize warm = m->workspace().alloc_events();
-  m->forward_cached(x);
-  for (usize l = 0; l < qm.num_layers(); ++l) {
-    qm.flip({l, 0, 7});
-    m->forward_from(qm.layer(l).net_layer);
-    qm.flip({l, 0, 7});
-  }
+  const usize warm_probe = m->probe_workspace().alloc_events();
+  const usize warm_probe_capacity = m->probe_workspace().slot_capacity();
+  ASSERT_GT(warm_probe, 0u);
+  round();
   EXPECT_EQ(m->workspace().alloc_events(), warm);
+  EXPECT_EQ(m->probe_workspace().alloc_events(), warm_probe)
+      << "steady-state probes grew the probe workspace";
+  EXPECT_EQ(m->probe_workspace().slot_capacity(), warm_probe_capacity)
+      << "steady-state probes reallocated probe workspace storage";
+}
+
+TEST(ForwardFrom, RejectsTrainModeAndLeavesRunningStatistics) {
+  // A probe must never mutate model state: a train-mode forward_from would
+  // run BatchNorm on batch statistics and update running_mean/running_var.
+  sys::Rng rng(49);
+  auto m = make_conv_dense(rng);
+  const Tensor x = random_input(3, rng);
+  m->forward_cached(x, /*train=*/true);  // non-trivial running statistics
+  m->forward_cached(x);
+  std::vector<Tensor> before;
+  for (Tensor* t : m->net().state_tensors()) before.push_back(*t);
+  ASSERT_FALSE(before.empty());
+
+  EXPECT_THROW(m->forward_from(0, /*train=*/true), std::invalid_argument);
+  EXPECT_THROW(m->forward_from(1, /*train=*/true), std::invalid_argument);
+  const std::vector<Tensor*> after = m->net().state_tensors();
+  ASSERT_EQ(after.size(), before.size());
+  for (usize i = 0; i < after.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(*after[i], before[i])) << "state tensor " << i;
+  }
+}
+
+// ------------------------------------------------------------ SparseProbe ----
+
+/// conv (stride/pad/kernel as given) -> bn -> relu -> gap -> dense on 2 x 7 x 7
+/// inputs: odd sizes, a 1x1 or strided kernel and GlobalAvgPool reach the
+/// row kernel and the channel run where the zoo's top level does not.
+std::unique_ptr<Model> make_strided(sys::Rng& rng, usize k, usize stride, usize pad) {
+  auto m = std::make_unique<Model>("strided");
+  m->add(std::make_unique<Conv2d>(2, 5, k, stride, pad, rng));
+  m->add(std::make_unique<BatchNorm2d>(5));
+  m->add(std::make_unique<ReLU>());
+  m->add(std::make_unique<GlobalAvgPool>());
+  m->add(std::make_unique<Dense>(5, 3, rng));
+  return m;
+}
+
+enum class Regime { kFloat, kScalar, kInt8, kInt8Uncalibrated };
+
+const char* regime_name(Regime r) {
+  switch (r) {
+    case Regime::kFloat: return "float";
+    case Regime::kScalar: return "scalar";
+    case Regime::kInt8: return "int8";
+    case Regime::kInt8Uncalibrated: return "int8-uncalibrated";
+  }
+  return "?";
+}
+
+/// Prices `probes` random flips (a sign bit every third one) with
+/// QuantizedModel::probe over ONE clean cache, and compares each probe's
+/// logits byte for byte with a twin's fresh full forward of the flipped
+/// model. `make` builds the same weights on every call.
+template <typename Make>
+void expect_probes_match_twin(Make make, const Tensor& x, Regime regime, int probes,
+                              u64 seed, const std::string& what) {
+  testutil::SimdGuard guard;
+  simd::set_scalar_override(regime == Regime::kScalar ? 1 : 0);
+  simd::set_int8_override(regime == Regime::kInt8 || regime == Regime::kInt8Uncalibrated ? 1
+                                                                                         : 0);
+  auto probed = make();
+  auto twin = make();
+  // Identical non-zero biases, BatchNorm affine parameters and running
+  // statistics in both, so every term of every kernel counts.
+  for (Model* m : {probed.get(), twin.get()}) {
+    sys::Rng prng(seed);
+    for (ParamRef& pr : m->params()) {
+      if (pr.quantizable) continue;
+      for (usize i = 0; i < pr.value->size(); ++i) {
+        (*pr.value)[i] = static_cast<float>(prng.normal(0.5, 0.5));
+      }
+    }
+    m->forward_cached(x, /*train=*/true);
+  }
+  quant::QuantizedModel qm(*probed);
+  quant::QuantizedModel qm_twin(*twin);
+  if (regime == Regime::kInt8) {
+    qm.calibrate_int8(x);
+    qm_twin.calibrate_int8(x);
+  }
+  probed->forward_cached(x);
+  sys::Rng order(seed);
+  for (int p = 0; p < probes; ++p) {
+    const usize l = order.uniform(qm.num_layers());
+    const usize index = order.uniform(qm.layer(l).size());
+    const u32 bit = p % 3 == 0 ? 7u : static_cast<u32>(order.uniform(8));
+    const quant::BitLocation loc{l, index, bit};
+    const Tensor& logits = qm.probe(loc);
+
+    qm_twin.flip(loc);
+    const Tensor& full = twin->forward_cached(x);
+    EXPECT_TRUE(bitwise_equal(logits, full))
+        << what << " " << regime_name(regime) << " probe " << p << " layer " << l
+        << " index " << index << " bit " << bit;
+    qm_twin.flip(loc);
+  }
+}
+
+TEST(SparseProbe, MatchesFullForwardOnRandomFlips) {
+  sys::Rng xrng(70);
+  Tensor img({4, 3, 12, 12});
+  for (usize i = 0; i < img.size(); ++i) img[i] = static_cast<float>(xrng.normal(0.0, 1.0));
+  const Tensor small = random_input(3, xrng);
+  Tensor odd({3, 2, 7, 7});
+  for (usize i = 0; i < odd.size(); ++i) odd[i] = static_cast<float>(xrng.normal(0.0, 1.0));
+
+  for (const Regime regime :
+       {Regime::kFloat, Regime::kScalar, Regime::kInt8, Regime::kInt8Uncalibrated}) {
+    for (const char* arch : {"vgg11", "resnet20"}) {
+      expect_probes_match_twin([&] { return models::make_by_name(arch, 10, /*seed=*/7); }, img,
+                               regime, 40, 71, arch);
+    }
+    expect_probes_match_twin(
+        [] {
+          sys::Rng rng(72);
+          return make_conv_dense(rng);
+        },
+        small, regime, 40, 73, "conv_dense");
+    for (const auto& [k, stride, pad] : {std::tuple<usize, usize, usize>{3, 2, 1},
+                                         {1, 2, 0}, {3, 1, 0}, {2, 3, 1}}) {
+      expect_probes_match_twin(
+          [k = k, stride = stride, pad = pad] {
+            sys::Rng rng(74);
+            return make_strided(rng, k, stride, pad);
+          },
+          odd, regime, 20, 75,
+          "strided k" + std::to_string(k) + " s" + std::to_string(stride) + " p" +
+              std::to_string(pad));
+    }
+  }
+}
+
+TEST(SparseProbe, LeavesCleanCacheUntouched) {
+  // Probes compute in the probe workspace: twenty of them, channel-sparse
+  // and dense, at random layers leave every clean activation slot byte for
+  // byte as the forward wrote it, and the cache still backs an incremental
+  // gradient pass identical to a fresh forward + backward.
+  for (const char* arch : {"vgg11", "resnet20"}) {
+    sys::Rng xrng(76);
+    Tensor x({4, 3, 12, 12});
+    for (usize i = 0; i < x.size(); ++i) x[i] = static_cast<float>(xrng.normal(0.0, 1.0));
+    const std::vector<u32> y{0, 1, 2, 3};
+    auto m = models::make_by_name(arch, 10, /*seed=*/8);
+    auto fresh = models::make_by_name(arch, 10, /*seed=*/8);
+    quant::QuantizedModel qm(*m);
+    quant::QuantizedModel qm_fresh(*fresh);
+
+    Sequential& net = m->net();
+    auto slot = [&](usize i) -> const Tensor& {
+      return m->workspace().slot(&net, Workspace::SlotKind::kActivation, i);
+    };
+    m->zero_grad();
+    m->loss_and_grad_incremental(x, y);
+    std::vector<Tensor> snapshot;
+    for (usize i = 0; i <= net.layer_count(); ++i) snapshot.push_back(slot(i));
+
+    sys::Rng order(77);
+    for (int p = 0; p < 20; ++p) {
+      const usize l = order.uniform(qm.num_layers());
+      const quant::BitLocation loc{l, order.uniform(qm.layer(l).size()),
+                                   static_cast<u32>(order.uniform(8))};
+      if (p % 2 == 0) {
+        qm.probe(loc);
+      } else {
+        qm.flip(loc);
+        m->forward_from(qm.layer(l).net_layer);
+        qm.flip(loc);
+      }
+    }
+    for (usize i = 0; i <= net.layer_count(); ++i) {
+      EXPECT_TRUE(bitwise_equal(slot(i), snapshot[i])) << arch << " activation slot " << i;
+    }
+
+    m->zero_grad();
+    fresh->zero_grad();
+    EXPECT_EQ(m->loss_and_grad_incremental(x, y).loss, fresh->loss_and_grad(x, y).loss)
+        << arch;
+    auto got = m->params();
+    auto want = fresh->params();
+    ASSERT_EQ(got.size(), want.size());
+    for (usize i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(*got[i].grad, *want[i].grad)) << arch << " grad " << got[i].name;
+    }
+  }
 }
 
 TEST(FusedInt8, ProbeForwardMatchesMaterializedPathAcrossRandomFlips) {
@@ -339,7 +537,7 @@ TEST(Engine, LogitsAndGradientsByteIdenticalAtEveryTeamSize) {
 TEST(Workspace, ZeroAllocSteadyStateUnderThreadedProbes) {
   // The threaded arena invariant: once per-team-slot scratch is warm, probe
   // loops at a fixed team size grow nothing -- alloc events and total float
-  // capacity both stay flat.
+  // capacity both stay flat, in the clean and in the probe workspace.
   ThreadsGuard guard;
   gemm::set_threads(4);
   auto m = models::make_by_name("vgg11", 10, /*seed=*/4);
@@ -356,6 +554,7 @@ TEST(Workspace, ZeroAllocSteadyStateUnderThreadedProbes) {
       qm.flip({l, 1, 7});
       m->forward_from(qm.layer(l).net_layer);
       qm.flip({l, 1, 7});
+      qm.probe({l, 2, 7});
     }
     m->evaluate_batch_incremental(x, y);
   };
@@ -363,11 +562,17 @@ TEST(Workspace, ZeroAllocSteadyStateUnderThreadedProbes) {
   probe_round();  // second pass: every slot/buffer sized for the worst case
   const usize warm = m->workspace().alloc_events();
   const usize warm_capacity = m->workspace().slot_capacity();
+  const usize warm_probe = m->probe_workspace().alloc_events();
+  const usize warm_probe_capacity = m->probe_workspace().slot_capacity();
   for (int iter = 0; iter < 4; ++iter) probe_round();
   EXPECT_EQ(m->workspace().alloc_events(), warm)
       << "threaded steady-state probes grew the workspace arena";
   EXPECT_EQ(m->workspace().slot_capacity(), warm_capacity)
       << "threaded steady-state probes reallocated arena storage";
+  EXPECT_EQ(m->probe_workspace().alloc_events(), warm_probe)
+      << "threaded steady-state probes grew the probe workspace";
+  EXPECT_EQ(m->probe_workspace().slot_capacity(), warm_probe_capacity)
+      << "threaded steady-state probes reallocated probe workspace storage";
 }
 
 TEST(Workspace, ZeroAllocSteadyStateThreadedTrainingCycle) {
