@@ -2,9 +2,12 @@
 //
 // Measures (1) full-forward throughput of the engine on a zoo conv model,
 // (2) the cost of a dense forward_from(k) probe for every top-level layer k,
-// which should scale with the remaining depth, not the whole network, and
-// (3) the median cost of the channel-sparse QuantizedModel::probe -- the
+// which should scale with the remaining depth, not the whole network,
+// (3) the median forward_into time of each top-level layer alone, and
+// (4) the median cost of the channel-sparse QuantizedModel::probe -- the
 // flip/probe primitive of the BFA family -- for every quantized layer.
+//
+// Exits non-zero when the scalar and SIMD int8 kernels disagree by a byte.
 //
 // Emits machine-readable JSON (the BENCH trajectory seed): to stdout, and to
 // the file named by DNND_JSON_OUT when set (the campaign sink convention).
@@ -137,6 +140,29 @@ int main() {
                 model->net().layer(k).name().c_str(), from_us[k], from_us[k] / full_us);
   }
 
+  // ---- per-layer forward time -----------------------------------------------
+  // Each top-level layer's float forward_into alone, in eval mode, reading
+  // its input from the warm clean cache and writing into a scratch
+  // workspace, so the cache is left as it was.
+  const usize samples = bench::small_scale() ? 51 : 201;
+  std::vector<double> layer_us(layers, 0.0);
+  {
+    nn::Workspace scratch;
+    nn::Tensor out;
+    for (usize k = 0; k < layers; ++k) {
+      const nn::Tensor& in = model->workspace().slot(
+          &model->net(), nn::Workspace::SlotKind::kActivation, k);
+      layer_us[k] = 1e6 * median_per_call(samples, [&](usize) {
+                      model->net().layer(k).forward_into(in, out, /*train=*/false, scratch);
+                    });
+    }
+  }
+  std::printf("[layer] forward_into by top-level layer (median of %zu):\n", samples);
+  for (usize k = 0; k < layers; ++k) {
+    std::printf("  layer %2zu %-12s %8.1f us\n", k, model->net().layer(k).name().c_str(),
+                layer_us[k]);
+  }
+
   // ---- quantized model (int8 regime A/B + one BFA step) ---------------------
   std::vector<u32> y(batch);
   for (usize i = 0; i < batch; ++i) y[i] = static_cast<u32>(i % 10);
@@ -146,17 +172,16 @@ int main() {
   // ---- channel-sparse probe cost per quantized layer ------------------------
   // QuantizedModel::probe over one clean cache, each call a different weight
   // row (sign bit); forward_from(k) of the same top-level layer beside it.
-  const usize probe_samples = bench::small_scale() ? 51 : 201;
   std::vector<double> sparse_us(qm.num_layers(), 0.0);
   model->forward_cached(x);
   for (usize l = 0; l < qm.num_layers(); ++l) {
     const usize size = qm.layer(l).size();
-    sparse_us[l] = 1e6 * median_per_call(probe_samples, [&](usize i) {
+    sparse_us[l] = 1e6 * median_per_call(samples, [&](usize i) {
                      qm.probe({l, (i * 7919) % size, 7});
                    });
   }
   std::printf("[probe] channel-sparse probe cost by quantized layer (median of %zu):\n",
-              probe_samples);
+              samples);
   for (usize l = 0; l < qm.num_layers(); ++l) {
     const usize k = qm.layer(l).net_layer;
     std::printf("  quant %2zu layer %2zu %-12s %8.1f us (forward_from %8.1f us, %.1fx)\n", l,
@@ -238,6 +263,15 @@ int main() {
     w.end_object();
   }
   w.end_array();
+  w.key("layer_forward_us").begin_array();
+  for (usize k = 0; k < layers; ++k) {
+    w.begin_object();
+    w.key("layer").value(k);
+    w.key("name").value(model->net().layer(k).name());
+    w.key("us").value(layer_us[k]);
+    w.end_object();
+  }
+  w.end_array();
   w.key("probe_us").begin_array();
   for (usize l = 0; l < qm.num_layers(); ++l) {
     const usize k = qm.layer(l).net_layer;
@@ -263,6 +297,10 @@ int main() {
       return 1;
     case harness::SinkWriteStatus::kNoSink:
       break;
+  }
+  if (!int8_byte_identical) {
+    std::fprintf(stderr, "bench_inference: scalar and SIMD int8 kernels differ\n");
+    return 1;
   }
   return 0;
 }

@@ -20,7 +20,7 @@ TbfaAttack::TbfaAttack(quant::QuantizedModel& qm, nn::Tensor attack_x,
       // scales (no-op in the default float regime) and warm the cache with
       // one clean forward the validation below reads the class count from.
       engine_(qm, std::move(attack_x), std::move(attack_y), objective_,
-              {cfg.candidates_per_layer, cfg.layers_evaluated}) {
+              ProbeEngineConfig{}) {
   const usize num_classes = engine_.num_classes();
   if (cfg_.target >= num_classes) {
     throw std::invalid_argument("tbfa: target class " + std::to_string(cfg_.target) +

@@ -35,8 +35,6 @@ struct TbfaConfig {
   TbfaVariant variant = TbfaVariant::kNTo1;
   u32 source = 0;  ///< source class (k1To1/kStealthy; ignored for kNTo1)
   u32 target = 1;  ///< class the sources are redirected to
-  usize candidates_per_layer = 2;  ///< top-k per layer for the exact evaluation
-  usize layers_evaluated = 6;      ///< evaluate only the best n layers (0 = all)
   usize max_flips = 60;
   double stop_asr = 0.999;  ///< stop when attack-batch ASR >= this
   /// kStealthy: a probe is admissible only while attack-batch accuracy on the

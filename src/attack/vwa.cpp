@@ -10,7 +10,7 @@ VwaLimitedAttack::VwaLimitedAttack(quant::QuantizedModel& qm, nn::Tensor attack_
     : cfg_(cfg),
       objective_(/*allow_fallback=*/false),
       engine_(qm, std::move(attack_x), std::move(attack_y), objective_,
-              {cfg.candidates_per_layer, cfg.layers_evaluated}) {
+              ProbeEngineConfig{}) {
   if (cfg_.flip_budget == 0) {
     throw std::invalid_argument("vwa-limited: flip_budget must be nonzero");
   }

@@ -22,8 +22,6 @@ namespace dnnd::attack {
 
 struct VwaLimitedConfig {
   usize flip_budget = 10;          ///< hard budget B: never commits more flips
-  usize candidates_per_layer = 2;  ///< top-k per layer for the exact evaluation
-  usize layers_evaluated = 6;      ///< evaluate only the best n layers (0 = all)
   double stop_accuracy = 0.0;      ///< early-out when attack-batch accuracy <=
                                    ///< this; 0 = random-guess level
   bool verbose = false;

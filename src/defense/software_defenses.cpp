@@ -55,7 +55,8 @@ void BinaryWeightModel::materialize() {
 
 BinaryAttackResult attack_binary(BinaryWeightModel& bm, const nn::Tensor& attack_x,
                                  const std::vector<u32>& attack_y, usize max_flips,
-                                 double stop_accuracy, usize layers_evaluated) {
+                                 double stop_accuracy) {
+  constexpr usize kLayersEvaluated = 6;  // exact-loss check of the best n layers by gain
   BinaryAttackResult result;
   nn::Model& model = bm.model();
   result.final_accuracy = model.accuracy(attack_x, attack_y);
@@ -85,9 +86,7 @@ BinaryAttackResult attack_binary(BinaryWeightModel& bm, const nn::Tensor& attack
     if (cands.empty()) break;
     std::sort(cands.begin(), cands.end(),
               [](const Cand& a, const Cand& b) { return a.gain > b.gain; });
-    if (layers_evaluated > 0 && cands.size() > layers_evaluated) {
-      cands.resize(layers_evaluated);
-    }
+    if (cands.size() > kLayersEvaluated) cands.resize(kLayersEvaluated);
     const double base_loss = model.loss(attack_x, attack_y);
     double best_loss = base_loss;
     i64 best = -1;

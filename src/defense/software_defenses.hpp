@@ -64,7 +64,7 @@ struct BinaryAttackResult {
 /// first-order gain of a sign flip, dL = g * (-2 * alpha * sign).
 BinaryAttackResult attack_binary(BinaryWeightModel& bm, const nn::Tensor& attack_x,
                                  const std::vector<u32>& attack_y, usize max_flips,
-                                 double stop_accuracy, usize layers_evaluated = 6);
+                                 double stop_accuracy);
 
 // ----------------------------------------------------------------------
 // Training-time defenses

@@ -1,7 +1,7 @@
-// Shared patch-iteration helper: the single source of truth for the
-// im2col-style index arithmetic that Conv2d's forward (GEMM lowering) and
-// the naive reference backward loops (nn/reference.cpp) both need, so a
-// geometry change lands in exactly one place.
+// Conv2d geometry (ConvGeom, shared by every Conv2d pass) and the
+// bounds-checked patch-row iteration of the naive reference loops
+// (nn/reference.cpp). The engine's own gathers need no bounds tests: they
+// read zero-bordered copies of the input planes (nn/layers.cpp).
 #pragma once
 
 #include "sys/types.hpp"
@@ -31,7 +31,7 @@ struct ConvGeom {
 ///   row_valid     false when the whole kernel row falls into the padding
 ///                 (then kj_lo == kj_hi == 0)
 /// Rows are visited in ascending kk -- the accumulation order of the
-/// original naive loops, which the GEMM lowering preserves bit-exactly.
+/// naive loops, which the GEMM lowering preserves bit-exactly.
 template <typename Fn>
 inline void for_each_patch_row(const ConvGeom& g, usize oi, usize oj, Fn&& fn) {
   const isize pad = static_cast<isize>(g.pad);

@@ -2,8 +2,8 @@
 // engine.
 //
 // Both operands are K-major ("NT" layout: C[m,n] = dot(A row m, B row n)),
-// which is exactly how Dense (x rows x weight rows) and the im2col lowering
-// of Conv2d (weight rows x patch rows) present their data. The kernel packs B
+// which is exactly how Dense (x rows x weight rows) and the patch-row
+// lowering of Conv2d (patch rows x weight rows) present their data. The kernel packs B
 // into 8-row interleaved panels so the inner loop is a contiguous SIMD-
 // friendly stream, and tiles M for L2 residency of the panel. Operands that
 // are stored the other way round are packed straight from their own layout

@@ -28,25 +28,38 @@ namespace {
 // byte-identical for finite inputs (tests/test_gemm.cpp pins it against the
 // reference over ragged shapes, and pins the non-finite case separately).
 //
-// The Conv2d gathers read from zero-bordered copies of one sample's planes,
-// so they are plain window copies with no bounds tests: every gathered value
-// is an input or dy value, or an exact +0.
+// Every Conv2d patch gather reads from zero-bordered copies of one sample's
+// planes, so it is a plain window copy with no bounds tests: every gathered
+// value is an input (or dy) value, or an exact zero.
 
 /// Zeroes the C x PH x PW buffer `dst` and copies the C planes of H x W
-/// floats at `src` into it, element (r, q) landing at (r*step + off,
+/// elements at `src` into it, element (r, q) landing at (r*step + off,
 /// q*step + off). Elements that land outside are dropped.
-void spread_planes(const float* src, usize C, usize H, usize W, usize step, isize off,
-                   usize PH, usize PW, float* dst) {
-  std::fill(dst, dst + C * PH * PW, 0.0f);
+template <typename T>
+void spread_planes(const T* src, usize C, usize H, usize W, usize step, isize off, usize PH,
+                   usize PW, T* dst) {
+  std::fill(dst, dst + C * PH * PW, T{0});
+  // Source indices [lo, hi) of n land inside [0, P); the first lands at pos.
+  struct Span {
+    usize lo, hi, pos;
+  };
+  auto span = [&](usize n, usize P) {
+    const isize s = static_cast<isize>(step);
+    const isize lo = off < 0 ? (-off + s - 1) / s : 0;
+    const isize hi = std::min(static_cast<isize>(n), (static_cast<isize>(P) - off + s - 1) / s);
+    return hi <= lo ? Span{0, 0, 0}
+                    : Span{static_cast<usize>(lo), static_cast<usize>(hi),
+                           static_cast<usize>(lo * s + off)};
+  };
+  const Span rows = span(H, PH), cols = span(W, PW);
   for (usize c = 0; c < C; ++c) {
-    for (usize r = 0; r < H; ++r) {
-      const isize pr = static_cast<isize>(r * step) + off;
-      if (pr < 0 || pr >= static_cast<isize>(PH)) continue;
-      float* row = dst + (c * PH + static_cast<usize>(pr)) * PW;
-      const float* in = src + (c * H + r) * W;
-      for (usize q = 0; q < W; ++q) {
-        const isize pq = static_cast<isize>(q * step) + off;
-        if (pq >= 0 && pq < static_cast<isize>(PW)) row[pq] = in[q];
+    for (usize r = rows.lo, pr = rows.pos; r < rows.hi; ++r, pr += step) {
+      T* out = dst + (c * PH + pr) * PW + cols.pos;
+      const T* in = src + (c * H + r) * W;
+      if (step == 1) {
+        std::copy(in + cols.lo, in + cols.hi, out);
+      } else {
+        for (usize q = cols.lo; q < cols.hi; ++q, out += step) *out = in[q];
       }
     }
   }
@@ -56,17 +69,17 @@ void spread_planes(const float* src, usize C, usize H, usize W, usize step, isiz
 /// (in_ch x (h + 2 pad) x (w + 2 pad)): T row kk = (ic, ki, kj), at
 /// T + kk * ld, receives that tap's value for every output position.
 /// kStride is the stride when fixed at compile time (0: read g.stride).
-template <usize kStride>
-void gather_taps(const float* xp, const ConvGeom& g, float* T, usize ld) {
+template <usize kStride, typename E>
+void gather_taps(const E* xp, const ConvGeom& g, E* T, usize ld) {
   const usize stride = kStride != 0 ? kStride : g.stride;
   const usize ph = g.h + 2 * g.pad, pw = g.w + 2 * g.pad;
   usize kk = 0;
   for (usize ic = 0; ic < g.in_ch; ++ic) {
     for (usize ki = 0; ki < g.k; ++ki) {
       for (usize kj = 0; kj < g.k; ++kj, ++kk) {
-        float* dst = T + kk * ld;
+        E* dst = T + kk * ld;
         for (usize oi = 0; oi < g.oh; ++oi, dst += g.ow) {
-          const float* src = xp + (ic * ph + oi * stride + ki) * pw + kj;
+          const E* src = xp + (ic * ph + oi * stride + ki) * pw + kj;
           for (usize oj = 0; oj < g.ow; ++oj) dst[oj] = src[oj * stride];
         }
       }
@@ -74,25 +87,99 @@ void gather_taps(const float* xp, const ConvGeom& g, float* T, usize ld) {
   }
 }
 
-/// Patch-major gather of every k x k window of C planes `dp` (each
-/// (h + k - 1) x (w + k - 1)): row (hi, wj) of `col` holds
-/// dp[c][hi + a][wj + b] at column (c, a, b). kK is k when fixed at compile
-/// time (0: read `k`) -- the window rows are only k floats long, so an
-/// unrolled copy is several times faster than a runtime-length loop.
+/// Patch-major gather from padded planes laid out as for gather_taps: row
+/// p = (oi, oj) of `col` holds the K = in_ch * k * k window values
+/// xp[ic][oi*stride + ki][oj*stride + kj] at column (ic, ki, kj), so `col`
+/// is the A operand of a per-sample GEMM with one row per output position.
+/// kK is k when fixed at compile time (0: read g.k) -- the window rows are
+/// only k floats long, so an unrolled copy is several times faster than a
+/// runtime-length loop.
 template <usize kK>
-void gather_windows(const float* dp, usize C, usize k_any, usize h, usize w, float* col) {
-  const usize k = kK != 0 ? kK : k_any;
-  const usize dh = h + k - 1, dw = w + k - 1;
-  for (usize hi = 0; hi < h; ++hi) {
-    for (usize wj = 0; wj < w; ++wj) {
-      for (usize c = 0; c < C; ++c) {
-        const float* src = dp + (c * dh + hi) * dw + wj;
-        for (usize a = 0; a < k; ++a, src += dw, col += k) {
+void gather_windows(const float* xp, const ConvGeom& g, float* col) {
+  const usize k = kK != 0 ? kK : g.k;
+  const usize ph = g.h + 2 * g.pad, pw = g.w + 2 * g.pad;
+  for (usize oi = 0; oi < g.oh; ++oi) {
+    for (usize oj = 0; oj < g.ow; ++oj) {
+      for (usize ic = 0; ic < g.in_ch; ++ic) {
+        const float* src = xp + (ic * ph + oi * g.stride) * pw + oj * g.stride;
+        for (usize a = 0; a < k; ++a, src += pw, col += k) {
           for (usize b = 0; b < k; ++b) col[b] = src[b];
         }
       }
     }
   }
+}
+
+/// gather_windows with k fixed at compile time for the zoo's kernels.
+void gather_windows_any(const float* xp, const ConvGeom& g, float* col) {
+  (g.k == 3 ? gather_windows<3> : g.k == 1 ? gather_windows<1> : gather_windows<0>)(xp, g, col);
+}
+
+/// Int8 gather over one sample's quantized input slice `xq` (in_ch*h*w
+/// codes), TAP-major: T row kk (flat tap (ic, ki, kj)) holds that tap's code
+/// for every output position, and rows K..padded_k_int8(K) are zeroed;
+/// simd::interleave_quads_i8 then zips T into the GEMM's quad-major A panel.
+/// Gathering codes commutes exactly with quantizing gathered floats -- every
+/// patch entry is an input value (same code either way) or an exact padding
+/// zero (code 0). The codes are first spread into the zero-bordered plane
+/// `xp` (in_ch x (h + 2 pad) x (w + 2 pad) bytes plus 16 of slack).
+///
+/// Stride 1 with ow <= 16 (every vgg11 conv) copies each (tap, output
+/// row) span as one unconditional 16-byte load/store, about 1.25-1.5x
+/// faster on the vgg11 shapes than the generic tap loop. The stores overrun
+/// each ow-span into bytes that ascending (oi, then kk) iteration rewrites
+/// immediately after; only the very last store runs past row K-1, into the
+/// quad-pad rows (re-zeroed below) or 15 bytes of slack `T` must have past
+/// padded_k_int8(K) * oh * ow. The loads likewise read at most 15 bytes
+/// past the plane, into its slack.
+void gather_taps_i8(const i8* xq, const ConvGeom& g, i8* xp, i8* T) {
+  const usize K = g.patch_size(), P = g.oh * g.ow;
+  const usize ph = g.h + 2 * g.pad, pw = g.w + 2 * g.pad;
+  spread_planes(xq, g.in_ch, g.h, g.w, 1, static_cast<isize>(g.pad), ph, pw, xp);
+  if (g.stride == 1 && g.ow <= 16) {
+    usize kk = 0;
+    for (usize ic = 0; ic < g.in_ch; ++ic) {
+      for (usize ki = 0; ki < g.k; ++ki) {
+        for (usize kj = 0; kj < g.k; ++kj, ++kk) {
+          const i8* src = xp + (ic * ph + ki) * pw + kj;
+          i8* row = T + kk * P;
+          for (usize oi = 0; oi < g.oh; ++oi) {
+            __builtin_memcpy(row + oi * g.ow, src + oi * pw, 16);
+          }
+        }
+      }
+    }
+  } else {
+    (g.stride == 1 ? gather_taps<1, i8> : gather_taps<0, i8>)(xp, g, T, P);
+  }
+  const usize K4 = gemm::padded_k_int8(K);
+  if (K4 > K) std::memset(T + K * P, 0, (K4 - K) * P);
+}
+
+/// Bytes of one sample's zero-bordered int8 code plane, with the 16 bytes
+/// of load slack gather_taps_i8 needs.
+usize padded_plane_i8(const ConvGeom& g) {
+  return g.in_ch * (g.h + 2 * g.pad) * (g.w + 2 * g.pad) + 16;
+}
+
+/// Runs fn(lo, hi, slot) over contiguous chunks [lo, hi) of the n samples,
+/// each chunk drawing scratch from team slot `slot` of `ws`: across a pool
+/// team when plan_teams(n, work) allows one, else as one serial chunk in
+/// slot 0, where each sample's GEMM threads internally instead. Samples
+/// write disjoint outputs, so either split is bit-transparent.
+template <typename Fn>
+void for_sample_chunks(usize n, usize work, Workspace& ws, Fn&& fn) {
+  const usize teams = gemm::plan_teams(n, work);
+  if (teams <= 1) {
+    fn(usize{0}, n, usize{0});
+    return;
+  }
+  ws.reserve_team(teams);
+  ThreadPool::instance().parallel(teams, [&](usize slot, usize nslots) {
+    const usize chunk = (n + nslots - 1) / nslots;
+    const usize lo = std::min(n, slot * chunk), hi = std::min(n, lo + chunk);
+    if (lo < hi) fn(lo, hi, slot);
+  });
 }
 
 }  // namespace
@@ -229,227 +316,68 @@ Conv2d::Conv2d(usize in_ch, usize out_ch, usize kernel, usize stride, usize padd
       stride_(stride),
       pad_(padding) {}
 
-void Conv2d::im2col(const Tensor& x, usize b, const ConvGeom& g, float* col) const {
-  im2col_range(x, b, g, 0, g.oh * g.ow, col);
-}
-
-void Conv2d::im2col_range(const Tensor& x, usize b, const ConvGeom& g, usize p_lo,
-                          usize p_hi, float* col) const {
-  const float* xb = x.data() + b * g.in_ch * g.h * g.w;
-  const usize K = g.patch_size();
-  for (usize p = p_lo; p < p_hi; ++p) {
-    const usize oi = p / g.ow, oj = p % g.ow;
-    float* cp = col + p * K;
-    for_each_patch_row(
-        g, oi, oj,
-        [&](usize kk_row, usize ic, usize hi, usize kj_lo, usize kj_hi, usize wj_lo,
-            bool row_valid) {
-          float* dst = cp + kk_row;
-          if (!row_valid) {
-            for (usize kj = 0; kj < k_; ++kj) dst[kj] = 0.0f;
-            return;
-          }
-          // Spans are at most k (<= 3 in the zoo): an inline loop beats a
-          // variable-size memcpy call.
-          const float* src = xb + (ic * g.h + hi) * g.w + wj_lo;
-          for (usize kj = 0; kj < kj_lo; ++kj) dst[kj] = 0.0f;
-          for (usize kj = kj_lo; kj < kj_hi; ++kj) dst[kj] = src[kj - kj_lo];
-          for (usize kj = kj_hi; kj < k_; ++kj) dst[kj] = 0.0f;
-        });
-  }
-}
-
-void Conv2d::gather_taps_i8(const i8* xq, const ConvGeom& g, i8* T) const {
-  const usize K = g.patch_size();
-  const usize P = g.oh * g.ow;
-  // Small-image fast path (every conv in the zoo): copy each channel into a
-  // zero-bordered padded plane once, after which EVERY (tap, output-row)
-  // span is one unconditional 16-byte load/store -- no bounds branches and
-  // no per-span libc calls, which otherwise dominate (taps * oh tiny
-  // memcpy/memset calls per sample). The 16-byte stores overrun each ow-span
-  // into bytes that ascending (oi, then k) iteration rewrites immediately
-  // after; only the very last store runs past row K-1, into the quad-pad
-  // rows (re-zeroed below) or the caller-provided 15-byte slack.
-  constexpr usize kPaddedCap = 8192;
-  const usize ph = g.h + 2 * g.pad, pw = g.w + 2 * g.pad;
-  if (g.stride == 1 && g.ow <= 16 && g.in_ch * ph * pw + 16 <= kPaddedCap) {
-    alignas(16) i8 pp[kPaddedCap];
-    std::memset(pp, 0, g.in_ch * ph * pw);
-    for (usize ic = 0; ic < g.in_ch; ++ic) {
-      for (usize i = 0; i < g.h; ++i) {
-        std::memcpy(pp + (ic * ph + i + g.pad) * pw + g.pad, xq + (ic * g.h + i) * g.w,
-                    g.w);
-      }
-    }
-    usize k = 0;
-    for (usize ic = 0; ic < g.in_ch; ++ic) {
-      const i8* base = pp + ic * ph * pw;
-      for (usize ki = 0; ki < k_; ++ki) {
-        for (usize kj = 0; kj < k_; ++kj, ++k) {
-          // Padded coords: input row oi+ki, column offset kj (stride 1).
-          const i8* src = base + ki * pw + kj;
-          i8* row = T + k * P;
-          for (usize oi = 0; oi < g.oh; ++oi) {
-            __builtin_memcpy(row + oi * g.ow, src + oi * pw, 16);
-          }
-        }
-      }
-    }
-    const usize K4 = gemm::padded_k_int8(K);
-    if (K4 > K) std::memset(T + K * P, 0, (K4 - K) * P);
-    return;
-  }
-  usize k = 0;
-  for (usize ic = 0; ic < g.in_ch; ++ic) {
-    const i8* plane = xq + ic * g.h * g.w;
-    for (usize ki = 0; ki < k_; ++ki) {
-      for (usize kj = 0; kj < k_; ++kj, ++k) {
-        i8* row = T + k * P;
-        for (usize oi = 0; oi < g.oh; ++oi) {
-          i8* dst = row + oi * g.ow;
-          const isize hi =
-              static_cast<isize>(oi * g.stride + ki) - static_cast<isize>(g.pad);
-          if (hi < 0 || hi >= static_cast<isize>(g.h)) {
-            std::memset(dst, 0, g.ow);
-            continue;
-          }
-          const i8* src_row = plane + static_cast<usize>(hi) * g.w;
-          if (g.stride == 1) {
-            // wj = oj + kj - pad sweeps a contiguous input span: one memcpy
-            // per output row, zero-filled where it hangs over the padding.
-            const isize wj0 = static_cast<isize>(kj) - static_cast<isize>(g.pad);
-            const usize lo = wj0 < 0 ? static_cast<usize>(-wj0) : 0;
-            const isize span_end = static_cast<isize>(g.w) - wj0;
-            usize hi_oj = span_end < 0 ? 0
-                                       : std::min(static_cast<usize>(span_end), g.ow);
-            if (hi_oj < lo) hi_oj = lo;
-            std::memset(dst, 0, lo);
-            std::memcpy(dst + lo, src_row + wj0 + static_cast<isize>(lo), hi_oj - lo);
-            std::memset(dst + hi_oj, 0, g.ow - hi_oj);
-          } else {
-            for (usize oj = 0; oj < g.ow; ++oj) {
-              const isize wj =
-                  static_cast<isize>(oj * g.stride + kj) - static_cast<isize>(g.pad);
-              dst[oj] =
-                  (wj >= 0 && wj < static_cast<isize>(g.w)) ? src_row[wj] : i8{0};
-            }
-          }
-        }
-      }
-    }
-  }
-  const usize K4 = gemm::padded_k_int8(K);
-  if (K4 > K) std::memset(T + K * P, 0, (K4 - K) * P);
-}
-
 void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& ws) {
   assert(x.rank() == 4 && x.dim(1) == in_ch_);
   record_act(x);
   const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const usize oh = out_size(h), ow = out_size(w);
-  y.resize({n, out_ch_, oh, ow});
-  // Lowering: per sample, y[oc, p] = bias[oc] + dot(col[p, :], W[oc, :]) over
-  // the patch dimension. Patches stream as GEMM rows against the packed
-  // weight panels (the small operand), and the strided store writes the NCHW
-  // slice directly. The padded taps contribute exact zeros in the same
-  // (ic, ki, kj) positions the naive loops skipped, so the accumulation is
-  // bit-identical (adding a signed zero never changes a non-negative-zero
-  // accumulator, and the accumulator can only be -0.0 if the bias is).
   const ConvGeom g = geom(h, w);
-  const usize K = g.patch_size(), P = oh * ow;
-  // True-integer regime: the sample's input slice is quantized ONCE (it is
-  // a few hundred values; the col buffer repeats each up to k*k times), then
-  // the tap-major code gather streams each tap's output plane as contiguous
-  // byte spans and interleave_quads_i8 zips four taps at a time into the
-  // GEMM's quad-major A panel -- byte-identical to quantizing a float
-  // im2col, at a quarter of the gather traffic and none of the per-patch
-  // scatter or rounding. The calibrated scale covers the patches (every
-  // entry is an input value or an exact padding zero); the uncalibrated
-  // fallback derives a per-sample scale from the input slice, which depends
-  // only on that sample -- deterministic at any batch or patch split.
+  const usize K = g.patch_size(), P = g.oh * g.ow, chw = in_ch_ * h * w;
+  y.resize({n, out_ch_, g.oh, g.ow});
+  // Lowering: per sample, y[oc, p] = bias[oc] + dot(col[p, :], W[oc, :]) over
+  // the patch dimension. The sample's planes are spread into a zero-bordered
+  // copy, so every patch row of `col` is a plain window copy; the rows
+  // stream through the GEMM against the packed weight panels (the small
+  // operand), and the strided store writes the NCHW slice directly. The
+  // padded taps contribute exact zeros in the same (ic, ki, kj) positions the
+  // naive loops skipped, so the accumulation is bit-identical (adding a
+  // signed zero never changes a non-negative-zero accumulator, and the
+  // accumulator can only be -0.0 if the bias is).
+  //
+  // True-integer regime: the sample's input slice is quantized ONCE (the
+  // patches repeat each value up to k*k times), then the tap-major code
+  // gather and interleave_quads_i8 build the GEMM's quad-major A panel --
+  // byte-identical to quantizing the float patches. The calibrated scale
+  // covers the patches (every entry is an input value or an exact padding
+  // zero); the uncalibrated fallback derives a per-sample scale from the
+  // input slice, which depends only on that sample -- deterministic at any
+  // batch split.
   const Int8Pack int8 = int8_pack();
   const bool use_int8 = int8.panel != nullptr && simd::int8_enabled();
-  const usize teams = gemm::plan_teams(n, n * P * K * out_ch_);
-  if (use_int8) {
-    const usize K4 = gemm::padded_k_int8(K);
-    const usize chw = in_ch_ * h * w;
-    // qa holds the quad-major A panel [0, P*K4) and the tap-major gather
-    // staging T [P*K4, 2*P*K4), plus the gather's 16-byte store slack.
-    auto int8_sample = [&](usize b, i8* qx, i8* qa) {
-      const float* xb = x.data() + b * chw;
-      const float sa =
-          int8.act_scale > 0.0f ? int8.act_scale : gemm::activation_scale(xb, 1, chw, chw);
-      gemm::quantize_activations(xb, 1, chw, chw, sa, qx);
-      i8* T = qa + P * K4;
-      gather_taps_i8(qx, g, T);
-      simd::interleave_quads_i8(T, P, K4 / 4, qa);
-      gemm::gemm_nt_int8(P, out_ch_, K, qa, int8.panel, y.data() + b * out_ch_ * P, 1, P,
-                         bias.data(), gemm::Bias::kPerCol, sa * int8.weight_scale);
-    };
-    if (teams > 1) {
-      ws.reserve_team(teams);
-      ThreadPool::instance().parallel(teams, [&](usize slot, usize nslots) {
-        const usize chunk = (n + nslots - 1) / nslots;
-        const usize lo = std::min(n, slot * chunk), hi = std::min(n, lo + chunk);
-        if (lo >= hi) return;
-        i8* qx = ws.qx_buffer(gemm::padded_k_int8(chw), slot);
-        i8* qa = ws.qa_buffer(2 * P * K4 + 16, slot);
-        for (usize b = lo; b < hi; ++b) int8_sample(b, qx, qa);
-      });
+  float* packed_w = nullptr;
+  if (!use_int8) {
+    packed_w = ws.pack_buffer(gemm::packed_b_size(out_ch_, K));
+    gemm::pack_b(weight.data(), K, out_ch_, K, packed_w);  // once, not per sample
+  }
+  for_sample_chunks(n, n * P * K * out_ch_, ws, [&](usize lo, usize hi, usize slot) {
+    if (use_int8) {
+      // qx: the sample's codes, then its padded code plane. qa: the
+      // quad-major A panel [0, P*K4) and the tap-major staging T
+      // [P*K4, 2*P*K4), plus the gather's 16-byte store slack.
+      const usize K4 = gemm::padded_k_int8(K), chw4 = gemm::padded_k_int8(chw);
+      i8* qx = ws.qx_buffer(chw4 + padded_plane_i8(g), slot);
+      i8* qa = ws.qa_buffer(2 * P * K4 + 16, slot);
+      for (usize b = lo; b < hi; ++b) {
+        const float* xb = x.data() + b * chw;
+        const float sa =
+            int8.act_scale > 0.0f ? int8.act_scale : gemm::activation_scale(xb, 1, chw, chw);
+        gemm::quantize_activations(xb, 1, chw, chw, sa, qx);
+        gather_taps_i8(qx, g, qx + chw4, qa + P * K4);
+        simd::interleave_quads_i8(qa + P * K4, P, K4 / 4, qa);
+        gemm::gemm_nt_int8(P, out_ch_, K, qa, int8.panel, y.data() + b * out_ch_ * P, 1, P,
+                           bias.data(), gemm::Bias::kPerCol, sa * int8.weight_scale);
+      }
       return;
     }
-    // Single-probe batches run the per-sample GEMM's internal threading
-    // instead; the quantize + gather ahead of it are byte-bound and cheap.
-    i8* qx = ws.qx_buffer(gemm::padded_k_int8(chw));
-    i8* qa = ws.qa_buffer(2 * P * K4 + 16);
-    for (usize b = 0; b < n; ++b) int8_sample(b, qx, qa);
-    return;
-  }
-  float* packed_w = ws.pack_buffer(gemm::packed_b_size(out_ch_, K));
-  gemm::pack_b(weight.data(), K, out_ch_, K, packed_w);  // once, not per sample
-  // One sample's lowered GEMM over an already-gathered col buffer.
-  auto gemm_sample = [&](usize b, const float* col) {
-    gemm::gemm_nt_prepacked(P, out_ch_, K, col, K, packed_w, y.data() + b * out_ch_ * P, 1,
-                            P, bias.data(), gemm::Bias::kPerCol);
-  };
-  // Samples are independent GEMMs over disjoint output slices: partition the
-  // batch into contiguous chunks across the team (per-slot col buffers), and
-  // let the per-sample GEMM parallelise internally instead when the batch is
-  // a single sample. Either split is bit-transparent.
-  if (teams > 1) {
-    ws.reserve_team(teams);
-    ThreadPool::instance().parallel(teams, [&](usize slot, usize nslots) {
-      const usize chunk = (n + nslots - 1) / nslots;
-      const usize lo = std::min(n, slot * chunk), hi = std::min(n, lo + chunk);
-      if (lo >= hi) return;
-      float* col = ws.col_buffer(P * K, slot);
-      for (usize b = lo; b < hi; ++b) {
-        im2col(x, b, g, col);
-        gemm_sample(b, col);
-      }
-    });
-    return;
-  }
-  // Batch too small to split (a BFA probe forwards one sample at a time):
-  // thread the im2col gather itself so patch materialization stops
-  // serializing ahead of the threaded GEMM. Disjoint patch ranges write
-  // disjoint rows of the one shared col buffer (sized here, OUTSIDE the
-  // region, so no slot ever grows it), and every element is computed exactly
-  // as the serial gather computes it -- byte-identical by construction.
-  float* col = ws.col_buffer(P * K);
-  const usize gather_teams = gemm::plan_teams(P, P * K);
-  for (usize b = 0; b < n; ++b) {
-    if (gather_teams > 1) {
-      ThreadPool::instance().parallel(gather_teams, [&](usize slot, usize nslots) {
-        const usize chunk = (P + nslots - 1) / nslots;
-        const usize lo = std::min(P, slot * chunk), hi = std::min(P, lo + chunk);
-        if (lo < hi) im2col_range(x, b, g, lo, hi, col);
-      });
-    } else {
-      im2col(x, b, g, col);
+    const usize ph = h + 2 * pad_, pw = w + 2 * pad_;
+    float* xp = ws.col_buffer(in_ch_ * ph * pw + P * K, slot);
+    float* col = xp + in_ch_ * ph * pw;
+    for (usize b = lo; b < hi; ++b) {
+      spread_planes(x.data() + b * chw, in_ch_, h, w, 1, static_cast<isize>(pad_), ph, pw, xp);
+      gather_windows_any(xp, g, col);
+      gemm::gemm_nt_prepacked(P, out_ch_, K, col, K, packed_w, y.data() + b * out_ch_ * P, 1,
+                              P, bias.data(), gemm::Bias::kPerCol);
     }
-    gemm_sample(b, col);
-  }
+  });
 }
 
 bool Conv2d::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& ws) {
@@ -463,9 +391,9 @@ bool Conv2d::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& 
     // Int8: forward_into's per-sample (or calibrated) scale, codes and tap
     // gather, an exact int32 dot with the row's raw weight codes, then the
     // GEMM epilogue.
-    const usize chw4 = gemm::padded_k_int8(chw);
-    i8* qx = ws.qx_buffer(chw4 + K);
-    i8* wq = qx + chw4;
+    const usize chw4 = gemm::padded_k_int8(chw), plane = padded_plane_i8(g);
+    i8* qx = ws.qx_buffer(chw4 + plane + K);
+    i8* wq = qx + chw4 + plane;
     i8* T = ws.qa_buffer(gemm::padded_k_int8(K) * P + 16);
     for (usize kk = 0; kk < K; ++kk) wq[kk] = int8.panel[gemm::packed_q8_index(row, kk, K)];
     for (usize b = 0; b < n; ++b) {
@@ -474,7 +402,7 @@ bool Conv2d::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& 
           int8.act_scale > 0.0f ? int8.act_scale : gemm::activation_scale(xb, 1, chw, chw);
       const float requant = sa * int8.weight_scale;
       gemm::quantize_activations(xb, 1, chw, chw, sa, qx);
-      gather_taps_i8(qx, g, T);
+      gather_taps_i8(qx, g, qx + chw4, T);
       float* yb = y.data() + b * P;
       for (usize p = 0; p < P; ++p) {
         i32 acc = 0;
@@ -488,23 +416,21 @@ bool Conv2d::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& 
   // ascending (ic, ki, kj) as a separate multiply and add -- the gemm.hpp
   // contract, so the bytes equal the GEMM's. Tap (ic, ki, kj) of output
   // (oi, oj) is the zero-bordered input element (ic, oi*stride + ki,
-  // oj*stride + kj): the im2col entry, padding zeros included. The padded
-  // planes are stored channel-major over the whole batch, xp[ic][b][ph][pw],
-  // and the accumulators run over the same padded grid, acc[b][r][c]: output
-  // (oi, oj) of sample b is grid point (oi*stride, oj*stride), and tap
-  // (ki, kj) of every grid point is one fixed offset away in xp. So each tap
-  // is a single contiguous multiply-add over the batch; grid points that are
-  // not outputs are computed and dropped.
+  // oj*stride + kj): forward_into's patch entry, padding zeros included. The
+  // padded planes are stored channel-major over the whole batch,
+  // xp[ic][b][ph][pw], and the accumulators run over the same padded grid,
+  // acc[b][r][c]: output (oi, oj) of sample b is grid point (oi*stride,
+  // oj*stride), and tap (ki, kj) of every grid point is one fixed offset away
+  // in xp. So each tap is a single contiguous multiply-add over the batch;
+  // grid points that are not outputs are computed and dropped.
   const usize ph = h + 2 * pad_, pw = w + 2 * pad_, grid = ph * pw, G = n * grid;
   const usize span = (n - 1) * grid + (g.oh - 1) * stride_ * pw + (g.ow - 1) * stride_ + 1;
   float* xp = ws.col_buffer(in_ch_ * G + G);
   float* acc = xp + in_ch_ * G;
-  std::fill(xp, xp + in_ch_ * G, 0.0f);
   for (usize ic = 0; ic < in_ch_; ++ic) {
     for (usize b = 0; b < n; ++b) {
-      const float* src = x.data() + (b * in_ch_ + ic) * h * w;
-      float* dst = xp + (ic * n + b) * grid + pad_ * pw + pad_;
-      for (usize i = 0; i < h; ++i) std::memcpy(dst + i * pw, src + i * w, w * sizeof(float));
+      spread_planes(x.data() + (b * in_ch_ + ic) * h * w, 1, h, w, 1, static_cast<isize>(pad_),
+                    ph, pw, xp + (ic * n + b) * grid);
     }
   }
   std::fill(acc, acc + span, bias[row]);
@@ -570,35 +496,25 @@ void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& d
   float* taps = ws.taps_buffer(K * n * P);
   const usize ph = h + 2 * pad_, pw = w + 2 * pad_, dh = h + k_ - 1, dw = w + k_ - 1;
   const usize xp_size = in_ch_ * ph * pw, dp_size = out_ch_ * dh * dw;
-  const usize scratch = xp_size + dp_size + hw * Kd;
   const isize dy_off = static_cast<isize>(k_) - 1 - static_cast<isize>(pad_);
-  auto sample = [&](usize b, float* xp) {
+  // The dy plane as the input of an unpadded stride-1 convolution with
+  // output h x w: its windows are the dx GEMM's rows.
+  const ConvGeom dy_geom{out_ch_, k_, 1, 0, dh, dw, h, w};
+  for_sample_chunks(n, n * hw * in_ch_ * Kd, ws, [&](usize lo, usize hi, usize slot) {
+    float* xp = ws.col_buffer(xp_size + dp_size + hw * Kd, slot);
     float* dp = xp + xp_size;
     float* col = dp + dp_size;
-    spread_planes(x.data() + b * in_ch_ * hw, in_ch_, h, w, 1, static_cast<isize>(pad_), ph,
-                  pw, xp);
-    (stride_ == 1 ? gather_taps<1> : gather_taps<0>)(xp, g, taps + b * P, n * P);
-    spread_planes(dy.data() + b * out_ch_ * P, out_ch_, g.oh, g.ow, stride_, dy_off, dh, dw,
-                  dp);
-    (k_ == 3 ? gather_windows<3> : k_ == 1 ? gather_windows<1> : gather_windows<0>)(
-        dp, out_ch_, k_, h, w, col);
-    gemm::gemm_nt_prepacked(hw, in_ch_, Kd, col, Kd, wpack, dx.data() + b * in_ch_ * hw, 1,
-                            hw, nullptr, gemm::Bias::kNone);
-  };
-  const usize teams = gemm::plan_teams(n, n * hw * in_ch_ * Kd);
-  if (teams > 1) {
-    ws.reserve_team(teams);
-    ThreadPool::instance().parallel(teams, [&](usize slot, usize nslots) {
-      const usize chunk = (n + nslots - 1) / nslots;
-      const usize lo = std::min(n, slot * chunk), hi = std::min(n, lo + chunk);
-      if (lo >= hi) return;
-      float* s = ws.col_buffer(scratch, slot);
-      for (usize b = lo; b < hi; ++b) sample(b, s);
-    });
-  } else {
-    float* s = ws.col_buffer(scratch);
-    for (usize b = 0; b < n; ++b) sample(b, s);
-  }
+    for (usize b = lo; b < hi; ++b) {
+      spread_planes(x.data() + b * in_ch_ * hw, in_ch_, h, w, 1, static_cast<isize>(pad_), ph,
+                    pw, xp);
+      (stride_ == 1 ? gather_taps<1, float> : gather_taps<0, float>)(xp, g, taps + b * P, n * P);
+      spread_planes(dy.data() + b * out_ch_ * P, out_ch_, g.oh, g.ow, stride_, dy_off, dh, dw,
+                    dp);
+      gather_windows_any(dp, dy_geom, col);
+      gemm::gemm_nt_prepacked(hw, in_ch_, Kd, col, Kd, wpack, dx.data() + b * in_ch_ * hw, 1,
+                              hw, nullptr, gemm::Bias::kNone);
+    }
+  });
 
   // dweight += taps x dy^T, one GEMM over the whole batch: dweight[oc, kk]
   // continues its sum over ascending (sample, output position), and a short

@@ -173,7 +173,10 @@ class Dense final : public Layer {
 };
 
 /// 2-D convolution, square kernel, NCHW. y = conv(x, W) + b, computed as a
-/// GEMM over im2col patches (weight rows x patch rows).
+/// GEMM per sample over patch rows (one per output position) against the
+/// weight rows. Every pass -- float and int8 forward, the one-row probe
+/// kernel, backward -- reads its patches from zero-bordered copies of the
+/// sample's planes, so no gather tests bounds.
 class Conv2d final : public Layer {
  public:
   Conv2d(usize in_ch, usize out_ch, usize kernel, usize stride, usize padding, sys::Rng& rng);
@@ -196,29 +199,6 @@ class Conv2d final : public Layer {
   [[nodiscard]] ConvGeom geom(usize h, usize w) const {
     return {in_ch_, k_, stride_, pad_, h, w, out_size(h), out_size(w)};
   }
-  /// Gathers sample `b`'s patches into `col`, patch-major: col[p*K + kk].
-  void im2col(const Tensor& x, usize b, const ConvGeom& g, float* col) const;
-  /// Gathers only patches [p_lo, p_hi) of sample b into col (row p at
-  /// col + p * patch_size). Disjoint ranges touch disjoint col rows, so the
-  /// threaded gather in forward_into can partition one sample's patches
-  /// across a pool team into one shared buffer, byte-identically.
-  void im2col_range(const Tensor& x, usize b, const ConvGeom& g, usize p_lo, usize p_hi,
-                    float* col) const;
-  /// Int8 gather over a pre-quantized input slice `xq` (the sample's
-  /// in_ch*h*w codes), TAP-major: T row k (flat tap (ic, ki, kj)) holds that
-  /// tap's code for every output pixel p -- for stride 1 each T row is just
-  /// a shifted copy of input rows, so the gather runs as oh memcpys of
-  /// ow-byte spans per tap instead of P per-patch scatter lambdas. Rows
-  /// K..padded_k_int8(K) are zeroed; simd::interleave_quads_i8 then zips T
-  /// into the GEMM's quad-major A panel. Gathering codes commutes exactly
-  /// with quantizing gathered floats -- every patch entry is an input value
-  /// (same code either way) or an exact padding zero (code 0) -- so the
-  /// pipeline is byte-identical to quantizing a float im2col. `T` must have
-  /// 16 bytes of slack past padded_k_int8(K) * oh * ow: the small-image fast
-  /// path writes whole 16-byte lanes whose tails are rewritten by later rows
-  /// (the final one lands in the slack).
-  void gather_taps_i8(const i8* xq, const ConvGeom& g, i8* T) const;
-
   usize in_ch_, out_ch_, k_, stride_, pad_;
 };
 

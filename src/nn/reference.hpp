@@ -3,7 +3,7 @@
 // replaced.
 //
 // They are test oracles only: tests/test_gemm.cpp property-checks the
-// lowered GEMM/im2col forward and the lowered backward against them for
+// GEMM-lowered forward and backward against them for
 // bitwise-identical outputs over randomized shapes. No production path calls
 // them.
 #pragma once

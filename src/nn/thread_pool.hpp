@@ -14,8 +14,9 @@
 // a slot can never change any output byte. Nested regions degrade to serial
 // execution of the body on the calling thread (in_region() is thread-local),
 // keeping per-slot scratch buffers exclusive to one running body at a time --
-// e.g. Conv2d's threaded im2col gather, which runs inside the batch-parallel
-// region when the batch is split and as its own region when it is not.
+// e.g. the GEMM of one Conv2d sample, which runs serially inside the
+// batch-parallel region when the batch is split and as its own region when
+// it is not.
 //
 // Workers are spawned lazily up to the largest team ever requested minus one
 // and live for the process lifetime. The pool allocates nothing per region

@@ -5,7 +5,7 @@
 // The engine's hot paths (Sequential::forward_cached / refresh / the probes /
 // backward_cached and the GEMM lowering of Dense/Conv2d) never allocate their
 // own tensors. Instead every piece of scratch -- per-layer activations, the
-// im2col patch buffer, the GEMM pack panel, gradient intermediates, composite
+// Conv2d patch buffer, the GEMM pack panel, gradient intermediates, composite
 // layer temporaries -- lives in the model's Workspace and is reused across
 // iterations. Slots are keyed by (owner pointer, kind, index), created lazily
 // on first use, and retain their storage forever after, so the steady state
@@ -22,16 +22,14 @@
 // channel-sparse probe adds its one-channel activations there as kScratch
 // slots keyed by the Sequential.
 //
-// Threaded forwards extend the arena with per-team-slot col/pack buffers:
+// Threaded passes extend the arena with per-team-slot col/pack buffers:
 // reserve_team(teams) (serial, before entering a pool region) sizes the
 // buffer tables, after which each team slot grows and reuses only its own
 // buffer -- the steady state stays zero-allocation at any fixed team size.
-// The threaded im2col gather uses the complementary pattern: one SHARED
-// buffer, fully sized before the region (grow() is not safe inside one),
-// into which team slots write disjoint patch-row ranges. The backward
-// lowerings add two more shared buffers of that kind (the whole-batch tap
-// gather and the small transposed operands) and reuse the col/pack buffers
-// for their per-sample gathers and packed panels.
+// The backward lowerings add the complementary pattern: SHARED buffers (the
+// whole-batch tap gather and the small transposed operands), fully sized
+// before the region (grow() is not safe inside one), into which team slots
+// write disjoint ranges.
 //
 // `alloc_events()` counts arena growth (new slots, buffer grows); a constant
 // count across iterations is the observable zero-allocation invariant that
@@ -65,8 +63,9 @@ class Workspace {
   /// from its own thread is).
   void reserve_team(usize teams);
 
-  /// im2col patch buffer of at least `n` floats for one team slot; grows
-  /// monotonically. Distinct team slots own distinct buffers.
+  /// Conv2d patch buffer of at least `n` floats for one team slot (the
+  /// padded planes and the gathered patches); grows monotonically. Distinct
+  /// team slots own distinct buffers.
   float* col_buffer(usize n, usize team_slot = 0) { return grow(col_[team_slot], n); }
 
   /// GEMM panel-pack buffer of at least `n` floats; distinct from the col
@@ -78,9 +77,9 @@ class Workspace {
   i8* qa_buffer(usize n, usize team_slot = 0) { return grow(qa_[team_slot], n); }
 
   /// Quantized-input buffer of at least `n` int8 codes: one conv sample's
-  /// input slice, quantized once, from which the int8 im2col gathers codes
-  /// directly. Live alongside qa_buffer (which receives the gathered
-  /// patches), hence a separate table.
+  /// input slice, quantized once, and its zero-bordered code plane, from
+  /// which the int8 gather copies codes. Live alongside qa_buffer (which
+  /// receives the gathered patches), hence a separate table.
   i8* qx_buffer(usize n, usize team_slot = 0) { return grow(qx_[team_slot], n); }
 
   /// Conv2d backward's tap-major gather of the whole batch's input patches

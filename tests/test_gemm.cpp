@@ -1,4 +1,4 @@
-// Kernel-equivalence property tests: the GEMM/im2col engine path must be
+// Kernel-equivalence property tests: the GEMM-lowered engine path must be
 // bitwise identical to the retained naive reference kernels, across
 // randomized shapes including odd sizes, stride/padding edges, and batch 1/N
 // -- for the forward passes and for the GEMM-lowered Dense/Conv2d backward.
@@ -262,9 +262,9 @@ TEST(Gemm, SimdThreadsMatrixMatchesScalarSerial) {
 
 TEST(Gemm, ThreadedIm2colGatherMatchesSerialByteExact) {
   // Single-sample convolution big enough to clear the parallel-work
-  // threshold: the batch cannot be split, so the patch gather itself runs on
-  // the pool (disjoint patch ranges into one shared col buffer). Output must
-  // be byte-identical to serial and to the naive reference.
+  // threshold: the batch cannot be split, so the patch gather runs serially
+  // and the sample's GEMM partitions its output rows across the pool. Output
+  // must be byte-identical to serial and to the naive reference.
   ThreadsGuard guard;
   sys::Rng rng(111);
   Conv2d conv(8, 9, 3, 1, 1, rng);
@@ -480,6 +480,102 @@ TEST(Gemm, Int8ThreadedMatchesSerialByteExact) {
       expect_bitwise_equal(threaded, serial,
                            "int8 teams=" + std::to_string(teams) + " trial " +
                                std::to_string(trial));
+    }
+  }
+}
+
+TEST(Gemm, Int8Conv2dForwardMatchesIntegerReference) {
+  // The int8 Conv2d forward (code gather + quad interleave + int8 GEMM) and
+  // its one-row probe kernel against a naive integer convolution: each
+  // sample's input quantized at the forward's scale, an int32 dot over the
+  // taps with padding read as code 0, then the epilogue
+  // float(acc) * requant + bias. Random geometry plus fixed shapes for each
+  // gather regime: stride 2, ow > 16, and padded planes over 8 KB.
+  SimdGuard simd_guard;
+  ThreadsGuard threads_guard;
+  simd::set_int8_override(1);
+  struct Shape {
+    usize in_ch, out_ch, k, stride, pad, h, w, n;
+  };
+  sys::Rng rng(116);
+  std::vector<Shape> shapes = {
+      {8, 5, 3, 1, 1, 32, 32, 2},   // ow = 32, plane 8 x 34 x 34 > 8 KB
+      {100, 3, 3, 1, 1, 10, 10, 1}, // ow = 10, plane 100 x 12 x 12 > 8 KB
+      {3, 7, 3, 2, 1, 20, 19, 3},   // stride 2, odd width
+      {5, 9, 1, 2, 0, 9, 9, 2},     // 1x1 stride 2, no padding
+  };
+  for (int trial = 0; trial < 24; ++trial) {
+    const usize k = 1 + rng.uniform(3);
+    const usize pad = rng.uniform(k + 1);
+    usize h = 3 + rng.uniform(18), w = 3 + rng.uniform(18);
+    if (h + 2 * pad < k) h = k;
+    if (w + 2 * pad < k) w = k;
+    shapes.push_back({1 + rng.uniform(12), 1 + rng.uniform(12), k, 1 + rng.uniform(2), pad, h,
+                      w, trial % 3 == 0 ? usize{1} : 2 + rng.uniform(3)});
+  }
+  for (usize si = 0; si < shapes.size(); ++si) {
+    const Shape& s = shapes[si];
+    Conv2d c(s.in_ch, s.out_ch, s.k, s.stride, s.pad, rng);
+    fill_random(c.bias, rng);
+    Tensor x({s.n, s.in_ch, s.h, s.w});
+    fill_random(x, rng);
+    const usize K = s.in_ch * s.k * s.k, chw = s.in_ch * s.h * s.w;
+    const usize oh = c.out_size(s.h), ow = c.out_size(s.w), P = oh * ow;
+    const std::vector<i8> q = random_codes(s.out_ch * K, rng);
+    std::vector<i8> panel(gemm::packed_b_int8_size(s.out_ch, K));
+    gemm::pack_b_q8(q.data(), s.out_ch, K, panel.data());
+    const float weight_scale = 0.01f;
+    for (const bool calibrated : {false, true}) {
+      // A calibrated scale below the input's amax / 127, so some codes clamp.
+      const float act_scale = calibrated ? 0.7f * x.abs_max() / 127.0f : 0.0f;
+      c.attach_int8_pack({panel.data(), weight_scale, act_scale});
+      Tensor ref({s.n, s.out_ch, oh, ow});
+      std::vector<i8> xq(gemm::padded_k_int8(chw));
+      for (usize b = 0; b < s.n; ++b) {
+        const float* xb = x.data() + b * chw;
+        const float sa = calibrated ? act_scale : gemm::activation_scale(xb, 1, chw, chw);
+        gemm::quantize_activations(xb, 1, chw, chw, sa, xq.data());
+        const float requant = sa * weight_scale;
+        for (usize oc = 0; oc < s.out_ch; ++oc) {
+          for (usize p = 0; p < P; ++p) {
+            i32 acc = 0;
+            for (usize kk = 0; kk < K; ++kk) {
+              const usize ic = kk / (s.k * s.k), ki = kk / s.k % s.k, kj = kk % s.k;
+              const isize pad = static_cast<isize>(s.pad);
+              const isize hi = static_cast<isize>(p / ow * s.stride + ki) - pad;
+              const isize wj = static_cast<isize>(p % ow * s.stride + kj) - pad;
+              if (hi < 0 || hi >= static_cast<isize>(s.h) || wj < 0 ||
+                  wj >= static_cast<isize>(s.w)) {
+                continue;  // padding: code 0
+              }
+              const usize at = (ic * s.h + static_cast<usize>(hi)) * s.w + static_cast<usize>(wj);
+              acc += i32{xq[at]} * i32{q[oc * K + kk]};
+            }
+            ref[(b * s.out_ch + oc) * P + p] = static_cast<float>(acc) * requant + c.bias[oc];
+          }
+        }
+      }
+      const std::string what =
+          "shape " + std::to_string(si) + " ic=" + std::to_string(s.in_ch) + " oc=" +
+          std::to_string(s.out_ch) + " k=" + std::to_string(s.k) + " s=" +
+          std::to_string(s.stride) + " p=" + std::to_string(s.pad) + " h=" +
+          std::to_string(s.h) + " w=" + std::to_string(s.w) + " n=" + std::to_string(s.n) +
+          (calibrated ? " calibrated" : " uncalibrated");
+      for (const usize teams : {usize{1}, usize{4}}) {
+        gemm::set_threads(teams);
+        expect_bitwise_equal(c.forward(x, false), ref,
+                             "int8 conv teams=" + std::to_string(teams) + " " + what);
+      }
+      const usize row = rng.uniform(s.out_ch);
+      Workspace ws;
+      Tensor y_row;
+      ASSERT_TRUE(c.forward_row_into(x, row, y_row, ws));
+      for (usize b = 0; b < s.n; ++b) {
+        ASSERT_EQ(0, std::memcmp(y_row.data() + b * P, ref.data() + (b * s.out_ch + row) * P,
+                                 P * sizeof(float)))
+            << "int8 row " << row << " sample " << b << " " << what;
+      }
+      c.detach_int8_pack(panel.data());
     }
   }
 }
