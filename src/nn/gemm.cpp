@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <thread>
 
 #include "nn/simd.hpp"
 #include "nn/thread_pool.hpp"
-#include "nn/workspace.hpp"
 #include "sys/env.hpp"
 
 namespace dnnd::nn::gemm {
@@ -154,6 +154,39 @@ void kernel_int8(const simd::I8Kernels& ik, usize M, usize N, usize K, const i8*
   }
 }
 
+/// Runs `block(m_lo, m_hi, n_lo, n_hi)` over a partition of the M x N output
+/// -- the one threading scheme of both GEMMs. Team planning is in units the
+/// split can actually hand out: whole 8-row register tiles (row split) or
+/// whole 8-column B panels (panel split), never more slots than there are
+/// tiles to own. Every output belongs to exactly one block, and a block's
+/// kernel call advances each of its accumulators exactly as the serial call
+/// would, so any partition yields the serial bytes.
+template <typename Block>
+void for_output_blocks(usize M, usize N, usize K, const Block& block) {
+  const usize row_tiles = (M + kMr - 1) / kMr;
+  const usize panels = (N + kNr - 1) / kNr;
+  const usize teams = plan_teams(std::max(row_tiles, panels), M * N * K);
+  if (teams <= 1) {
+    block(0, M, 0, N);
+  } else if (row_tiles >= teams) {
+    // Contiguous M row chunks (multiples of the register tile): every thread
+    // owns whole output rows.
+    ThreadPool::instance().parallel(teams, [&](usize slot, usize nslots) {
+      const usize chunk = (row_tiles + nslots - 1) / nslots * kMr;
+      const usize lo = std::min(M, slot * chunk), hi = std::min(M, lo + chunk);
+      if (lo < hi) block(lo, hi, 0, N);
+    });
+  } else {
+    // Fewer row tiles than the team: partition the packed B panels instead,
+    // so each thread owns whole output COLUMN groups (disjoint n0 blocks).
+    ThreadPool::instance().parallel(std::min(teams, panels), [&](usize slot, usize nslots) {
+      const usize chunk = (panels + nslots - 1) / nslots;
+      const usize p_lo = std::min(panels, slot * chunk), p_hi = std::min(panels, p_lo + chunk);
+      if (p_lo < p_hi) block(0, M, p_lo * kNr, std::min(N, p_hi * kNr));
+    });
+  }
+}
+
 }  // namespace
 
 void set_threads(usize n) { g_threads.store(n, std::memory_order_relaxed); }
@@ -200,43 +233,15 @@ void gemm_nt_prepacked(usize M, usize N, usize K, const float* A, usize lda,
                        const float* packed_b, float* C, usize crs, usize ccs,
                        const float* bias, Bias bias_kind) {
   if (M == 0 || N == 0) return;
-  // Team planning is in units the split can actually hand out: whole 8-row
-  // register tiles (row split) or whole 8-column panels (panel split) --
-  // never more slots than there are tiles to own.
-  const usize row_tiles = (M + kMr - 1) / kMr;
-  const usize panels = (N + kNr - 1) / kNr;
-  const usize teams = plan_teams(std::max(row_tiles, panels), M * N * K);
   // Resolved once per GEMM (not per team slot): the knob reads fall through
   // to getenv when no override is set, which must stay off the per-probe
   // hot path -- BFA campaigns issue thousands of microsecond-scale GEMMs.
   const simd::Kernels simd_kernels = simd::active_kernels();
-  if (teams <= 1) {
-    kernel(simd_kernels, M, N, K, A, lda, packed_b, C, crs, ccs, bias, bias_kind);
-    return;
-  }
-  if (row_tiles >= teams) {
-    // Contiguous M row chunks (multiples of the register tile): every thread
-    // owns whole output rows, accumulators untouched.
-    ThreadPool::instance().parallel(teams, [&](usize slot, usize nslots) {
-      const usize chunk = (row_tiles + nslots - 1) / nslots * kMr;
-      const usize lo = std::min(M, slot * chunk), hi = std::min(M, lo + chunk);
-      if (lo < hi) {
-        kernel(simd_kernels, hi - lo, N, K, A + lo * lda, lda, packed_b, C + lo * crs, crs,
-               ccs, bias, bias_kind);
-      }
-    });
-  } else {
-    // Fewer row tiles than the team: partition the packed B panels instead,
-    // so each thread owns whole output COLUMN groups (disjoint n0 blocks).
-    ThreadPool::instance().parallel(std::min(teams, panels), [&](usize slot, usize nslots) {
-      const usize chunk = (panels + nslots - 1) / nslots;
-      const usize p_lo = std::min(panels, slot * chunk), p_hi = std::min(panels, p_lo + chunk);
-      if (p_lo >= p_hi) return;
-      const usize n_lo = p_lo * kNr, n_hi = std::min(N, p_hi * kNr);
-      kernel(simd_kernels, M, n_hi - n_lo, K, A, lda, packed_b + n_lo * K, C + n_lo * ccs,
-             crs, ccs, bias_kind == Bias::kPerCol ? bias + n_lo : bias, bias_kind);
-    });
-  }
+  for_output_blocks(M, N, K, [&](usize m_lo, usize m_hi, usize n_lo, usize n_hi) {
+    kernel(simd_kernels, m_hi - m_lo, n_hi - n_lo, K, A + m_lo * lda, lda, packed_b + n_lo * K,
+           C + m_lo * crs + n_lo * ccs, crs, ccs,
+           bias_kind == Bias::kPerCol ? bias + n_lo : bias, bias_kind);
+  });
 }
 
 usize padded_k_int8(usize K) { return (K + 3) & ~usize{3}; }
@@ -245,25 +250,17 @@ usize packed_b_int8_size(usize N, usize K) {
   return ((N + kNr - 1) / kNr) * kNr * padded_k_int8(K);
 }
 
-usize packed_q8_index(usize n, usize k, usize K) {
-  const usize K4 = padded_k_int8(K);
-  return (n / kNr) * kNr * K4 + (k / 4) * (kNr * 4) + (n % kNr) * 4 + k % 4;
-}
-
 void pack_b_q8(const i8* q, usize N, usize K, i8* packed) {
+  // Zero first (pad rows and the K remainder), then copy each row's codes
+  // quad by quad into its lane of its 8-row panel.
   const usize K4 = padded_k_int8(K);
-  for (usize n0 = 0; n0 < N; n0 += kNr) {
-    const usize rows = std::min(kNr, N - n0);
-    i8* panel = packed + n0 * K4;
-    for (usize k4 = 0; k4 < K4; k4 += 4) {
-      i8* line = panel + k4 * kNr;
-      for (usize r = 0; r < kNr; ++r) {
-        for (usize o = 0; o < 4; ++o) {
-          const usize k = k4 + o;
-          line[r * 4 + o] = (r < rows && k < K) ? q[(n0 + r) * K + k] : i8{0};
-        }
-      }
-    }
+  std::memset(packed, 0, packed_b_int8_size(N, K));
+  for (usize n = 0; n < N; ++n) {
+    const i8* src = q + n * K;
+    i8* dst = packed + (n / kNr) * kNr * K4 + (n % kNr) * 4;
+    usize k = 0;
+    for (; k + 4 <= K; k += 4, dst += kNr * 4) std::memcpy(dst, src + k, 4);
+    if (k < K) std::memcpy(dst, src + k, K - k);
   }
 }
 
@@ -293,51 +290,14 @@ void gemm_nt_int8(usize M, usize N, usize K, const i8* A, const i8* packed_b, fl
   if (M == 0 || N == 0) return;
   const usize K4 = padded_k_int8(K);
   const usize astride = M * 4;  ///< quad pitch of the full A panel
-  const usize row_tiles = (M + kMr - 1) / kMr;
-  const usize panels = (N + kNr - 1) / kNr;
-  const usize teams = plan_teams(std::max(row_tiles, panels), M * N * K);
   const simd::I8Kernels ik = simd::active_int8_kernels();
-  if (teams <= 1) {
-    kernel_int8(ik, M, N, K, A, astride, packed_b, C, crs, ccs, bias, bias_kind, requant);
-    return;
-  }
-  // Same output partitioning as gemm_nt_prepacked. With exact int32
-  // accumulators even the order argument is unnecessary: any split of the
-  // outputs yields identical bytes.
-  if (row_tiles >= teams) {
-    ThreadPool::instance().parallel(teams, [&](usize slot, usize nslots) {
-      const usize chunk = (row_tiles + nslots - 1) / nslots * kMr;
-      const usize lo = std::min(M, slot * chunk), hi = std::min(M, lo + chunk);
-      if (lo < hi) {
-        kernel_int8(ik, hi - lo, N, K, A + lo * 4, astride, packed_b, C + lo * crs, crs,
-                    ccs, bias, bias_kind, requant);
-      }
-    });
-  } else {
-    ThreadPool::instance().parallel(std::min(teams, panels), [&](usize slot, usize nslots) {
-      const usize chunk = (panels + nslots - 1) / nslots;
-      const usize p_lo = std::min(panels, slot * chunk), p_hi = std::min(panels, p_lo + chunk);
-      if (p_lo >= p_hi) return;
-      const usize n_lo = p_lo * kNr, n_hi = std::min(N, p_hi * kNr);
-      kernel_int8(ik, M, n_hi - n_lo, K, A, astride, packed_b + n_lo * K4, C + n_lo * ccs,
-                  crs, ccs, bias_kind == Bias::kPerCol ? bias + n_lo : bias, bias_kind,
-                  requant);
-    });
-  }
-}
-
-void gemm_nt_strided(usize M, usize N, usize K, const float* A, usize lda, const float* B,
-                     usize ldb, float* C, usize crs, usize ccs, const float* bias,
-                     Bias bias_kind, Workspace& ws) {
-  if (M == 0 || N == 0) return;
-  float* packed = ws.pack_buffer(packed_b_size(N, K));
-  pack_b(B, ldb, N, K, packed);
-  gemm_nt_prepacked(M, N, K, A, lda, packed, C, crs, ccs, bias, bias_kind);
-}
-
-void gemm_nt(usize M, usize N, usize K, const float* A, usize lda, const float* B, usize ldb,
-             float* C, usize ldc, const float* bias, Bias bias_kind, Workspace& ws) {
-  gemm_nt_strided(M, N, K, A, lda, B, ldb, C, ldc, 1, bias, bias_kind, ws);
+  // With exact int32 accumulators even the order argument is unnecessary:
+  // any split of the outputs yields identical bytes.
+  for_output_blocks(M, N, K, [&](usize m_lo, usize m_hi, usize n_lo, usize n_hi) {
+    kernel_int8(ik, m_hi - m_lo, n_hi - n_lo, K, A + m_lo * 4, astride, packed_b + n_lo * K4,
+                C + m_lo * crs + n_lo * ccs, crs, ccs,
+                bias_kind == Bias::kPerCol ? bias + n_lo : bias, bias_kind, requant);
+  });
 }
 
 }  // namespace dnnd::nn::gemm

@@ -38,8 +38,6 @@
 
 namespace dnnd::nn {
 
-class Workspace;
-
 namespace gemm {
 
 /// How the per-output accumulator is initialised. Both forward lowerings put
@@ -58,18 +56,6 @@ enum class Bias : u32 {
   kPerCol,      ///< acc starts at bias[n]
   kAccumulate,  ///< acc starts at C[m, n] (bias unused, may be null)
 };
-
-/// C[m*ldc + n] = bias_init + sum_k A[m*lda + k] * B[n*ldb + k], for
-/// m in [0,M), n in [0,N), k ascending. `ws` provides the pack panel.
-void gemm_nt(usize M, usize N, usize K, const float* A, usize lda, const float* B, usize ldb,
-             float* C, usize ldc, const float* bias, Bias bias_kind, Workspace& ws);
-
-/// General-stride variant: C[m*crs + n*ccs]. Conv2d uses it with the patch
-/// matrix as A and the (once-packed) weight as B, writing the NCHW output
-/// slice directly via crs=1, ccs=oh*ow.
-void gemm_nt_strided(usize M, usize N, usize K, const float* A, usize lda, const float* B,
-                     usize ldb, float* C, usize crs, usize ccs, const float* bias,
-                     Bias bias_kind, Workspace& ws);
 
 /// Floats needed to pack an N x K B operand (8-row interleaved panels).
 [[nodiscard]] usize packed_b_size(usize N, usize K);
@@ -90,8 +76,12 @@ void pack_b_block(const float* B, usize ldb, usize N, usize K, usize k0, usize k
 /// this way without materializing their transposes.
 void pack_bt(const float* Bt, usize ldbt, usize N, usize K, float* packed);
 
-/// gemm_nt_strided against a pre-packed B -- lets Conv2d pack its weights
-/// once per forward call instead of once per sample.
+/// The float GEMM: C[m*crs + n*ccs] = bias_init + sum_k A[m*lda + k] *
+/// B[n, k], for m in [0,M), n in [0,N), k ascending, with B given as a
+/// pack_b / pack_b_block / pack_bt panel. Callers pack B once per call (Dense
+/// into its workspace's pack buffer; Conv2d once for all samples) and pick the
+/// output strides: Dense writes row-major C (crs=N, ccs=1), Conv2d writes the
+/// NCHW output slice directly (crs=1, ccs=oh*ow).
 void gemm_nt_prepacked(usize M, usize N, usize K, const float* A, usize lda,
                        const float* packed_b, float* C, usize crs, usize ccs,
                        const float* bias, Bias bias_kind);
@@ -142,12 +132,11 @@ class [[nodiscard]] ThreadsGuard {
 [[nodiscard]] usize packed_b_int8_size(usize N, usize K);
 
 /// Packs raw codes (N rows, K-major) into sequential 8-row quad panels,
-/// zero-padding ragged rows and the K remainder.
+/// zero-padding ragged rows and the K remainder. The int8 Dense/Conv2d
+/// forwards pack the quantized model's row-major codes with it once per call,
+/// so the panel layout is private to this module: a bit flip only ever
+/// writes the code itself.
 void pack_b_q8(const i8* q, usize N, usize K, i8* packed);
-
-/// Flat position of code (n, k) inside the pack_b_q8 layout; the quantized
-/// model uses it to update a single panel byte per bit flip.
-[[nodiscard]] usize packed_q8_index(usize n, usize k, usize K);
 
 /// Symmetric activation scale for an M x K float operand: amax / 127, with
 /// the all-zero guard (scale 1.0) the weight quantizer also uses.

@@ -225,18 +225,22 @@ void Dense::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& 
   y.resize({n, out_});
   // True-integer regime: quantize the input rows and run the int8 GEMM over
   // the raw weight codes -- no dequantized floats anywhere on the path.
-  if (const Int8Pack& ip = int8_pack(); ip.panel != nullptr && simd::int8_enabled()) {
+  if (const Int8Pack& ip = int8_pack(); ip.codes != nullptr && simd::int8_enabled()) {
     const float sa =
         ip.act_scale > 0.0f ? ip.act_scale : gemm::activation_scale(x.data(), n, in_, in_);
     i8* qa = ws.qa_buffer(n * gemm::padded_k_int8(in_));
     gemm::quantize_activations(x.data(), n, in_, in_, sa, qa);
-    gemm::gemm_nt_int8(n, out_, in_, qa, ip.panel, y.data(), out_, 1, bias.data(),
+    i8* packed = ws.qw_buffer(gemm::packed_b_int8_size(out_, in_));
+    gemm::pack_b_q8(ip.codes, out_, in_, packed);
+    gemm::gemm_nt_int8(n, out_, in_, qa, packed, y.data(), out_, 1, bias.data(),
                        gemm::Bias::kPerCol, sa * ip.weight_scale);
     return;
   }
   // y = x W^T + b: both operands K-major, bias per output feature (column).
-  gemm::gemm_nt(n, out_, in_, x.data(), in_, weight.data(), in_, y.data(), out_, bias.data(),
-                gemm::Bias::kPerCol, ws);
+  float* packed = ws.pack_buffer(gemm::packed_b_size(out_, in_));
+  gemm::pack_b(weight.data(), in_, out_, in_, packed);
+  gemm::gemm_nt_prepacked(n, out_, in_, x.data(), in_, packed, y.data(), out_, 1, bias.data(),
+                          gemm::Bias::kPerCol);
 }
 
 bool Dense::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& ws) {
@@ -247,17 +251,16 @@ bool Dense::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& w
   // activation scale, the same elementwise codes (a row quantized alone gets
   // the codes it gets inside the batch panel), an exact int32 dot over the
   // raw weight codes, and the GEMM epilogue float(acc) * requant + bias.
-  if (const Int8Pack& ip = int8_pack(); ip.panel != nullptr && simd::int8_enabled()) {
+  if (const Int8Pack& ip = int8_pack(); ip.codes != nullptr && simd::int8_enabled()) {
     const float sa =
         ip.act_scale > 0.0f ? ip.act_scale : gemm::activation_scale(x.data(), n, in_, in_);
     const float requant = sa * ip.weight_scale;
+    const i8* wq = ip.codes + row * in_;
     i8* qa = ws.qa_buffer(gemm::padded_k_int8(in_));
     for (usize b = 0; b < n; ++b) {
       gemm::quantize_activations(x.data() + b * in_, 1, in_, in_, sa, qa);
       i32 acc = 0;
-      for (usize k = 0; k < in_; ++k) {
-        acc += i32{qa[k]} * i32{ip.panel[gemm::packed_q8_index(row, k, in_)]};
-      }
+      for (usize k = 0; k < in_; ++k) acc += i32{qa[k]} * i32{wq[k]};
       y[b] = static_cast<float>(acc) * requant + bias[row];
     }
     return true;
@@ -342,11 +345,17 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace&
   // input slice, which depends only on that sample -- deterministic at any
   // batch split.
   const Int8Pack int8 = int8_pack();
-  const bool use_int8 = int8.panel != nullptr && simd::int8_enabled();
+  const bool use_int8 = int8.codes != nullptr && simd::int8_enabled();
+  // The weight panel is packed once per call, not per sample, and before the
+  // sample region: team slots only read it.
   float* packed_w = nullptr;
-  if (!use_int8) {
+  i8* packed_codes = nullptr;
+  if (use_int8) {
+    packed_codes = ws.qw_buffer(gemm::packed_b_int8_size(out_ch_, K));
+    gemm::pack_b_q8(int8.codes, out_ch_, K, packed_codes);
+  } else {
     packed_w = ws.pack_buffer(gemm::packed_b_size(out_ch_, K));
-    gemm::pack_b(weight.data(), K, out_ch_, K, packed_w);  // once, not per sample
+    gemm::pack_b(weight.data(), K, out_ch_, K, packed_w);
   }
   for_sample_chunks(n, n * P * K * out_ch_, ws, [&](usize lo, usize hi, usize slot) {
     if (use_int8) {
@@ -363,7 +372,7 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace&
         gemm::quantize_activations(xb, 1, chw, chw, sa, qx);
         gather_taps_i8(qx, g, qx + chw4, qa + P * K4);
         simd::interleave_quads_i8(qa + P * K4, P, K4 / 4, qa);
-        gemm::gemm_nt_int8(P, out_ch_, K, qa, int8.panel, y.data() + b * out_ch_ * P, 1, P,
+        gemm::gemm_nt_int8(P, out_ch_, K, qa, packed_codes, y.data() + b * out_ch_ * P, 1, P,
                            bias.data(), gemm::Bias::kPerCol, sa * int8.weight_scale);
       }
       return;
@@ -387,15 +396,14 @@ bool Conv2d::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& 
   const usize K = g.patch_size(), P = g.oh * g.ow, chw = in_ch_ * h * w;
   y.resize({n, 1, g.oh, g.ow});
   const Int8Pack int8 = int8_pack();
-  if (int8.panel != nullptr && simd::int8_enabled()) {
+  if (int8.codes != nullptr && simd::int8_enabled()) {
     // Int8: forward_into's per-sample (or calibrated) scale, codes and tap
     // gather, an exact int32 dot with the row's raw weight codes, then the
     // GEMM epilogue.
-    const usize chw4 = gemm::padded_k_int8(chw), plane = padded_plane_i8(g);
-    i8* qx = ws.qx_buffer(chw4 + plane + K);
-    i8* wq = qx + chw4 + plane;
+    const usize chw4 = gemm::padded_k_int8(chw);
+    i8* qx = ws.qx_buffer(chw4 + padded_plane_i8(g));
     i8* T = ws.qa_buffer(gemm::padded_k_int8(K) * P + 16);
-    for (usize kk = 0; kk < K; ++kk) wq[kk] = int8.panel[gemm::packed_q8_index(row, kk, K)];
+    const i8* wq = int8.codes + row * K;
     for (usize b = 0; b < n; ++b) {
       const float* xb = x.data() + b * chw;
       const float sa =

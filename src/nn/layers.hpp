@@ -47,8 +47,8 @@ struct ParamRef {
   /// probe_row) and invalidate_from take after the parameter is perturbed.
   usize top_layer = 0;
   /// The layer object the parameter belongs to (the innermost one, not a
-  /// wrapping Sequential). QuantizedModel uses it to attach resident int8
-  /// code panels to Dense/Conv2d for the true-integer forward path.
+  /// wrapping Sequential). QuantizedModel uses it to attach its int8 codes
+  /// to Dense/Conv2d for the true-integer forward path.
   Layer* owner = nullptr;
 };
 
@@ -109,26 +109,30 @@ class Layer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// True-integer int8 residency (the DNND_INT8 regime): raw weight codes in
-  /// gemm::pack_b_q8 layout plus the symmetric scales needed to requantize.
+  /// True-integer int8 weights (the DNND_INT8 regime): a view of the
+  /// quantized model's raw codes in the weight's own row-major order (one
+  /// row per output feature / channel), plus the symmetric scales needed to
+  /// requantize. The forward packs the codes into GEMM panels once per call,
+  /// so a bit flip written to the codes is what the next forward reads.
   /// act_scale == 0 means "uncalibrated": forward derives a per-call scale
   /// from the live input instead (deterministic, but costs an extra pass and
   /// floats the quantization grid per batch).
   struct Int8Pack {
-    const i8* panel = nullptr;
+    const i8* codes = nullptr;
     float weight_scale = 1.0f;
     float act_scale = 0.0f;
   };
   void attach_int8_pack(const Int8Pack& pack) { int8_pack_ = pack; }
-  void detach_int8_pack(const i8* panel) {
-    if (int8_pack_.panel == panel) int8_pack_ = {};
+  void detach_int8_pack(const i8* codes) {
+    if (int8_pack_.codes == codes) int8_pack_ = {};
   }
   [[nodiscard]] const Int8Pack& int8_pack() const { return int8_pack_; }
 
   /// Guard hook for code that mutates parameter tensors directly instead of
   /// through quant::QuantizedModel (Model::load_state, the optimizer): drops
-  /// the attached int8 code panel so forward falls back to the float path
-  /// over the current weights -- slower but never stale.
+  /// the attached int8 codes, which no longer match the floats, so forward
+  /// falls back to the float path over the current weights -- slower but
+  /// never stale.
   void drop_packed_weight() { int8_pack_ = {}; }
 
   /// Activation-calibration probe: while set, every Dense/Conv2d forward

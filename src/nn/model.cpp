@@ -28,8 +28,8 @@ void Model::load_state(const std::vector<Tensor>& snapshot) {
   usize i = 0;
   for (auto& p : params()) {
     *p.value = snapshot.at(i++);
-    // The mutation bypasses any attached QuantizedModel: drop the resident
-    // int8 panel so forward reads the restored floats instead of stale codes.
+    // The mutation bypasses any attached QuantizedModel: detach its int8
+    // codes so forward reads the restored floats instead of stale codes.
     if (p.owner != nullptr) p.owner->drop_packed_weight();
   }
   for (Tensor* t : net_.state_tensors()) *t = snapshot.at(i++);

@@ -82,6 +82,11 @@ class Workspace {
   /// receives the gathered patches), hence a separate table.
   i8* qx_buffer(usize n, usize team_slot = 0) { return grow(qx_[team_slot], n); }
 
+  /// Int8 weight panel of at least `n` codes (the int8 GEMM's B operand),
+  /// packed from the quantized codes once per forward call. Shared: filled
+  /// before any pool region, read-only inside one.
+  i8* qw_buffer(usize n) { return grow(qw_, n); }
+
   /// Conv2d backward's tap-major gather of the whole batch's input patches
   /// (the dweight GEMM's A operand). Shared, sized outside pool regions;
   /// team slots may fill disjoint column ranges.
@@ -107,6 +112,7 @@ class Workspace {
     for (const auto& b : pack_) total += b.capacity();
     for (const auto& b : qa_) total += (b.capacity() + 3) / 4;
     for (const auto& b : qx_) total += (b.capacity() + 3) / 4;
+    total += (qw_.capacity() + 3) / 4;
     total += taps_.capacity() + transpose_.capacity();
     for (const auto& [key, t] : slots_) total += t.capacity();
     return total;
@@ -141,6 +147,7 @@ class Workspace {
   std::vector<std::vector<float>> pack_;  ///< indexed by team slot
   std::vector<std::vector<i8>> qa_;       ///< indexed by team slot
   std::vector<std::vector<i8>> qx_;       ///< indexed by team slot
+  std::vector<i8> qw_;
   std::vector<float> taps_;
   std::vector<float> transpose_;
   std::atomic<usize> alloc_events_{0};

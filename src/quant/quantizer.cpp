@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "nn/gemm.hpp"
 #include "nn/simd.hpp"
 
 namespace dnnd::quant {
@@ -52,10 +51,9 @@ QuantizedModel::QuantizedModel(nn::Model& model) : model_(model) {
       const long r = std::lround(w / ql.scale);
       ql.q[i] = static_cast<i8>(std::clamp<long>(r, -128, 127));
     }
-    // Panel geometry: both Dense ({out, in}) and Conv2d ({oc, ic, k, k})
-    // present as an N x K code matrix with N = dim(0).
-    ql.pack_rows = p.value->dim(0);
-    ql.pack_cols = ql.q.size() / ql.pack_rows;
+    // Both Dense ({out, in}) and Conv2d ({oc, ic, k, k}) present as a
+    // row-major code matrix with dim(0) rows.
+    ql.cols = ql.q.size() / p.value->dim(0);
     layers_.push_back(std::move(ql));
   }
   usize max_layer_size = 0;
@@ -69,17 +67,12 @@ QuantizedModel::~QuantizedModel() {
   for (auto& l : layers_) attach_pack(l, false);
 }
 
-void QuantizedModel::build_pack(QuantizedLayer& l) {
-  l.packed_q.resize(nn::gemm::packed_b_int8_size(l.pack_rows, l.pack_cols));
-  nn::gemm::pack_b_q8(l.q.data(), l.pack_rows, l.pack_cols, l.packed_q.data());
-}
-
 void QuantizedModel::attach_pack(QuantizedLayer& l, bool on) {
   if (l.owner == nullptr) return;
   if (on) {
-    l.owner->attach_int8_pack({l.packed_q.data(), l.scale, l.act_scale});
+    l.owner->attach_int8_pack({l.q.data(), l.scale, l.act_scale});
   } else {
-    l.owner->detach_int8_pack(l.packed_q.data());
+    l.owner->detach_int8_pack(l.q.data());
   }
 }
 
@@ -94,7 +87,6 @@ void QuantizedModel::materialize() {
     for (usize i = 0; i < l.q.size(); ++i) {
       (*l.value)[i] = dequant(l.q[i], l.scale);
     }
-    build_pack(l);
   }
   model_.invalidate_from(0);
 }
@@ -105,8 +97,6 @@ void QuantizedModel::flip(const BitLocation& loc) {
   const i8 code = flip_bit_value(l.q[loc.index], loc.bit);
   l.q[loc.index] = code;
   (*l.value)[loc.index] = dequant(code, l.scale);
-  l.packed_q[nn::gemm::packed_q8_index(loc.index / l.pack_cols, loc.index % l.pack_cols,
-                                       l.pack_cols)] = code;
   // Keep the incremental-forward cache honest: activations computed from the
   // pre-flip weight are stale from this layer on.
   model_.invalidate_from(l.net_layer);
@@ -115,22 +105,18 @@ void QuantizedModel::flip(const BitLocation& loc) {
 const nn::Tensor& QuantizedModel::probe(const BitLocation& loc) {
   QuantizedLayer& l = layers_.at(loc.layer);
   assert(loc.index < l.size());
-  const usize row = loc.index / l.pack_cols;
-  i8& panel_byte = l.packed_q[nn::gemm::packed_q8_index(row, loc.index % l.pack_cols,
-                                                        l.pack_cols)];
   float& weight = (*l.value)[loc.index];
   const i8 code = l.q[loc.index];
   const float value = weight;
   auto set = [&](i8 c, float v) {
     l.q[loc.index] = c;
     weight = v;
-    panel_byte = c;
   };
   const i8 flipped = flip_bit_value(code, loc.bit);
   set(flipped, dequant(flipped, l.scale));
   const nn::Tensor* logits = nullptr;
   try {
-    logits = &model_.probe_row(l.net_layer, row);
+    logits = &model_.probe_row(l.net_layer, loc.index / l.cols);
   } catch (...) {
     set(code, value);
     throw;
@@ -148,8 +134,6 @@ void QuantizedModel::set_q(usize layer, usize index, i8 code) {
   if (l.q.at(index) == code) return;  // unchanged: floats and cache stay valid
   l.q[index] = code;
   (*l.value)[index] = dequant(code, l.scale);
-  l.packed_q[nn::gemm::packed_q8_index(index / l.pack_cols, index % l.pack_cols,
-                                       l.pack_cols)] = code;
   model_.invalidate_from(l.net_layer);
 }
 
@@ -174,10 +158,10 @@ void QuantizedModel::calibrate_int8(const nn::Tensor& x) {
   // One recording pass: point each quantizable layer's activation probe at
   // its amax accumulator and run a FLOAT forward -- the scales come from
   // reference numerics, not from a partially-calibrated integer pass. The
-  // pass detaches this model's own int8 panels (a layer without one runs the
+  // pass detaches this model's own int8 codes (a layer without them runs the
   // float path whatever the DNND_INT8 knob says) instead of switching the
   // process-global override, which concurrent campaign workers share. Probes
-  // are cleared and the panels re-attached even if the forward throws.
+  // are cleared and the codes re-attached even if the forward throws.
   auto finish = [&] {
     for (auto& l : layers_) {
       if (l.owner != nullptr) l.owner->set_act_probe(nullptr);
@@ -195,7 +179,7 @@ void QuantizedModel::calibrate_int8(const nn::Tensor& x) {
     throw;
   }
   for (auto& l : layers_) l.act_scale = l.act_amax > 0.0f ? l.act_amax / 127.0f : 1.0f;
-  finish();  // the re-attached panels carry the frozen act_scale
+  finish();  // the re-attached codes carry the frozen act_scale
   // The recorded activation cache is float-path output; an integer forward
   // must not be reused by a refresh or a probe.
   model_.invalidate_from(0);

@@ -71,39 +71,39 @@ struct QuantizedLayer {
   /// Model::forward_from / probe_row argument that re-evaluates a flip in
   /// this tensor (only layers >= net_layer can see the changed weight).
   usize net_layer = 0;
-  /// The Dense/Conv2d the tensor belongs to (for panel attachment).
+  /// The Dense/Conv2d the tensor belongs to (the int8 forward reads `q`
+  /// through it).
   nn::Layer* owner = nullptr;
 
-  usize pack_rows = 0;  ///< N: weight.dim(0) (out features / out channels)
-  usize pack_cols = 0;  ///< K: weights per output (in features / in_ch*k*k)
+  /// Weights per output row (in features / in_ch*k*k): code `index` belongs
+  /// to output feature / channel index / cols.
+  usize cols = 0;
 
-  /// True-integer residency (the DNND_INT8 regime): the raw codes in
-  /// gemm::pack_b_q8 panel layout. Maintained in lockstep with `q` -- a bit
-  /// flip updates ONE byte here, so the probes' byte contract holds in the
-  /// integer regime too.
-  std::vector<i8> packed_q;
   float act_scale = 0.0f;  ///< calibrated activation scale (0 = uncalibrated)
   float act_amax = 0.0f;   ///< running input abs-max across calibration passes
 
   [[nodiscard]] usize size() const { return q.size(); }
 };
 
-/// Quantized view over a Model's weight tensors. Owns the integer codes and
-/// the int8 code panels of the true-integer forward path; the float model
-/// remains the inference engine (and stays in sync code-for-code).
+/// Quantized view over a Model's weight tensors. Owns the integer codes --
+/// the single copy the true-integer forward path reads (each Dense/Conv2d
+/// packs them per call); the float model remains the inference engine (and
+/// stays in sync code-for-code).
 ///
 /// Invariant: while a QuantizedModel is alive, every mutation of a quantized
 /// weight tensor must go through it (flip / set_q / restore / materialize) so
-/// codes, floats, and int8 panels never diverge. All in-tree mutators
-/// (attacks, ReconstructionGuard, WeightMapping::download) already do; code
-/// that writes the floats directly (Model::load_state, the optimizer) drops
-/// the int8 panels, so the float forward never reads stale weights.
+/// codes and floats never diverge. All in-tree mutators (attacks,
+/// ReconstructionGuard, WeightMapping::download) already do; code that writes
+/// the floats directly (Model::load_state, the optimizer) detaches the int8
+/// codes from the layers, so no forward reads codes that no longer match.
+/// The codes' storage never moves after construction (layers hold pointers
+/// into it).
 class QuantizedModel {
  public:
   /// Quantizes all quantizable parameters of `model`, materializes the
   /// dequantized values into the model (so inference == quantized inference),
-  /// and attaches the int8 code panels to the owning Dense/Conv2d layers
-  /// (used only while the DNND_INT8 regime is enabled).
+  /// and attaches the int8 codes to the owning Dense/Conv2d layers (read only
+  /// while the DNND_INT8 regime is enabled).
   explicit QuantizedModel(nn::Model& model);
   ~QuantizedModel();
   QuantizedModel(const QuantizedModel&) = delete;
@@ -119,26 +119,25 @@ class QuantizedModel {
   [[nodiscard]] u64 total_weights() const;
   [[nodiscard]] u64 total_bits() const { return total_weights() * 8; }
 
-  /// Rewrites every float weight (and int8 panel) from its code -- the full
-  /// dequantization pass. flip/set_q/restore keep everything in sync
+  /// Rewrites every float weight from its code -- the full dequantization
+  /// pass. flip/set_q/restore keep everything in sync
   /// incrementally, so this is only needed after external code edits.
   void materialize();
 
-  /// Flips one bit: updates the code, the corresponding float weight, and
-  /// the one affected int8 panel byte.
+  /// Flips one bit: updates the code and the corresponding float weight.
   void flip(const BitLocation& loc);
 
   /// Prices one flip exactly: flips bit `loc` WITHOUT invalidating the
   /// forward cache, runs the channel-sparse probe from the flipped row
-  /// (Model::probe_row), then restores the code, float weight and panel byte
-  /// to their exact prior bytes. Returns the post-flip logits, held in the
+  /// (Model::probe_row), then restores the code and float weight to their
+  /// exact prior bytes. Returns the post-flip logits, held in the
   /// model's probe workspace until its next probe or forward. The probe
   /// writes nothing of the clean cache (it only refreshes a stale prefix
   /// below the flipped layer), so probe after probe reuses it; committing a
   /// flip is flip()'s job.
   const nn::Tensor& probe(const BitLocation& loc);
 
-  /// Reads / writes one code (set_q also updates the float weight and panel).
+  /// Reads / writes one code (set_q also updates the float weight).
   /// Writing the value a code already holds is a no-op: it neither touches
   /// the floats nor invalidates the incremental-forward cache, which is what
   /// lets WeightMapping::download sync the whole model from DRAM after an
@@ -150,7 +149,7 @@ class QuantizedModel {
   /// Full snapshot of the integer codes (cheap: one byte per weight).
   [[nodiscard]] std::vector<std::vector<i8>> snapshot() const;
   /// Restores a snapshot incrementally: only codes that differ are rewritten
-  /// (code + float + panel byte), and the forward cache is invalidated from the
+  /// (code + float), and the forward cache is invalidated from the
   /// earliest changed layer only -- not a full materialization pass.
   void restore(const std::vector<std::vector<i8>>& snap);
 
@@ -158,12 +157,12 @@ class QuantizedModel {
   [[nodiscard]] u64 hamming_distance(const std::vector<std::vector<i8>>& snap) const;
 
   /// Freezes static activation scales for the true-integer regime from one
-  /// recording pass: a FLOAT forward over `x` (this model's int8 panels are
+  /// recording pass: a FLOAT forward over `x` (this model's int8 codes are
   /// detached for the pass, so no process-global knob is touched and
   /// concurrent models are unaffected) folds each quantizable layer's input
   /// abs-max into its accumulator, then act_scale = amax / 127. Accumulates
   /// across calls, so calibrating on several representative batches only
-  /// widens the range. Re-attaches the panels (with the frozen scales) and
+  /// widens the range. Re-attaches the codes (with the frozen scales) and
   /// invalidates the forward cache (the recorded activations are float-path).
   void calibrate_int8(const nn::Tensor& x);
 
@@ -174,9 +173,7 @@ class QuantizedModel {
   [[nodiscard]] bool int8_calibrated() const { return int8_calibrated_; }
 
  private:
-  /// (Re)builds layer `l`'s int8 panel from its codes.
-  void build_pack(QuantizedLayer& l);
-  /// Attaches/detaches layer `l`'s panel on its owning Dense/Conv2d.
+  /// Attaches/detaches layer `l`'s codes on its owning Dense/Conv2d.
   void attach_pack(QuantizedLayer& l, bool on);
 
   nn::Model& model_;

@@ -37,9 +37,18 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b, const std::string& w
       << what << ": engine and naive outputs differ bitwise";
 }
 
+/// The float GEMM as the layers call it: B (N rows of K, leading dim ldb)
+/// packed once, then gemm_nt_prepacked into C[m*crs + n*ccs].
+void gemm_packed(usize M, usize N, usize K, const float* A, usize lda, const float* B,
+                 usize ldb, float* C, usize crs, usize ccs, const float* bias,
+                 gemm::Bias kind) {
+  std::vector<float> packed(gemm::packed_b_size(N, K));
+  gemm::pack_b(B, ldb, N, K, packed.data());
+  gemm::gemm_nt_prepacked(M, N, K, A, lda, packed.data(), C, crs, ccs, bias, kind);
+}
+
 TEST(Gemm, MatchesNaiveDotProduct) {
   sys::Rng rng(101);
-  Workspace ws;
   for (int trial = 0; trial < 30; ++trial) {
     const usize M = 1 + rng.uniform(20), N = 1 + rng.uniform(33), K = 1 + rng.uniform(70);
     Tensor a({M, K}), b({N, K}), bias({N});
@@ -47,8 +56,8 @@ TEST(Gemm, MatchesNaiveDotProduct) {
     fill_random(b, rng);
     fill_random(bias, rng);
     Tensor c({M, N}), ref({M, N});
-    gemm::gemm_nt(M, N, K, a.data(), K, b.data(), K, c.data(), N, bias.data(),
-                  gemm::Bias::kPerCol, ws);
+    gemm_packed(M, N, K, a.data(), K, b.data(), K, c.data(), N, 1, bias.data(),
+                gemm::Bias::kPerCol);
     for (usize m = 0; m < M; ++m) {
       for (usize n = 0; n < N; ++n) {
         float acc = bias[n];
@@ -56,7 +65,7 @@ TEST(Gemm, MatchesNaiveDotProduct) {
         ref.at2(m, n) = acc;
       }
     }
-    expect_bitwise_equal(c, ref, "gemm_nt trial " + std::to_string(trial));
+    expect_bitwise_equal(c, ref, "gemm trial " + std::to_string(trial));
   }
 }
 
@@ -128,19 +137,16 @@ TEST(Gemm, ThreadedMatchesSerialByteExactOverRandomShapes) {
     fill_random(bias, rng);
     const gemm::Bias kind = trial % 4 == 0 ? gemm::Bias::kNone : gemm::Bias::kPerCol;
 
-    Workspace ws_serial;
     Tensor serial({M, N});
     gemm::set_threads(1);
-    gemm::gemm_nt(M, N, K, a.data(), K, b.data(), K, serial.data(), N, bias.data(), kind,
-                  ws_serial);
+    gemm_packed(M, N, K, a.data(), K, b.data(), K, serial.data(), N, 1, bias.data(), kind);
 
     for (const usize teams : {usize{2}, usize{4}, hw}) {
-      Workspace ws_t;
       Tensor threaded({M, N});
       threaded.fill(-999.0f);  // stale sentinel: every element must be written
       gemm::set_threads(teams);
-      gemm::gemm_nt(M, N, K, a.data(), K, b.data(), K, threaded.data(), N, bias.data(), kind,
-                    ws_t);
+      gemm_packed(M, N, K, a.data(), K, b.data(), K, threaded.data(), N, 1, bias.data(),
+                  kind);
       expect_bitwise_equal(threaded, serial,
                            "trial " + std::to_string(trial) + " teams=" +
                                std::to_string(teams) + " M=" + std::to_string(M) + " N=" +
@@ -213,18 +219,14 @@ TEST(Gemm, SimdMatchesForcedScalarByteExactOverRandomShapes) {
 
     simd::set_scalar_override(1);
     ASSERT_EQ(simd::active_isa(), simd::Isa::kScalar);
-    Workspace ws_scalar;
     Tensor scalar({M, N});
-    gemm::gemm_nt(M, N, K, a.data(), K, b.data(), K, scalar.data(), N, bias.data(), kind,
-                  ws_scalar);
+    gemm_packed(M, N, K, a.data(), K, b.data(), K, scalar.data(), N, 1, bias.data(), kind);
 
     simd::set_scalar_override(0);
     ASSERT_EQ(simd::active_isa(), simd::best_isa());
-    Workspace ws_simd;
     Tensor vectored({M, N});
     vectored.fill(-999.0f);  // stale sentinel: every element must be written
-    gemm::gemm_nt(M, N, K, a.data(), K, b.data(), K, vectored.data(), N, bias.data(), kind,
-                  ws_simd);
+    gemm_packed(M, N, K, a.data(), K, b.data(), K, vectored.data(), N, 1, bias.data(), kind);
 
     expect_bitwise_equal(vectored, scalar,
                          std::string("simd (") + simd::isa_name(simd::best_isa()) +
@@ -315,33 +317,29 @@ TEST(Gemm, AutoThreadsFollowsEnvChangesMidProcess) {
   }
 }
 
-TEST(Gemm, Int8PanelLayoutAndPointUpdate) {
-  // pack_b_q8 must place code (n, k) exactly where packed_q8_index says, and
-  // a single-byte point update must reproduce a full repack bit-for-bit --
-  // the invariant that makes a bit flip O(1) in the true-integer regime.
+TEST(Gemm, Int8PanelLayout) {
+  // pack_b_q8 must place code (n, k) in 8-row panels of 4-code k-quads: row
+  // n's quad k/4 sits at line k/4 of panel n/8, slot n%8, zero-padded past
+  // the K remainder and the ragged last panel -- the layout the int8
+  // microkernels read.
   sys::Rng rng(112);
   for (int trial = 0; trial < 20; ++trial) {
     const usize N = 1 + rng.uniform(40), K = 1 + rng.uniform(60);
+    const usize K4 = gemm::padded_k_int8(K);
     std::vector<i8> q(N * K);
     for (auto& v : q) v = static_cast<i8>(static_cast<int>(rng.uniform(256)) - 128);
 
     const usize size = gemm::packed_b_int8_size(N, K);
+    ASSERT_EQ(size, (N + 7) / 8 * 8 * K4);
     std::vector<i8> panel(size, i8{-1});
     gemm::pack_b_q8(q.data(), N, K, panel.data());
-    for (usize n = 0; n < N; ++n) {
-      for (usize k = 0; k < K; ++k) {
-        ASSERT_EQ(panel[gemm::packed_q8_index(n, k, K)], q[n * K + k])
+    for (usize n = 0; n < (N + 7) / 8 * 8; ++n) {
+      for (usize k = 0; k < K4; ++k) {
+        const usize at = (n / 8) * 8 * K4 + (k / 4) * 32 + (n % 8) * 4 + k % 4;
+        ASSERT_EQ(panel[at], n < N && k < K ? q[n * K + k] : i8{0})
             << "trial " << trial << " n=" << n << " k=" << k;
       }
     }
-
-    const usize idx = rng.uniform(N * K);
-    q[idx] = static_cast<i8>(q[idx] ^ 0x40);
-    panel[gemm::packed_q8_index(idx / K, idx % K, K)] = q[idx];
-    std::vector<i8> repacked(size, i8{0});
-    gemm::pack_b_q8(q.data(), N, K, repacked.data());
-    ASSERT_EQ(0, std::memcmp(panel.data(), repacked.data(), size))
-        << "point update diverged, trial " << trial;
   }
 }
 
@@ -522,13 +520,11 @@ TEST(Gemm, Int8Conv2dForwardMatchesIntegerReference) {
     const usize K = s.in_ch * s.k * s.k, chw = s.in_ch * s.h * s.w;
     const usize oh = c.out_size(s.h), ow = c.out_size(s.w), P = oh * ow;
     const std::vector<i8> q = random_codes(s.out_ch * K, rng);
-    std::vector<i8> panel(gemm::packed_b_int8_size(s.out_ch, K));
-    gemm::pack_b_q8(q.data(), s.out_ch, K, panel.data());
     const float weight_scale = 0.01f;
     for (const bool calibrated : {false, true}) {
       // A calibrated scale below the input's amax / 127, so some codes clamp.
       const float act_scale = calibrated ? 0.7f * x.abs_max() / 127.0f : 0.0f;
-      c.attach_int8_pack({panel.data(), weight_scale, act_scale});
+      c.attach_int8_pack({q.data(), weight_scale, act_scale});
       Tensor ref({s.n, s.out_ch, oh, ow});
       std::vector<i8> xq(gemm::padded_k_int8(chw));
       for (usize b = 0; b < s.n; ++b) {
@@ -575,7 +571,7 @@ TEST(Gemm, Int8Conv2dForwardMatchesIntegerReference) {
                                  P * sizeof(float)))
             << "int8 row " << row << " sample " << b << " " << what;
       }
-      c.detach_int8_pack(panel.data());
+      c.detach_int8_pack(q.data());
     }
   }
 }
@@ -613,18 +609,17 @@ TEST(Gemm, AccumulateModeMatchesScalarOracle) {
         gemm::set_threads(teams);
         const std::string what =
             "scalar=" + std::to_string(scalar) + " teams=" + std::to_string(teams) + shape;
-        Workspace ws;
         Tensor c = seed;
-        gemm::gemm_nt_strided(M, N, K, a.data(), K, b.data(), K, c.data(), crs, ccs, nullptr,
-                              gemm::Bias::kAccumulate, ws);
+        gemm_packed(M, N, K, a.data(), K, b.data(), K, c.data(), crs, ccs, nullptr,
+                    gemm::Bias::kAccumulate);
         expect_bitwise_equal(c, oracle, "accumulate " + what);
         // The same reduction split into two accumulate calls.
         const usize k1 = K / 3;
         Tensor split = seed;
-        gemm::gemm_nt_strided(M, N, k1, a.data(), K, b.data(), K, split.data(), crs, ccs,
-                              nullptr, gemm::Bias::kAccumulate, ws);
-        gemm::gemm_nt_strided(M, N, K - k1, a.data() + k1, K, b.data() + k1, K, split.data(),
-                              crs, ccs, nullptr, gemm::Bias::kAccumulate, ws);
+        gemm_packed(M, N, k1, a.data(), K, b.data(), K, split.data(), crs, ccs, nullptr,
+                    gemm::Bias::kAccumulate);
+        gemm_packed(M, N, K - k1, a.data() + k1, K, b.data() + k1, K, split.data(), crs, ccs,
+                    nullptr, gemm::Bias::kAccumulate);
         expect_bitwise_equal(split, oracle, "split accumulate " + what);
       }
     }

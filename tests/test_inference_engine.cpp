@@ -383,43 +383,60 @@ TEST(FusedInt8, ProbeForwardMatchesMaterializedPathAcrossRandomFlips) {
   // Out-of-order flip/unflip sequences ride forward_from over a deliberately
   // dirty cache, and the diff-aware restore lands back on a snapshot. Every
   // probe must be byte-identical to a full forward_cached of a twin rebuilt
-  // from the same codes by a full materialize() pass.
-  sys::Rng rng(51);
-  auto model = make_conv_dense(rng);
-  sys::Rng xrng(52);
-  const Tensor x = random_input(3, xrng);
-  quant::QuantizedModel qm(*model);
-  auto rebuilt_forward = [&] {
-    sys::Rng twin_rng(51);
-    auto twin = make_conv_dense(twin_rng);
-    quant::QuantizedModel twin_qm(*twin);
-    for (usize l = 0; l < twin_qm.num_layers(); ++l) twin_qm.layer(l).q = qm.layer(l).q;
-    twin_qm.materialize();
-    Tensor logits = twin->forward_cached(x);
-    return logits;
-  };
-  const auto clean = qm.snapshot();
-  const Tensor clean_logits = model->forward_cached(x);
-  EXPECT_TRUE(bitwise_equal(clean_logits, rebuilt_forward()));
+  // from the same codes by a full materialize() pass. Run in both regimes:
+  // in int8 it pins that flip/restore write exactly the codes the integer
+  // forward reads.
+  testutil::SimdGuard guard;
+  for (const int int8 : {0, 1}) {
+    simd::set_int8_override(int8);
+    const std::string regime = int8 != 0 ? "int8" : "float";
+    sys::Rng rng(51);
+    auto model = make_conv_dense(rng);
+    sys::Rng xrng(52);
+    const Tensor x = random_input(3, xrng);
+    quant::QuantizedModel qm(*model);
+    qm.ensure_int8_calibrated(x);
+    ASSERT_EQ(qm.int8_calibrated(), int8 != 0);
+    auto rebuilt_forward = [&] {
+      sys::Rng twin_rng(51);
+      auto twin = make_conv_dense(twin_rng);
+      quant::QuantizedModel twin_qm(*twin);
+      for (usize l = 0; l < twin_qm.num_layers(); ++l) {
+        quant::QuantizedLayer& tl = twin_qm.layer(l);
+        tl.q = qm.layer(l).q;
+        // The twin's layers read these codes with qm's frozen scales, attached
+        // here, so the reference does not depend on how QuantizedModel hands
+        // its codes to the layers.
+        tl.owner->attach_int8_pack({tl.q.data(), tl.scale, qm.layer(l).act_scale});
+      }
+      twin_qm.materialize();
+      Tensor logits = twin->forward_cached(x);
+      return logits;
+    };
+    const auto clean = qm.snapshot();
+    const Tensor clean_logits = model->forward_cached(x);
+    EXPECT_TRUE(bitwise_equal(clean_logits, rebuilt_forward())) << regime;
 
-  sys::Rng order(53);
-  for (int probe = 0; probe < 16; ++probe) {
-    const usize l = order.uniform(qm.num_layers());
-    const quant::BitLocation loc{l, order.uniform(qm.layer(l).size()),
-                                 static_cast<u32>(order.uniform(8))};
-    qm.flip(loc);
-    const Tensor probed = model->forward_from(qm.layer(l).net_layer);
-    EXPECT_TRUE(bitwise_equal(probed, rebuilt_forward())) << "probe " << probe << " layer " << l;
-    if (probe % 3 != 0) qm.flip(loc);  // leave some flips committed, unflip the rest
+    sys::Rng order(53);
+    for (int probe = 0; probe < 16; ++probe) {
+      const usize l = order.uniform(qm.num_layers());
+      const quant::BitLocation loc{l, order.uniform(qm.layer(l).size()),
+                                   static_cast<u32>(order.uniform(8))};
+      qm.flip(loc);
+      const Tensor probed = model->forward_from(qm.layer(l).net_layer);
+      EXPECT_TRUE(bitwise_equal(probed, rebuilt_forward()))
+          << regime << " probe " << probe << " layer " << l;
+      if (probe % 3 != 0) qm.flip(loc);  // leave some flips committed, unflip the rest
+    }
+    // Restore-to-snapshot rewrites only the committed codes and invalidates
+    // from the earliest one; re-forwarding from the frontier must land on
+    // the clean logits again.
+    ASSERT_GT(qm.hamming_distance(clean), 0u);
+    qm.restore(clean);
+    const Tensor restored = model->forward_from(model->net().layer_count());
+    EXPECT_TRUE(bitwise_equal(restored, clean_logits)) << regime;
+    EXPECT_TRUE(bitwise_equal(restored, rebuilt_forward())) << regime;
   }
-  // Restore-to-snapshot rewrites only the committed codes and invalidates
-  // from the earliest one; re-forwarding from the frontier must land on the
-  // clean logits again.
-  ASSERT_GT(qm.hamming_distance(clean), 0u);
-  qm.restore(clean);
-  const Tensor restored = model->forward_from(model->net().layer_count());
-  EXPECT_TRUE(bitwise_equal(restored, clean_logits));
-  EXPECT_TRUE(bitwise_equal(restored, rebuilt_forward()));
 }
 
 TEST(IncrementalEval, MatchesFullEvaluationAfterFlipBursts) {
@@ -639,12 +656,12 @@ TEST(Workspace, LayersKeepNoForwardState) {
   }
 }
 
-TEST(FusedInt8, LoadStateDropsResidentPanelsInsteadOfGoingStale) {
+TEST(FusedInt8, LoadStateDetachesInt8CodesInsteadOfGoingStale) {
   // Direct weight mutation bypassing the QuantizedModel (Model::load_state)
-  // must not leave inference reading a stale resident int8 panel: the guard
-  // drops the panels and invalidates the cache, so both the plain forward
-  // and the incremental evaluation honor the restored weights. The int8
-  // regime is on, so a panel that survived would be used.
+  // must not leave inference reading int8 codes that no longer match the
+  // floats: the guard detaches the codes and invalidates the cache, so both
+  // the plain forward and the incremental evaluation honor the restored
+  // weights. The int8 regime is on, so codes left attached would be used.
   testutil::SimdGuard guard;
   simd::set_int8_override(1);
   sys::Rng rng(64);
@@ -656,11 +673,11 @@ TEST(FusedInt8, LoadStateDropsResidentPanelsInsteadOfGoingStale) {
   const Tensor clean_logits = m->forward_cached(x);
   const double clean_loss = m->evaluate_batch(x, y).loss;
 
-  quant::QuantizedModel qm(*m);  // attaches int8 panels, quantizes the weights
+  quant::QuantizedModel qm(*m);  // attaches int8 codes, quantizes the weights
   m->evaluate_batch_incremental(x, y);  // cache now holds quantized activations
   m->load_state(clean);
   EXPECT_TRUE(bitwise_equal(m->forward_cached(x), clean_logits))
-      << "forward read a stale resident panel after load_state";
+      << "forward read stale int8 codes after load_state";
   EXPECT_EQ(m->evaluate_batch_incremental(x, y).loss, clean_loss)
       << "incremental evaluation reused a stale cache after load_state";
 }
