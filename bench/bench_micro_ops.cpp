@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the primitives: DRAM commands,
-// RowClone, the four-step protection swap, remapping, quantization, and one
-// BFA search step.
+// RowClone, the four-step protection swap (with and without the fault model
+// listening), fault-model cell queries, remapping, quantization, and one BFA
+// search step.
 //
 // Results print as the usual google-benchmark console table AND persist as a
 // JSON document through the shared CampaignSink protocol (DNND_JSON_OUT file
@@ -84,6 +85,41 @@ void BM_FourStepProtectionSwap(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()));
 }
 BENCHMARK(BM_FourStepProtectionSwap);
+
+// The same swap with the fault model listening, as ProtectedSystem wires it:
+// each RowClone's four row events reach HammerModel's per-row bookkeeping.
+void BM_ProtectionSwapWithFaultModel(benchmark::State& state) {
+  dram::DramDevice dev(dram::DramConfig::sim_default());
+  dram::RowRemapper remap(dev.config().geo);
+  rowhammer::HammerModel model(dev, rowhammer::HammerModelConfig{});
+  core::SwapEngine engine(dev, remap);
+  sys::Rng rng(1);
+  u32 i = 0;
+  for (auto _ : state) {
+    const dram::RowAddr target{0, 0, 4 + (i % 8) * 2};
+    const dram::RowAddr nt{0, 0, 30 + (i % 8) * 2};
+    engine.protect(target, &nt, rng);
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_ProtectionSwapWithFaultModel);
+
+// One ground-truth cell query, the attacker's frame-search primitive.
+void BM_HammerCellInfo(benchmark::State& state) {
+  dram::DramDevice dev(dram::DramConfig::sim_default());
+  const rowhammer::HammerModel model(dev, rowhammer::HammerModelConfig{});
+  const auto& geo = dev.config().geo;
+  u32 i = 0;
+  for (auto _ : state) {
+    const dram::RowAddr row{i % geo.banks, (i / 8) % geo.subarrays_per_bank,
+                            (i / 64) % geo.rows_per_subarray};
+    benchmark::DoNotOptimize(model.cell_info(row, (i * 7) % geo.row_bytes, i % 8));
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_HammerCellInfo);
 
 void BM_RemapperLookup(benchmark::State& state) {
   dram::RowRemapper remap(dram::DramConfig::sim_default().geo);
@@ -169,6 +205,31 @@ void BM_ForwardPassMlpBatch16(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardPassMlpBatch16);
 
+/// Sends every report to both reporters. Google Benchmark refuses a file
+/// reporter without a --benchmark_out file, so the JSON reporter rides along
+/// as part of the display reporter instead.
+class TeeReporter final : public benchmark::BenchmarkReporter {
+ public:
+  TeeReporter(benchmark::BenchmarkReporter& a, benchmark::BenchmarkReporter& b) : a_(a), b_(b) {}
+  bool ReportContext(const Context& context) override {
+    const bool ok_a = a_.ReportContext(context);
+    const bool ok_b = b_.ReportContext(context);
+    return ok_a && ok_b;
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    a_.ReportRuns(runs);
+    b_.ReportRuns(runs);
+  }
+  void Finalize() override {
+    a_.Finalize();
+    b_.Finalize();
+  }
+
+ private:
+  benchmark::BenchmarkReporter& a_;
+  benchmark::BenchmarkReporter& b_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -181,7 +242,8 @@ int main(int argc, char** argv) {
   benchmark::JSONReporter json_reporter;
   json_reporter.SetOutputStream(&json);
   json_reporter.SetErrorStream(&json);
-  benchmark::RunSpecifiedBenchmarks(&console, &json_reporter);
+  TeeReporter both(console, json_reporter);
+  benchmark::RunSpecifiedBenchmarks(&both);
   benchmark::Shutdown();
 
   // The sink protocol appends its own trailing newline.

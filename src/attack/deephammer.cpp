@@ -7,7 +7,8 @@ namespace dnnd::attack {
 
 using dram::RowAddr;
 
-DeepHammerAttack::DeepHammerAttack(dram::DramDevice& device, rowhammer::HammerModel& model,
+DeepHammerAttack::DeepHammerAttack(dram::DramDevice& device,
+                                   const rowhammer::HammerModel& model,
                                    const mapping::WeightMapping& mapping,
                                    dram::RowRemapper& remap, DeepHammerConfig cfg)
     : device_(device),
@@ -26,7 +27,8 @@ bool direction_matches(const rowhammer::VulnerableCell& cell, bool bit_is_set) {
 }  // namespace
 
 std::optional<RowAddr> DeepHammerAttack::find_flippable_frame(const RowAddr& near, usize col,
-                                                              u32 bit, bool bit_is_set) {
+                                                              u32 bit,
+                                                              bool bit_is_set) const {
   const auto& geo = device_.config().geo;
   const u32 reserved = mapping_.config().reserved_rows_per_subarray;
   auto usable = [&](const RowAddr& phys) {

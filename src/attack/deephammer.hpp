@@ -37,7 +37,7 @@ struct FlipAttempt {
 
 class DeepHammerAttack {
  public:
-  DeepHammerAttack(dram::DramDevice& device, rowhammer::HammerModel& model,
+  DeepHammerAttack(dram::DramDevice& device, const rowhammer::HammerModel& model,
                    const mapping::WeightMapping& mapping, dram::RowRemapper& remap,
                    DeepHammerConfig cfg = {});
 
@@ -57,14 +57,14 @@ class DeepHammerAttack {
   /// Stands in for the attacker's own template cache: tests verify that
   /// HammerAttacker::template_rows discovers the same cells.
   std::optional<dram::RowAddr> find_flippable_frame(const dram::RowAddr& near, usize col,
-                                                    u32 bit, bool bit_is_set);
+                                                    u32 bit, bool bit_is_set) const;
 
   /// Relocates logical row `logical` into physical frame `frame` by swapping
   /// data (timed writes) and updating the remapper.
   void massage_into(const dram::RowAddr& logical, const dram::RowAddr& frame);
 
   dram::DramDevice& device_;
-  rowhammer::HammerModel& model_;
+  const rowhammer::HammerModel& model_;
   const mapping::WeightMapping& mapping_;
   dram::RowRemapper& remap_;
   DeepHammerConfig cfg_;

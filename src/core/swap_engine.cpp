@@ -7,7 +7,11 @@ namespace dnnd::core {
 using dram::RowAddr;
 
 SwapEngine::SwapEngine(dram::DramDevice& device, dram::RowRemapper& remap, u32 reserved_rows)
-    : device_(device), remap_(remap), reserved_rows_(reserved_rows == 0 ? 1 : reserved_rows) {
+    : device_(device),
+      remap_(remap),
+      reserved_rows_(reserved_rows == 0 ? 1 : reserved_rows),
+      staged_(static_cast<usize>(device.config().geo.banks) *
+              device.config().geo.subarrays_per_bank) {
   assert(reserved_rows_ < device_.config().geo.rows_per_subarray);
 }
 
@@ -19,8 +23,8 @@ u32 SwapEngine::reserved_base() const {
   return device_.config().geo.rows_per_subarray - reserved_rows_;
 }
 
-u64 SwapEngine::subarray_key(u32 bank, u32 subarray) const {
-  return static_cast<u64>(bank) * device_.config().geo.subarrays_per_bank + subarray;
+usize SwapEngine::subarray_slot(u32 bank, u32 subarray) const {
+  return static_cast<usize>(bank) * device_.config().geo.subarrays_per_bank + subarray;
 }
 
 u32 SwapEngine::protect(const RowAddr& target_logical, const RowAddr* non_target_logical,
@@ -29,22 +33,22 @@ u32 SwapEngine::protect(const RowAddr& target_logical, const RowAddr* non_target
   const u32 bank = p_target.bank;
   const u32 sub = p_target.subarray;
   const u32 res = reserved_row_index();
-  const u64 key = subarray_key(bank, sub);
+  std::optional<RowAddr>& staged = staged_[subarray_slot(bank, sub)];
   u32 aaps = 0;
 
   // --- choose the "random row": a staged non-target when available ---
   RowAddr random_logical;
   bool staged_hit = false;
-  if (auto it = staged_.find(key); it != staged_.end()) {
-    const RowAddr p_staged = remap_.to_physical(it->second.logical);
+  if (staged.has_value()) {
+    const RowAddr p_staged = remap_.to_physical(*staged);
     // The staged row must still live in this subarray (attacker massaging or
     // other defenses may have moved it) and must not be the target itself.
     if (p_staged.bank == bank && p_staged.subarray == sub && p_staged.row < reserved_base() &&
-        !(it->second.logical == target_logical)) {
-      random_logical = it->second.logical;
+        !(*staged == target_logical)) {
+      random_logical = *staged;
       staged_hit = true;
     }
-    staged_.erase(it);
+    staged.reset();
   }
   if (!staged_hit) {
     // Cold path: draw a fresh random row in this subarray (paper step 1).
@@ -79,7 +83,7 @@ u32 SwapEngine::protect(const RowAddr& target_logical, const RowAddr* non_target
         !(*non_target_logical == target_logical)) {
       device_.rowclone_fpm(bank, sub, p_nt.row, res);
       ++aaps;
-      staged_[key] = Staged{*non_target_logical};
+      staged = *non_target_logical;
     }
   }
 

@@ -14,7 +14,8 @@
 // the paper's T_swap.
 #pragma once
 
-#include <unordered_map>
+#include <optional>
+#include <vector>
 
 #include "dram/dram_device.hpp"
 #include "dram/row_remapper.hpp"
@@ -48,20 +49,19 @@ class SwapEngine {
               sys::Rng& rng);
 
   /// Drops all staged state (e.g., at refresh-window boundaries).
-  void reset_pipeline() { staged_.clear(); }
+  void reset_pipeline() { staged_.assign(staged_.size(), std::nullopt); }
 
   [[nodiscard]] const SwapStats& stats() const { return stats_; }
 
  private:
-  struct Staged {
-    dram::RowAddr logical;  ///< row whose data sits in the reserved buffer
-  };
-  [[nodiscard]] u64 subarray_key(u32 bank, u32 subarray) const;
+  [[nodiscard]] usize subarray_slot(u32 bank, u32 subarray) const;
 
   dram::DramDevice& device_;
   dram::RowRemapper& remap_;
   u32 reserved_rows_;
-  std::unordered_map<u64, Staged> staged_;  ///< per-subarray staged non-target
+  /// Per (bank, subarray): the logical row whose data sits in that
+  /// subarray's reserved buffer, staged as the next swap's random row.
+  std::vector<std::optional<dram::RowAddr>> staged_;
   SwapStats stats_;
 };
 

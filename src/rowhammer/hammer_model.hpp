@@ -15,10 +15,16 @@
 // memory templating discovers flippable cells, massaging places victim data
 // on them, and hammering past T_RH flips them -- unless a defense refreshes
 // the victim first.
+//
+// Bookkeeping: one flat slot per physical row (indexed by flat_row_id) holds
+// the disturbance, the disturbance at which the flip scan must next run, and
+// the scan cursor. No cell threshold is below T_RH, so a row's sorted cell
+// list is built only when its disturbance first reaches T_RH; below that an
+// ACT costs one increment and one compare per victim. Any single cell is
+// answered straight from its two hashes (cell_info), without building a row.
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/dram_device.hpp"
@@ -29,7 +35,7 @@ namespace dnnd::rowhammer {
 /// Tunables of the fault model.
 struct HammerModelConfig {
   double p_vulnerable = 0.03;    ///< fraction of cells that can flip at all
-  double threshold_spread = 0.5; ///< per-cell threshold in [T_RH, (1+spread)*T_RH]
+  double threshold_spread = 0.5; ///< per-cell threshold in [T_RH, (1+spread)*T_RH]; >= 0
   u64 seed = 0xD15EA5Eu;         ///< susceptibility map seed ("chip identity")
   bool directional = true;       ///< true-/anti-cell behaviour (flip only from charged state)
 };
@@ -45,6 +51,8 @@ struct VulnerableCell {
 /// Listens to a DramDevice and injects RowHammer bit flips.
 class HammerModel final : public dram::RowEventListener {
  public:
+  /// Throws std::invalid_argument when cfg.threshold_spread is negative (or
+  /// NaN): every cell threshold must be at least T_RH.
   HammerModel(dram::DramDevice& device, HammerModelConfig cfg);
   ~HammerModel() override;
 
@@ -58,14 +66,17 @@ class HammerModel final : public dram::RowEventListener {
   /// Current disturbance (adjacent ACTs since last restore) of a row.
   [[nodiscard]] u64 disturbance(const dram::RowAddr& row) const;
 
-  /// Ground-truth susceptibility of a row, sorted by ascending threshold.
-  /// Attackers should not call this directly -- they discover the same
-  /// information through HammerAttacker templating; tests use it as oracle.
-  [[nodiscard]] const std::vector<VulnerableCell>& vulnerable_cells(const dram::RowAddr& row);
+  /// Ground-truth susceptibility of a row, sorted by ascending threshold
+  /// (the order in which hammering flips them). Computed from the hashes on
+  /// every call (row_bytes x 8 of them) and never stored. Attackers should
+  /// not call this directly -- they discover the same information through
+  /// HammerAttacker templating; tests use it as oracle.
+  [[nodiscard]] std::vector<VulnerableCell> vulnerable_cells(const dram::RowAddr& row) const;
 
-  /// Ground truth: is a specific cell flippable, and in which direction?
+  /// Ground truth for one cell: its entry in vulnerable_cells(row), or
+  /// nullopt when it cannot flip. O(1): two hashes, no row is built.
   [[nodiscard]] std::optional<VulnerableCell> cell_info(const dram::RowAddr& row, usize col,
-                                                        u32 bit);
+                                                        u32 bit) const;
 
   /// Total flips injected by this model.
   [[nodiscard]] u64 flips_injected() const { return flips_injected_; }
@@ -73,21 +84,30 @@ class HammerModel final : public dram::RowEventListener {
   [[nodiscard]] const HammerModelConfig& config() const { return cfg_; }
 
  private:
-  struct RowState {
+  static constexpr u32 kUnbuilt = ~u32{0};
+
+  /// Per-row state, one per physical row.
+  struct RowSlot {
     u64 disturbance = 0;
-    bool cells_built = false;
+    u64 next_threshold = 0;  ///< disturbance at which the flip scan next runs
+    u32 cursor = 0;          ///< first cell not yet scanned since the last restore
+    u32 cells = kUnbuilt;    ///< index into built_, once the row reached T_RH
+  };
+  /// The sorted cell list of a row whose disturbance has reached T_RH.
+  struct RowCells {
     std::vector<VulnerableCell> cells;  ///< sorted by threshold
     std::vector<bool> discharged;       ///< cell flipped & not yet rewritten
-    usize next_candidate = 0;           ///< index into `cells` for the scan
+    bool any_discharged = false;
   };
 
-  RowState& state_for(u64 flat_id, const dram::RowAddr& row);
-  void build_cells(RowState& st, const dram::RowAddr& row) const;
-  void bump_and_maybe_flip(const dram::RowAddr& victim);
+  [[nodiscard]] std::optional<VulnerableCell> cell_at(u64 row_id, usize col, u32 bit) const;
+  void bump(u64 row_id, const dram::RowAddr& victim);
+  void flip_due_cells(RowSlot& slot, const dram::RowAddr& victim);
 
   dram::DramDevice& device_;
   HammerModelConfig cfg_;
-  std::unordered_map<u64, RowState> rows_;
+  std::vector<RowSlot> rows_;
+  std::vector<RowCells> built_;
   u64 flips_injected_ = 0;
 };
 
