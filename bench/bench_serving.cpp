@@ -1,11 +1,13 @@
 // bench_serving: inference serving under live RowHammer attack and defense.
 //
-// An open-loop Poisson request stream (seeded, reproducible) feeds a bounded
-// admission queue and a batch coalescer in front of the GEMM engine; the
-// installed mitigation's tick() interleaves on a virtual-time schedule, and
-// an attacker thread optionally carries white-box BFA flips through the
-// DRAM substrate at planned batch boundaries. Three regimes run on fresh
-// systems over the same arrival schedule:
+// An open-loop Poisson request stream (seeded, reproducible) is planned in
+// virtual time through a bounded admission queue and a batch coalescer; the
+// server thread then paces each planned batch by its last member's scheduled
+// arrival in front of the GEMM engine. The installed mitigation's tick()
+// interleaves on a virtual-time schedule, and an attacker thread optionally
+// carries white-box BFA flips through the DRAM substrate at planned batch
+// boundaries. Three regimes run on fresh systems over the same arrival
+// schedule:
 //
 //   defense-off          undefended device, no attack (latency floor)
 //   defense-on           DNN-Defender installed, no attack (defense cost)

@@ -1,10 +1,10 @@
 #include "serving/server.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 
 #include "attack/bfa.hpp"
@@ -122,44 +122,26 @@ RegimeStats serve_regime(const std::string& name, system::ProtectedSystem& psys,
     });
   }
 
-  // ----- open-loop generator thread ------------------------------------------
-  BoundedRequestQueue queue(cfg.queue_depth);
-  const steady::time_point t0 = steady::now();
-  std::thread generator([&] {
-    // Paces ADMITTED requests only: the plan already charged the drops at
-    // their virtual arrival instants, so the executor must not re-drop
-    // under wall-clock jitter (composition would diverge from the plan).
-    for (const usize idx : plan.admitted) {
-      const Request& r = plan.arrivals[idx];
-      std::this_thread::sleep_until(t0 + std::chrono::nanoseconds(r.arrival_ns));
-      if (!queue.push(idx)) return;  // closed early (unreachable in practice)
-    }
-    queue.close();
-  });
-
   // ----- server loop (this thread) -------------------------------------------
+  // A planned batch starts when its last member arrives. The plan already
+  // charged the drops at their virtual arrival instants, so nothing here
+  // re-drops under wall-clock jitter.
   LatencyReservoir reservoir(cfg.reservoir, cfg.seed);
   const u64 tick_ns = static_cast<u64>(cfg.tick_every_us) * 1000ULL;
   usize ticks_done = 0;
   nn::Tensor batch_x;
   std::vector<u32> batch_y;
-  std::vector<usize> members;
   std::vector<usize> sample_idx;
+  const steady::time_point t0 = steady::now();
   for (const PlannedBatch& b : plan.batches) {
-    members.clear();
-    for (usize k = 0; k < b.count; ++k) {
-      const auto item = queue.pop();
-      if (!item.has_value()) break;  // closed early (shutdown path)
-      members.push_back(*item);
+    const std::span<const usize> members(plan.admitted.data() + b.first, b.count);
+    std::this_thread::sleep_until(
+        t0 + std::chrono::nanoseconds(plan.arrivals[members.back()].arrival_ns));
+    sample_idx.clear();
+    for (const usize idx : members) {
+      digest = sys::hash_combine(digest, plan.arrivals[idx].id);
+      sample_idx.push_back(plan.arrivals[idx].sample);
     }
-    // The generator feeds admitted requests in plan order through a FIFO,
-    // so the popped ids replay plan.admitted exactly; folding them into the
-    // digest pins the real pipeline against the plan.
-    for (usize k = 0; k < members.size(); ++k) {
-      assert(members[k] == plan.admitted[b.first + k]);
-      digest = sys::hash_combine(digest, plan.arrivals[members[k]].id);
-    }
-    if (members.empty()) break;
 
     // Defender maintenance scheduled in VIRTUAL time: pump every periodic
     // tick due by this batch's finish instant. With no attack there are no
@@ -171,8 +153,6 @@ RegimeStats serve_regime(const std::string& name, system::ProtectedSystem& psys,
 
     if (b.attack_before && attack_on) channel.request_and_wait();
 
-    sample_idx.clear();
-    for (const usize idx : members) sample_idx.push_back(plan.arrivals[idx].sample);
     pool.gather_into(sample_idx, batch_x, batch_y);
     const nn::BatchEval eval = model.evaluate_batch(batch_x, batch_y);
     digest = sys::hash_combine(digest, eval.correct);
@@ -188,8 +168,6 @@ RegimeStats serve_regime(const std::string& name, system::ProtectedSystem& psys,
   stats.wall_seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(steady::now() - t0).count();
 
-  queue.close();
-  generator.join();
   if (attack_on) {
     channel.shutdown();
     attacker.join();

@@ -1,9 +1,10 @@
-// Real-threaded executor for a ServingPlan: open-loop generator thread,
-// coalescing server loop, optional attacker thread, defender ticks pumped
-// through ProtectedSystem::advance_time_to. Wall-clock latencies land in a
-// LatencyReservoir; every decision (batch composition, drops, ticks, attack
-// targets and outcomes) replays the plan and is folded into a digest that
-// must be byte-identical across runs and GEMM thread counts.
+// Real-threaded executor for a ServingPlan: a server loop that starts each
+// planned batch at its last member's scheduled arrival, an optional attacker
+// thread, defender ticks pumped through ProtectedSystem::advance_time_to.
+// Wall-clock latencies, measured from each request's scheduled arrival, land
+// in a LatencyReservoir; every decision (batch composition, drops, ticks,
+// attack targets and outcomes) replays the plan and is folded into a digest
+// that must be byte-identical across runs and GEMM thread counts.
 #pragma once
 
 #include <string>

@@ -176,57 +176,4 @@ u64 LatencyReservoir::percentile(double p) const {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-// ----- BoundedRequestQueue ---------------------------------------------------
-
-BoundedRequestQueue::BoundedRequestQueue(usize depth) : depth_(std::max<usize>(depth, 1)) {}
-
-usize BoundedRequestQueue::size() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return items_.size() - head_;
-}
-
-usize BoundedRequestQueue::peak() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return peak_;
-}
-
-bool BoundedRequestQueue::push(usize item) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_full_.wait(lock, [&] { return closed_ || items_.size() - head_ < depth_; });
-  if (closed_) return false;
-  items_.push_back(item);
-  peak_ = std::max(peak_, items_.size() - head_);
-  not_empty_.notify_one();
-  return true;
-}
-
-bool BoundedRequestQueue::try_push(usize item) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (closed_ || items_.size() - head_ >= depth_) return false;
-  items_.push_back(item);
-  peak_ = std::max(peak_, items_.size() - head_);
-  not_empty_.notify_one();
-  return true;
-}
-
-std::optional<usize> BoundedRequestQueue::pop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [&] { return closed_ || items_.size() > head_; });
-  if (items_.size() == head_) return std::nullopt;  // closed and drained
-  const usize item = items_[head_++];
-  if (head_ == items_.size()) {
-    items_.clear();
-    head_ = 0;
-  }
-  not_full_.notify_one();
-  return item;
-}
-
-void BoundedRequestQueue::close() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
-  not_full_.notify_all();
-  not_empty_.notify_all();
-}
-
 }  // namespace dnnd::serving

@@ -9,16 +9,13 @@
 // VIRTUAL time (Poisson arrivals -> bounded admission queue -> batch
 // coalescer -> a fixed linear service model), producing a ServingPlan whose
 // every field is a pure function of (ServeConfig, sample-pool size). The
-// real-threaded executor (server.hpp) then follows the plan -- pacing
-// admitted requests by wall clock, forming exactly the planned batches,
-// firing the planned defender ticks and attack slots -- and measures real
-// latencies on top. Wall-clock numbers are excluded from every byte gate;
+// executor (server.hpp) then serves straight from the plan -- each planned
+// batch starts at its last member's scheduled wall-clock arrival, and the
+// planned defender ticks and attack slots fire in between -- and measures
+// real latencies on top. Wall-clock numbers are excluded from every byte gate;
 // the plan digest is pinned by tests and CI across runs and thread counts.
 #pragma once
 
-#include <condition_variable>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "sys/rng.hpp"
@@ -128,38 +125,6 @@ class LatencyReservoir {
   sys::Rng rng_;
   u64 seen_ = 0;
   std::vector<u64> samples_;
-};
-
-/// Bounded blocking MPSC handoff between the request generator and the
-/// server thread. push() blocks while full (the executor's pacing keeps it
-/// from blocking in practice -- the plan already accounted drops);
-/// try_push() is the non-blocking admission used by the overflow tests.
-/// close() wakes every waiter; pop() drains remaining items, then returns
-/// nullopt.
-class BoundedRequestQueue {
- public:
-  explicit BoundedRequestQueue(usize depth);
-
-  /// Blocks until there is room or the queue is closed; false if closed.
-  bool push(usize item);
-  /// Non-blocking admission: false when full or closed (a drop).
-  bool try_push(usize item);
-  /// Blocks until an item is available or the queue is closed and empty.
-  std::optional<usize> pop();
-  void close();
-
-  [[nodiscard]] usize peak() const;
-  [[nodiscard]] usize size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::vector<usize> items_;  ///< FIFO via head index (depth is small)
-  usize head_ = 0;
-  usize depth_;
-  usize peak_ = 0;
-  bool closed_ = false;
 };
 
 }  // namespace dnnd::serving

@@ -1,13 +1,12 @@
 // Serving subsystem tests: deterministic plan (arrivals, coalescing, drops,
-// ticks), latency reservoir vs a sorted-copy oracle, bounded-queue edge
-// cases, report round trip + validation, and the end-to-end decision-stream
-// determinism gates: across GEMM thread counts, and threaded run against a
-// single-threaded replay with the attacker live.
+// ticks), latency reservoir vs a sorted-copy oracle, report round trip +
+// validation, the executor's wall-clock pacing, and the end-to-end
+// decision-stream determinism gates: across GEMM thread counts, and threaded
+// run against a single-threaded replay with the attacker live.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "attack/bfa.hpp"
@@ -207,36 +206,6 @@ TEST(LatencyReservoir, CapsRetentionAndCountsEverything) {
               res.samples().end());
 }
 
-TEST(BoundedRequestQueue, OverflowAndOrdering) {
-  BoundedRequestQueue q(3);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_FALSE(q.try_push(4));  // full -> drop
-  EXPECT_EQ(q.peak(), 3u);
-  EXPECT_EQ(q.pop(), 1u);  // FIFO
-  EXPECT_TRUE(q.try_push(4));  // room again
-  EXPECT_EQ(q.pop(), 2u);
-  EXPECT_EQ(q.pop(), 3u);
-  EXPECT_EQ(q.pop(), 4u);
-}
-
-TEST(BoundedRequestQueue, CleanShutdownWithInFlightConsumer) {
-  BoundedRequestQueue q(4);
-  std::vector<usize> got;
-  std::thread consumer([&] {
-    while (auto item = q.pop()) got.push_back(*item);
-  });
-  EXPECT_TRUE(q.push(10));
-  EXPECT_TRUE(q.push(11));
-  q.close();  // consumer may still be mid-pop; it must drain then stop
-  consumer.join();
-  EXPECT_EQ(got, (std::vector<usize>{10, 11}));
-  EXPECT_FALSE(q.push(12));      // closed
-  EXPECT_FALSE(q.try_push(12));  // closed
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
 // ----- end-to-end regime determinism ----------------------------------------
 
 /// Builds the test victim (trained MLP, optionally DNN-Defender-protected)
@@ -334,6 +303,24 @@ TEST(ServeRegime, StatsReplayThePlanExactly) {
   EXPECT_DOUBLE_EQ(stats.accuracy_before, stats.accuracy_after);  // no attack
 }
 
+TEST(ServeRegime, BatchesWaitForTheirArrivals) {
+  // The server sleeps to each batch's last scheduled arrival, so the run
+  // cannot end before the last admitted request arrives, and a request's
+  // latency includes at least its batch's compute. A server that stopped
+  // pacing would serve the whole plan in one burst, and the latencies,
+  // clamped at 0 when a batch ran before its members arrived, would read 0.
+  const ServeConfig cfg = small_config();
+  const ServingPlan plan = plan_serving(cfg, testutil::easy_data().test.size());
+  ASSERT_FALSE(plan.admitted.empty());
+  const double last_arrival_ns =
+      static_cast<double>(plan.arrivals[plan.admitted.back()].arrival_ns);
+  for (const bool defended : {false, true}) {
+    const RegimeStats stats = run_test_regime(cfg, defended, /*attacked=*/defended);
+    EXPECT_GE(stats.wall_seconds * 1e9, last_arrival_ns) << "defended " << defended;
+    EXPECT_GT(stats.p50_ns, 0u) << "defended " << defended;
+  }
+}
+
 TEST(ServeRegime, DecisionStreamIsIdenticalAcrossGemmThreadCounts) {
   const ServeConfig cfg = small_config();
   const testutil::ThreadsGuard guard;
@@ -362,7 +349,7 @@ TEST(ServeRegime, DecisionStreamIsIdenticalAcrossGemmThreadCounts) {
 }
 
 TEST(ServeRegime, ThreadedDigestEqualsSerialReplayWithLiveAttacker) {
-  // Generator, server and attacker threads at a GEMM team of 4 against the
+  // Server and attacker threads at a GEMM team of 4 against the
   // single-threaded replay, over five plan seeds: the decision stream may
   // not depend on how the threads interleave.
   const testutil::ThreadsGuard guard;
