@@ -16,11 +16,6 @@
 //                       rrs, srs, shadow, graphene, hydra, dnn-defender
 //   DNND_GRID_FULL_PRODUCT=1 keeps cells whose defense cannot engage the
 //                            attack (normally pruned).
-//   DNND_INT8=1              true-integer int8 forward regime (requantized
-//                            outputs; a DIFFERENT numeric regime -- the
-//                            campaign JSON carries an "int8" marker and is
-//                            gated with dnnd_diff --final-only, never
-//                            byte-compared against float baselines).
 //
 // `bench_grid --tiny` (or DNND_GRID=tiny) runs the seconds-fast
 // tiny_test_grid() instead -- the grid behind the committed regression
@@ -38,7 +33,6 @@
 #include "harness/registry.hpp"
 #include "harness/shard.hpp"
 #include "harness/sink.hpp"
-#include "nn/simd.hpp"
 
 using namespace dnnd;
 
@@ -94,10 +88,6 @@ int main(int argc, char** argv) {
   if (const char* v = std::getenv("DNND_GRID"); v != nullptr && std::string(v) == "tiny") {
     tiny = true;
   }
-  if (nn::simd::int8_enabled()) {
-    std::printf("[grid] DNND_INT8=1: true-integer forward regime (campaign JSON carries "
-                "the \"int8\" marker; gate with dnnd_diff --final-only)\n");
-  }
 
   const bool small = bench::small_scale();
   const bool sharded = !shard_spec.empty();
@@ -147,12 +137,11 @@ int main(int argc, char** argv) {
   }
 
   campaign.table().print();
-  std::printf("[harness] %zu scenarios on %zu threads in %.1fs (%.2f scenarios/s%s)\n",
+  std::printf("[harness] %zu scenarios on %zu threads in %.1fs (%.2f scenarios/s)\n",
               campaign.results.size(), campaign.threads_used, campaign.total_seconds,
               campaign.total_seconds > 0.0
                   ? static_cast<double>(campaign.results.size()) / campaign.total_seconds
-                  : 0.0,
-              campaign.int8_regime ? ", int8 regime" : "");
+                  : 0.0);
 
   usize failures = 0;
   if (sharded) {

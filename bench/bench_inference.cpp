@@ -7,28 +7,21 @@
 // (4) the median cost of the channel-sparse QuantizedModel::probe -- the
 // flip/probe primitive of the BFA family -- for every quantized layer.
 //
-// Exits non-zero when the scalar and SIMD int8 kernels disagree by a byte.
-//
 // Emits machine-readable JSON (the BENCH trajectory seed): to stdout, and to
 // the file named by DNND_JSON_OUT when set (the campaign sink convention).
 // The JSON carries "threads" (the resolved GEMM team size) and "simd" (the
 // active kernel ISA) fields so the CI DNND_THREADS x DNND_SIMD matrix
 // uploads distinguishable artifacts. The explicit-SIMD kernels are A/B'd
-// against the forced-scalar path (byte-identical, only wall clock moves), and
-// the float path against the true-integer int8 regime.
+// against the forced-scalar path (byte-identical, only wall clock moves).
 //
 //   DNND_BENCH_MODEL   zoo arch (default vgg11)
 //   DNND_BENCH_BATCH   batch size (default 32)
 //   DNND_BENCH_SCALE   small -> shorter timed windows
 //   DNND_THREADS       GEMM team size (0/unset = hardware concurrency)
 //   DNND_SIMD          0 = force the scalar microkernels
-//   DNND_INT8          1 = true-integer int8 forward (requantized, NOT
-//                      byte-gated against the float path; the scalar and SIMD
-//                      int8 kernels ARE byte-gated against each other)
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -98,13 +91,10 @@ int main() {
   sys::Rng rng(99);
   nn::Tensor x({batch, 3, 12, 12});
   for (usize i = 0; i < x.size(); ++i) x[i] = static_cast<float>(rng.normal(0.0, 1.0));
-  // Quantized (and, under DNND_INT8=1, calibrated) up front, as a campaign
-  // is before its attack: every section below then times the active regime,
-  // so the probe-vs-forward_from ratios compare like with like.
+  // Quantized up front, as a campaign is before its attack.
   std::vector<u32> y(batch);
   for (usize i = 0; i < batch; ++i) y[i] = static_cast<u32>(i % 10);
   quant::QuantizedModel qm(*model);
-  qm.ensure_int8_calibrated(x);
   const auto clean_codes = qm.snapshot();
 
   // ---- full-forward throughput ----------------------------------------------
@@ -191,39 +181,6 @@ int main() {
                 from_us[k] / sparse_us[l]);
   }
 
-  // ---- true-integer int8 regime ---------------------------------------------
-  // Same quantized model, two forward regimes: the float engine path over the
-  // dequantized weights vs the int8 path (quantized activations x raw codes
-  // into int32 accumulators, requantized once per layer). The regimes are
-  // NEVER byte-gated against each other; the scalar and SIMD int8 kernels ARE
-  // -- integer accumulation is exact, so any byte difference is a kernel bug.
-  if (!qm.int8_calibrated()) qm.calibrate_int8(x);
-  const int saved_int8 = nn::simd::int8_override();
-  nn::simd::set_int8_override(0);
-  const double float_spc = time_per_call(window, [&] { model->forward_cached(x); });
-  nn::simd::set_int8_override(1);
-  const double int8_spc = time_per_call(window, [&] { model->forward_cached(x); });
-  const double float_ips = static_cast<double>(batch) / float_spc;
-  const double int8_ips = static_cast<double>(batch) / int8_spc;
-  const double int8_speedup = float_spc / int8_spc;
-  nn::simd::set_scalar_override(1);
-  const nn::Tensor& int8_scalar_y = model->forward_cached(x);
-  std::vector<float> scalar_logits(int8_scalar_y.data(),
-                                   int8_scalar_y.data() + int8_scalar_y.size());
-  nn::simd::set_scalar_override(0);
-  const nn::Tensor& int8_simd_y = model->forward_cached(x);
-  const bool int8_byte_identical =
-      int8_simd_y.size() == scalar_logits.size() &&
-      std::memcmp(int8_simd_y.data(), scalar_logits.data(),
-                  scalar_logits.size() * sizeof(float)) == 0;
-  nn::simd::set_scalar_override(saved_scalar);
-  nn::simd::set_int8_override(saved_int8);
-  std::printf("[int8] true-integer forward (quantized model, requantized outputs):\n");
-  std::printf("  float  : %8.1f images/s (%.3f ms/batch)\n", float_ips, float_spc * 1e3);
-  std::printf("  int8   : %8.1f images/s (%.2fx over float)\n", int8_ips, int8_speedup);
-  std::printf("  scalar/simd int8 kernels byte-identical: %s\n",
-              int8_byte_identical ? "yes" : "NO");
-
   // ---- one BFA step on the engine path --------------------------------------
   // End-to-end cost of the attack inner loop: gradient ranking plus candidate
   // channel-sparse QuantizedModel::probe evaluations over one clean cache.
@@ -251,9 +208,6 @@ int main() {
   w.key("scalar_images_per_s").value(scalar_ips);
   w.key("simd_images_per_s").value(simd_ips);
   w.key("simd_speedup").value(scalar_spc / simd_spc);
-  w.key("int8_images_per_s").value(int8_ips);
-  w.key("int8_speedup").value(int8_speedup);
-  w.key("int8_byte_identical").value(int8_byte_identical);
   w.key("full_forward_us").value(full_us);
   w.key("bfa_step_ms").value(step_engine * 1e3);
   w.key("forward_from_us").begin_array();
@@ -299,10 +253,6 @@ int main() {
       return 1;
     case harness::SinkWriteStatus::kNoSink:
       break;
-  }
-  if (!int8_byte_identical) {
-    std::fprintf(stderr, "bench_inference: scalar and SIMD int8 kernels differ\n");
-    return 1;
   }
   return 0;
 }

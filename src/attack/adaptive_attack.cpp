@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "attack/probe_engine.hpp"
-#include "nn/simd.hpp"
 
 namespace dnnd::attack {
 
@@ -20,10 +19,6 @@ AdaptiveWhiteBoxAttack::AdaptiveWhiteBoxAttack(quant::QuantizedModel& qm, nn::Te
   if (cfg_.measure_every == 0) {
     throw std::invalid_argument("adaptive attack: measure_every must be nonzero");
   }
-  // Freeze int8 activation scales over both batches the attack forwards on
-  // (no-op in the float regime; scales only widen with extra batches).
-  qm_.ensure_int8_calibrated(attack_x_);
-  if (nn::simd::int8_enabled()) qm_.calibrate_int8(eval_x_);
 }
 
 AdaptiveAttackResult AdaptiveWhiteBoxAttack::run(const quant::BitSkipSet& secured) {

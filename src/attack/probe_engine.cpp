@@ -18,10 +18,6 @@ ProbeEngine::ProbeEngine(quant::QuantizedModel& qm, nn::Tensor attack_x,
       attack_y_(std::move(attack_y)),
       objective_(objective),
       cfg_(cfg) {
-  // True-integer regime: every probe forward below goes through the int8
-  // path, so the activation scales must be frozen before the first
-  // measurement. No-op in the default float regime.
-  qm_.ensure_int8_calibrated(attack_x_);
   // One full forward: resolves the class count from the model's output
   // dimension and warms the activation cache the first step() reuses.
   clean_logits_ = &qm_.model().forward_cached(attack_x_, /*train=*/false);

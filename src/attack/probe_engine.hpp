@@ -18,9 +18,8 @@
 //       loss for a minimizer), optionally falling back to the best
 //       first-order estimate when the objective allows it.
 //
-// The constructor owns the shared preamble: freeze int8 activation scales
-// over the attack batch (no-op in the float regime) and warm the activation
-// cache with one full forward, which also resolves the model's class count.
+// The constructor owns the shared preamble: warm the activation cache with
+// one full forward, which also resolves the model's class count.
 //
 // ProgressiveBitSearch (BFA), TbfaAttack, AdaptiveWhiteBoxAttack, the
 // white-box DRAM system loop, and VwaLimitedAttack are all thin drivers over

@@ -29,7 +29,6 @@ RandomAttackResult RandomBitAttack::run(usize n_flips, const nn::Tensor& x,
     throw std::invalid_argument("random attack: measure_every must be nonzero");
   }
   RandomAttackResult result;
-  qm_.ensure_int8_calibrated(x);  // no-op in the default float regime
   // Every measurement is on the same batch: after the first full forward,
   // each one re-runs only the layers below the earliest flip since the last
   // measurement (byte-identical to a full evaluate_batch).

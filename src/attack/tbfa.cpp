@@ -16,9 +16,9 @@ TbfaAttack::TbfaAttack(quant::QuantizedModel& qm, nn::Tensor attack_x,
       source_(cfg.variant == TbfaVariant::kNTo1 ? nn::kAllSources : cfg.source),
       objective_(source_, cfg.target, stealth_weight(),
                  cfg.variant == TbfaVariant::kStealthy, cfg.stealth_tolerance),
-      // The engine's preamble is the shared contract: freeze int8 activation
-      // scales (no-op in the default float regime) and warm the cache with
-      // one clean forward the validation below reads the class count from.
+      // The engine's preamble is the shared contract: it warms the cache
+      // with one clean forward the validation below reads the class count
+      // from.
       engine_(qm, std::move(attack_x), std::move(attack_y), objective_,
               ProbeEngineConfig{}) {
   const usize num_classes = engine_.num_classes();

@@ -15,7 +15,6 @@
 #include "defense/software_defenses.hpp"
 #include "mapping/weight_mapping.hpp"
 #include "nn/gemm.hpp"
-#include "nn/simd.hpp"
 #include "nn/thread_pool.hpp"
 #include "sys/env.hpp"
 #include "sys/json.hpp"
@@ -90,13 +89,6 @@ void run_scenario_impl(const Scenario& sc, ArtifactCache& cache, ScenarioResult&
   }
 
   quant::QuantizedModel qm(*model);
-  if (nn::simd::int8_enabled()) {
-    // Freeze activation scales over both batches every later measurement
-    // forwards on, so probes and eval share one quantization grid for the
-    // whole scenario.
-    qm.calibrate_int8(ax);
-    qm.calibrate_int8(ex);
-  }
   r.clean_accuracy = eval_acc();
   r.total_bits = qm.total_bits();
 
@@ -287,7 +279,6 @@ CampaignResult CampaignRunner::run(const std::vector<Scenario>& scenarios) {
                            : std::max(1u, std::thread::hardware_concurrency());
   const usize threads = std::max<usize>(1, std::min(budget, scenarios.size()));
   out.threads_used = threads;
-  out.int8_regime = nn::simd::int8_enabled();
 
   // Split the thread budget between the two parallelism levels: scenario
   // workers first (coarse, embarrassingly parallel), and whatever is left
@@ -401,9 +392,6 @@ std::string CampaignResult::to_json(bool include_timing) const {
     w.key("threads").value(threads_used);
     w.key("total_seconds").value(total_seconds);
   }
-  // Regime marker, present only when the integer regime produced the numbers:
-  // default-regime documents stay byte-identical to every pre-int8 baseline.
-  if (int8_regime) w.key("int8").value(true);
   w.key("scenarios").begin_array();
   for (const auto& r : results) scenario_result_to_json(w, r, include_timing);
   w.end_array();
@@ -467,6 +455,17 @@ ScenarioResult scenario_result_from_json(const sys::JsonValue& s, bool expect_ti
 
 CampaignResult campaign_from_json(std::string_view json) {
   const sys::JsonValue doc = sys::parse_json(json);
+  // to_json writes exactly these top-level keys. A document with any other
+  // key was not written by it, so it fails loudly instead of loading as a
+  // plain campaign with the key ignored.
+  if (doc.is_object()) {
+    for (const auto& [key, value] : doc.members()) {
+      if (key != "threads" && key != "total_seconds" && key != "scenarios") {
+        throw sys::JsonParseError("campaign_from_json: unknown top-level field \"" + key +
+                                  "\" in document");
+      }
+    }
+  }
 
   CampaignResult out;
   // to_json writes the timing fields as a unit (include_timing on or off);
@@ -477,7 +476,6 @@ CampaignResult campaign_from_json(std::string_view json) {
     out.threads_used = static_cast<usize>(require_field(doc, "threads", "document").as_u64());
     out.total_seconds = require_field(doc, "total_seconds", "document").as_double();
   }
-  if (doc.contains("int8")) out.int8_regime = doc.at("int8").as_bool();
 
   for (const sys::JsonValue& s : require_field(doc, "scenarios", "document").items()) {
     const std::string where =

@@ -74,11 +74,6 @@ struct CampaignResult {
   std::vector<ScenarioResult> results;  ///< same order as the input scenarios
   usize threads_used = 1;
   double total_seconds = 0.0;
-  /// True when the campaign ran under the true-integer forward regime
-  /// (DNND_INT8=1). Serialized as an "int8" marker ONLY when set, so
-  /// default-regime documents -- and their byte-compare gates -- are
-  /// unchanged.
-  bool int8_regime = false;
 
   /// Generic campaign table (deterministic).
   [[nodiscard]] sys::Table table() const;
@@ -139,9 +134,9 @@ ScenarioResult scenario_result_from_json(const sys::JsonValue& s, bool expect_ti
 /// Strict: every field to_json writes is required (the timing fields as a
 /// unit -- `threads`/`total_seconds`/per-scenario `wall_seconds` must be all
 /// present or all absent, and `error` is required exactly when ok is false),
-/// so a truncated or hand-edited baseline throws instead of loading as a
-/// plausible zero-flip campaign. Throws sys::JsonParseError on malformed or
-/// wrong-shape input.
+/// and a top-level key it never writes is rejected, so a truncated or
+/// hand-edited baseline throws instead of loading as a plausible zero-flip
+/// campaign. Throws sys::JsonParseError on malformed or wrong-shape input.
 CampaignResult campaign_from_json(std::string_view json);
 
 }  // namespace dnnd::harness

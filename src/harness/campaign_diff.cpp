@@ -63,11 +63,6 @@ DiffReport diff_campaigns(const CampaignResult& baseline, const CampaignResult& 
       d.notes.push_back(std::move(text));
       d.regression = d.regression || beyond_tol;
     };
-    // Path-shape fields (flips, counters, trace): informational only in
-    // final-only mode.
-    auto path_note = [&](std::string text, bool beyond_tol) {
-      note(std::move(text), beyond_tol && !cfg.final_only);
-    };
     auto check_acc = [&](const char* field, double bv, double cv) {
       if (bv == cv) return;
       note(std::string(field) + " " + fmt_acc(bv) + " -> " + fmt_acc(cv),
@@ -75,8 +70,8 @@ DiffReport diff_campaigns(const CampaignResult& baseline, const CampaignResult& 
     };
     auto check_count = [&](const char* field, i64 bv, i64 cv) {
       if (bv == cv) return;
-      path_note(std::string(field) + " " + std::to_string(bv) + " -> " + std::to_string(cv),
-                std::llabs(cv - bv) > cfg.flip_tol);
+      note(std::string(field) + " " + std::to_string(bv) + " -> " + std::to_string(cv),
+           std::llabs(cv - bv) > cfg.flip_tol);
     };
 
     if (b.ok != c.ok) {
@@ -97,8 +92,8 @@ DiffReport diff_campaigns(const CampaignResult& baseline, const CampaignResult& 
     // when the two strings happen to match byte-for-byte.
     const i64 bf = leading_flip_count(b.flips);
     const i64 cf = leading_flip_count(c.flips);
-    if (b.ok && bf < 0) path_note("baseline flips unparseable: \"" + b.flips + "\"", true);
-    if (c.ok && cf < 0) path_note("current flips unparseable: \"" + c.flips + "\"", true);
+    if (b.ok && bf < 0) note("baseline flips unparseable: \"" + b.flips + "\"", true);
+    if (c.ok && cf < 0) note("current flips unparseable: \"" + c.flips + "\"", true);
     if (b.flips != c.flips) {
       const bool numeric = bf >= 0 && cf >= 0;
       d.flip_delta = numeric ? cf - bf : 0;
@@ -107,8 +102,8 @@ DiffReport diff_campaigns(const CampaignResult& baseline, const CampaignResult& 
       // outcomes even though their leading counts match. A nonzero tolerance
       // compares counts only, so marker transitions can ride along with the
       // count drift they imply.
-      path_note("flips \"" + b.flips + "\" -> \"" + c.flips + "\"",
-                !numeric || cfg.flip_tol == 0 || std::llabs(cf - bf) > cfg.flip_tol);
+      note("flips \"" + b.flips + "\" -> \"" + c.flips + "\"",
+           !numeric || cfg.flip_tol == 0 || std::llabs(cf - bf) > cfg.flip_tol);
     }
     check_count("attempts", static_cast<i64>(b.attempts), static_cast<i64>(c.attempts));
     check_count("landed", static_cast<i64>(b.landed), static_cast<i64>(c.landed));
@@ -120,9 +115,9 @@ DiffReport diff_campaigns(const CampaignResult& baseline, const CampaignResult& 
     check_count("total_bits", static_cast<i64>(b.total_bits), static_cast<i64>(c.total_bits));
 
     if (b.trace.size() != c.trace.size()) {
-      path_note("trace length " + std::to_string(b.trace.size()) + " -> " +
-                    std::to_string(c.trace.size()),
-                true);
+      note("trace length " + std::to_string(b.trace.size()) + " -> " +
+               std::to_string(c.trace.size()),
+           true);
     } else {
       double worst = 0.0;
       usize worst_i = 0;
@@ -134,9 +129,9 @@ DiffReport diff_campaigns(const CampaignResult& baseline, const CampaignResult& 
         }
       }
       if (worst > 0.0) {
-        path_note("trace[" + std::to_string(worst_i) + "] " + fmt_acc(b.trace[worst_i]) +
-                      " -> " + fmt_acc(c.trace[worst_i]),
-                  worst > cfg.acc_tol);
+        note("trace[" + std::to_string(worst_i) + "] " + fmt_acc(b.trace[worst_i]) + " -> " +
+                 fmt_acc(c.trace[worst_i]),
+             worst > cfg.acc_tol);
       }
     }
 

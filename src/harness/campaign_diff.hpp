@@ -24,13 +24,6 @@ struct DiffConfig {
   /// When true, scenarios present on only one side are reported but do not
   /// count as regressions (for diffing runs of different grids).
   bool ignore_missing = false;
-  /// Final-outcomes-only mode for cross-regime comparisons (e.g. the int8
-  /// forward vs the float baseline): gate only ok status and clean/post
-  /// accuracy (within acc_tol). Flip counts, attempt counters, and the
-  /// per-step trace -- including its LENGTH, a hard regression otherwise --
-  /// are reported as notes but never flag a regression, because a different
-  /// numeric regime legitimately walks a different attack path.
-  bool final_only = false;
 };
 
 /// Comparison outcome for one scenario id.

@@ -9,7 +9,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "nn/simd.hpp"
 #include "sys/json.hpp"
 #include "sys/rng.hpp"
 
@@ -191,12 +190,7 @@ MergedCampaign merge_cells(const CellCheckpointStore& store,
   }
 
   MergedCampaign merged;
-  // The regime marker mirrors CampaignResult::to_json: emitted only under
-  // DNND_INT8=1 so default-regime merged documents byte-match the unsharded
-  // run (the CI `cmp` gate).
-  const std::string head =
-      nn::simd::int8_enabled() ? "{\"int8\":true,\"scenarios\":[" : "{\"scenarios\":[";
-  merged.json = head + body + "]}";
+  merged.json = "{\"scenarios\":[" + body + "]}";
   merged.campaign = campaign_from_json(merged.json);
   return merged;
 }

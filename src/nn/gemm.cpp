@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
-#include <cmath>
-#include <cstring>
 #include <thread>
 
 #include "nn/simd.hpp"
@@ -113,49 +110,8 @@ void kernel(const simd::Kernels& simd_kernels, usize M, usize N, usize K, const 
   }
 }
 
-/// The serial int8 kernel body, mirroring kernel(): int32 accumulators start
-/// at zero (exact integer math needs no bias seed) and the epilogue
-/// requantizes each output back to float, adding the bias term last so the
-/// bias is never rounded through the integer domain. `A` is the quad-major
-/// packed A panel (already offset to this call's first row); `astride` is
-/// the full panel's quad pitch (4 * total rows), which row-partitioned
-/// sub-calls inherit unchanged.
-void kernel_int8(const simd::I8Kernels& ik, usize M, usize N, usize K, const i8* A,
-                 usize astride, const i8* packed_b, float* C, usize crs, usize ccs,
-                 const float* bias, Bias bias_kind, float requant) {
-  const usize KQ = padded_k_int8(K) / 4;
-  for (usize n0 = 0; n0 < N; n0 += kNr) {
-    const usize rows = std::min(kNr, N - n0);
-    const i8* panel = packed_b + n0 * padded_k_int8(K);
-    for (usize m0 = 0; m0 < M; m0 += kMc) {
-      const usize m1 = std::min(M, m0 + kMc);
-      usize m = m0;
-      for (; m + kMr <= m1; m += kMr) {
-        i32 acc[kMr][kNr] = {};
-        ik.tile8(KQ, A + m * 4, astride, panel, &acc[0][0]);
-        for (usize i = 0; i < kMr; ++i) {
-          float* c = C + (m + i) * crs + n0 * ccs;
-          for (usize r = 0; r < rows; ++r) {
-            c[r * ccs] =
-                static_cast<float>(acc[i][r]) * requant + bias_for(bias, bias_kind, n0 + r);
-          }
-        }
-      }
-      for (; m < m1; ++m) {
-        i32 acc[kNr] = {};
-        ik.row1(KQ, A + m * 4, astride, panel, acc);
-        float* c = C + m * crs + n0 * ccs;
-        for (usize r = 0; r < rows; ++r) {
-          c[r * ccs] =
-              static_cast<float>(acc[r]) * requant + bias_for(bias, bias_kind, n0 + r);
-        }
-      }
-    }
-  }
-}
-
 /// Runs `block(m_lo, m_hi, n_lo, n_hi)` over a partition of the M x N output
-/// -- the one threading scheme of both GEMMs. Team planning is in units the
+/// -- the GEMM's threading scheme. Team planning is in units the
 /// split can actually hand out: whole 8-row register tiles (row split) or
 /// whole 8-column B panels (panel split), never more slots than there are
 /// tiles to own. Every output belongs to exactly one block, and a block's
@@ -241,62 +197,6 @@ void gemm_nt_prepacked(usize M, usize N, usize K, const float* A, usize lda,
     kernel(simd_kernels, m_hi - m_lo, n_hi - n_lo, K, A + m_lo * lda, lda, packed_b + n_lo * K,
            C + m_lo * crs + n_lo * ccs, crs, ccs,
            bias_kind == Bias::kPerCol ? bias + n_lo : bias, bias_kind);
-  });
-}
-
-usize padded_k_int8(usize K) { return (K + 3) & ~usize{3}; }
-
-usize packed_b_int8_size(usize N, usize K) {
-  return ((N + kNr - 1) / kNr) * kNr * padded_k_int8(K);
-}
-
-void pack_b_q8(const i8* q, usize N, usize K, i8* packed) {
-  // Zero first (pad rows and the K remainder), then copy each row's codes
-  // quad by quad into its lane of its 8-row panel.
-  const usize K4 = padded_k_int8(K);
-  std::memset(packed, 0, packed_b_int8_size(N, K));
-  for (usize n = 0; n < N; ++n) {
-    const i8* src = q + n * K;
-    i8* dst = packed + (n / kNr) * kNr * K4 + (n % kNr) * 4;
-    usize k = 0;
-    for (; k + 4 <= K; k += 4, dst += kNr * 4) std::memcpy(dst, src + k, 4);
-    if (k < K) std::memcpy(dst, src + k, K - k);
-  }
-}
-
-float activation_scale(const float* A, usize M, usize K, usize lda) {
-  float amax = 0.0f;
-  for (usize m = 0; m < M; ++m) {
-    const float* row = A + m * lda;
-    for (usize k = 0; k < K; ++k) amax = std::max(amax, std::fabs(row[k]));
-  }
-  return amax > 0.0f ? amax / 127.0f : 1.0f;
-}
-
-usize packed_a_q8_index(usize m, usize k, usize M) { return (k / 4) * M * 4 + m * 4 + k % 4; }
-
-void quantize_activations(const float* A, usize M, usize K, usize lda, float scale,
-                          i8* out) {
-  // Round-to-nearest, ties away from zero (the weight quantizer's rounding),
-  // clamped to [-127, 127], written straight into the quad-major A panel --
-  // vectorized, byte-identical between the scalar and AVX2 variants
-  // (see simd.hpp).
-  simd::quantize_panel_i8(A, M, K, lda, 1.0f / scale, out);
-}
-
-void gemm_nt_int8(usize M, usize N, usize K, const i8* A, const i8* packed_b, float* C,
-                  usize crs, usize ccs, const float* bias, Bias bias_kind, float requant) {
-  assert(bias_kind != Bias::kAccumulate);
-  if (M == 0 || N == 0) return;
-  const usize K4 = padded_k_int8(K);
-  const usize astride = M * 4;  ///< quad pitch of the full A panel
-  const simd::I8Kernels ik = simd::active_int8_kernels();
-  // With exact int32 accumulators even the order argument is unnecessary:
-  // any split of the outputs yields identical bytes.
-  for_output_blocks(M, N, K, [&](usize m_lo, usize m_hi, usize n_lo, usize n_hi) {
-    kernel_int8(ik, m_hi - m_lo, n_hi - n_lo, K, A + m_lo * 4, astride, packed_b + n_lo * K4,
-                C + m_lo * crs + n_lo * ccs, crs, ccs,
-                bias_kind == Bias::kPerCol ? bias + n_lo : bias, bias_kind, requant);
   });
 }
 

@@ -50,7 +50,6 @@ namespace gemm {
 /// is stored back after the last k, so splitting a reduction across calls
 /// (or continuing one started by other code) adds the same terms in the same
 /// order as one uninterrupted loop -- a float store and reload is exact.
-/// Float GEMMs only; the int8 path has no accumulate mode.
 enum class Bias : u32 {
   kNone,        ///< acc starts at +0
   kPerCol,      ///< acc starts at bias[n]
@@ -115,52 +114,6 @@ class [[nodiscard]] ThreadsGuard {
 /// when threading is off, the work is too small to amortise a region, or the
 /// caller is already inside a pool region (nested parallelism runs serial).
 [[nodiscard]] usize plan_teams(usize items, usize macs);
-
-// ---- true-integer int8 path (DNND_INT8 regime) ------------------------------
-// B stays in raw int8 codes (no dequantization), A is quantized per call to
-// symmetric int8 with round-to-nearest (ties away from zero) and saturation
-// to [-127, 127], accumulation is exact int32, and the epilogue requantizes
-// back to the float activation domain: C = float(acc) * (act_scale *
-// weight_scale) + bias. Panels group codes in k-QUADS of 4 (zero-padded) so
-// the AVX2 maddubs kernel reads one 32-byte line per 8x4 block; see
-// nn/simd.hpp for the layout and the no-saturation argument.
-
-/// K rounded up to a whole number of 4-code quads (the int8 panel/row pitch).
-[[nodiscard]] usize padded_k_int8(usize K);
-
-/// Bytes needed to pack an N x K int8 code matrix into quad panels.
-[[nodiscard]] usize packed_b_int8_size(usize N, usize K);
-
-/// Packs raw codes (N rows, K-major) into sequential 8-row quad panels,
-/// zero-padding ragged rows and the K remainder. The int8 Dense/Conv2d
-/// forwards pack the quantized model's row-major codes with it once per call,
-/// so the panel layout is private to this module: a bit flip only ever
-/// writes the code itself.
-void pack_b_q8(const i8* q, usize N, usize K, i8* packed);
-
-/// Symmetric activation scale for an M x K float operand: amax / 127, with
-/// the all-zero guard (scale 1.0) the weight quantizer also uses.
-[[nodiscard]] float activation_scale(const float* A, usize M, usize K, usize lda);
-
-/// Flat position of A element (m, k) inside the QUAD-MAJOR packed A panel
-/// the int8 GEMM consumes: all M rows' codes for one k-quad are contiguous
-/// ((k/4)*M*4 + m*4 + k%4), so a register tile's eight row-quads are one
-/// 32-byte line -- and producers (quantize_activations, the conv code
-/// gather) emit the panel with sequential stores. Panel size is
-/// M * padded_k_int8(K) bytes, pad codes zero.
-[[nodiscard]] usize packed_a_q8_index(usize m, usize k, usize M);
-
-/// Quantizes M rows of A (row stride lda) into the quad-major packed A
-/// panel: round-to-nearest ties-away, saturated to [-127, 127] -- the clamp
-/// that keeps the maddubs pair sums inside int16. Pad codes are zero.
-void quantize_activations(const float* A, usize M, usize K, usize lda, float scale, i8* out);
-
-/// Integer GEMM over a packed_a_q8 A panel and a pack_b_q8 B panel:
-/// C[m*crs + n*ccs] = float(sum_k A8[m,k] * B8[n,k]) * requant + bias_init.
-/// Same output-partitioned threading as gemm_nt_prepacked; int32 accumulation
-/// is exact, so results are byte-identical across team sizes and ISAs.
-void gemm_nt_int8(usize M, usize N, usize K, const i8* A, const i8* packed_b, float* C,
-                  usize crs, usize ccs, const float* bias, Bias bias_kind, float requant);
 
 }  // namespace gemm
 }  // namespace dnnd::nn

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "nn/gemm.hpp"
-#include "nn/simd.hpp"
 #include "nn/thread_pool.hpp"
 
 namespace dnnd::nn {
@@ -35,10 +34,9 @@ namespace {
 /// Zeroes the C x PH x PW buffer `dst` and copies the C planes of H x W
 /// elements at `src` into it, element (r, q) landing at (r*step + off,
 /// q*step + off). Elements that land outside are dropped.
-template <typename T>
-void spread_planes(const T* src, usize C, usize H, usize W, usize step, isize off, usize PH,
-                   usize PW, T* dst) {
-  std::fill(dst, dst + C * PH * PW, T{0});
+void spread_planes(const float* src, usize C, usize H, usize W, usize step, isize off,
+                   usize PH, usize PW, float* dst) {
+  std::fill(dst, dst + C * PH * PW, 0.0f);
   // Source indices [lo, hi) of n land inside [0, P); the first lands at pos.
   struct Span {
     usize lo, hi, pos;
@@ -54,8 +52,8 @@ void spread_planes(const T* src, usize C, usize H, usize W, usize step, isize of
   const Span rows = span(H, PH), cols = span(W, PW);
   for (usize c = 0; c < C; ++c) {
     for (usize r = rows.lo, pr = rows.pos; r < rows.hi; ++r, pr += step) {
-      T* out = dst + (c * PH + pr) * PW + cols.pos;
-      const T* in = src + (c * H + r) * W;
+      float* out = dst + (c * PH + pr) * PW + cols.pos;
+      const float* in = src + (c * H + r) * W;
       if (step == 1) {
         std::copy(in + cols.lo, in + cols.hi, out);
       } else {
@@ -69,17 +67,17 @@ void spread_planes(const T* src, usize C, usize H, usize W, usize step, isize of
 /// (in_ch x (h + 2 pad) x (w + 2 pad)): T row kk = (ic, ki, kj), at
 /// T + kk * ld, receives that tap's value for every output position.
 /// kStride is the stride when fixed at compile time (0: read g.stride).
-template <usize kStride, typename E>
-void gather_taps(const E* xp, const ConvGeom& g, E* T, usize ld) {
+template <usize kStride>
+void gather_taps(const float* xp, const ConvGeom& g, float* T, usize ld) {
   const usize stride = kStride != 0 ? kStride : g.stride;
   const usize ph = g.h + 2 * g.pad, pw = g.w + 2 * g.pad;
   usize kk = 0;
   for (usize ic = 0; ic < g.in_ch; ++ic) {
     for (usize ki = 0; ki < g.k; ++ki) {
       for (usize kj = 0; kj < g.k; ++kj, ++kk) {
-        E* dst = T + kk * ld;
+        float* dst = T + kk * ld;
         for (usize oi = 0; oi < g.oh; ++oi, dst += g.ow) {
-          const E* src = xp + (ic * ph + oi * stride + ki) * pw + kj;
+          const float* src = xp + (ic * ph + oi * stride + ki) * pw + kj;
           for (usize oj = 0; oj < g.ow; ++oj) dst[oj] = src[oj * stride];
         }
       }
@@ -113,53 +111,6 @@ void gather_windows(const float* xp, const ConvGeom& g, float* col) {
 /// gather_windows with k fixed at compile time for the zoo's kernels.
 void gather_windows_any(const float* xp, const ConvGeom& g, float* col) {
   (g.k == 3 ? gather_windows<3> : g.k == 1 ? gather_windows<1> : gather_windows<0>)(xp, g, col);
-}
-
-/// Int8 gather over one sample's quantized input slice `xq` (in_ch*h*w
-/// codes), TAP-major: T row kk (flat tap (ic, ki, kj)) holds that tap's code
-/// for every output position, and rows K..padded_k_int8(K) are zeroed;
-/// simd::interleave_quads_i8 then zips T into the GEMM's quad-major A panel.
-/// Gathering codes commutes exactly with quantizing gathered floats -- every
-/// patch entry is an input value (same code either way) or an exact padding
-/// zero (code 0). The codes are first spread into the zero-bordered plane
-/// `xp` (in_ch x (h + 2 pad) x (w + 2 pad) bytes plus 16 of slack).
-///
-/// Stride 1 with ow <= 16 (every vgg11 conv) copies each (tap, output
-/// row) span as one unconditional 16-byte load/store, about 1.25-1.5x
-/// faster on the vgg11 shapes than the generic tap loop. The stores overrun
-/// each ow-span into bytes that ascending (oi, then kk) iteration rewrites
-/// immediately after; only the very last store runs past row K-1, into the
-/// quad-pad rows (re-zeroed below) or 15 bytes of slack `T` must have past
-/// padded_k_int8(K) * oh * ow. The loads likewise read at most 15 bytes
-/// past the plane, into its slack.
-void gather_taps_i8(const i8* xq, const ConvGeom& g, i8* xp, i8* T) {
-  const usize K = g.patch_size(), P = g.oh * g.ow;
-  const usize ph = g.h + 2 * g.pad, pw = g.w + 2 * g.pad;
-  spread_planes(xq, g.in_ch, g.h, g.w, 1, static_cast<isize>(g.pad), ph, pw, xp);
-  if (g.stride == 1 && g.ow <= 16) {
-    usize kk = 0;
-    for (usize ic = 0; ic < g.in_ch; ++ic) {
-      for (usize ki = 0; ki < g.k; ++ki) {
-        for (usize kj = 0; kj < g.k; ++kj, ++kk) {
-          const i8* src = xp + (ic * ph + ki) * pw + kj;
-          i8* row = T + kk * P;
-          for (usize oi = 0; oi < g.oh; ++oi) {
-            __builtin_memcpy(row + oi * g.ow, src + oi * pw, 16);
-          }
-        }
-      }
-    }
-  } else {
-    (g.stride == 1 ? gather_taps<1, i8> : gather_taps<0, i8>)(xp, g, T, P);
-  }
-  const usize K4 = gemm::padded_k_int8(K);
-  if (K4 > K) std::memset(T + K * P, 0, (K4 - K) * P);
-}
-
-/// Bytes of one sample's zero-bordered int8 code plane, with the 16 bytes
-/// of load slack gather_taps_i8 needs.
-usize padded_plane_i8(const ConvGeom& g) {
-  return g.in_ch * (g.h + 2 * g.pad) * (g.w + 2 * g.pad) + 16;
 }
 
 /// Runs fn(lo, hi, slot) over contiguous chunks [lo, hi) of the n samples,
@@ -220,22 +171,8 @@ Dense::Dense(usize in_features, usize out_features, sys::Rng& rng)
 
 void Dense::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& ws) {
   assert(x.rank() == 2 && x.dim(1) == in_);
-  record_act(x);
   const usize n = x.dim(0);
   y.resize({n, out_});
-  // True-integer regime: quantize the input rows and run the int8 GEMM over
-  // the raw weight codes -- no dequantized floats anywhere on the path.
-  if (const Int8Pack& ip = int8_pack(); ip.codes != nullptr && simd::int8_enabled()) {
-    const float sa =
-        ip.act_scale > 0.0f ? ip.act_scale : gemm::activation_scale(x.data(), n, in_, in_);
-    i8* qa = ws.qa_buffer(n * gemm::padded_k_int8(in_));
-    gemm::quantize_activations(x.data(), n, in_, in_, sa, qa);
-    i8* packed = ws.qw_buffer(gemm::packed_b_int8_size(out_, in_));
-    gemm::pack_b_q8(ip.codes, out_, in_, packed);
-    gemm::gemm_nt_int8(n, out_, in_, qa, packed, y.data(), out_, 1, bias.data(),
-                       gemm::Bias::kPerCol, sa * ip.weight_scale);
-    return;
-  }
   // y = x W^T + b: both operands K-major, bias per output feature (column).
   float* packed = ws.pack_buffer(gemm::packed_b_size(out_, in_));
   gemm::pack_b(weight.data(), in_, out_, in_, packed);
@@ -243,29 +180,12 @@ void Dense::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& 
                           gemm::Bias::kPerCol);
 }
 
-bool Dense::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& ws) {
+bool Dense::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& /*ws*/) {
   assert(x.rank() == 2 && x.dim(1) == in_ && row < out_);
   const usize n = x.dim(0);
   y.resize({n, 1});
-  // One output feature of forward_into, term for term. Int8: the batch's
-  // activation scale, the same elementwise codes (a row quantized alone gets
-  // the codes it gets inside the batch panel), an exact int32 dot over the
-  // raw weight codes, and the GEMM epilogue float(acc) * requant + bias.
-  if (const Int8Pack& ip = int8_pack(); ip.codes != nullptr && simd::int8_enabled()) {
-    const float sa =
-        ip.act_scale > 0.0f ? ip.act_scale : gemm::activation_scale(x.data(), n, in_, in_);
-    const float requant = sa * ip.weight_scale;
-    const i8* wq = ip.codes + row * in_;
-    i8* qa = ws.qa_buffer(gemm::padded_k_int8(in_));
-    for (usize b = 0; b < n; ++b) {
-      gemm::quantize_activations(x.data() + b * in_, 1, in_, in_, sa, qa);
-      i32 acc = 0;
-      for (usize k = 0; k < in_; ++k) acc += i32{qa[k]} * i32{wq[k]};
-      y[b] = static_cast<float>(acc) * requant + bias[row];
-    }
-    return true;
-  }
-  // Float: the GEMM contract's single accumulator, bias first, ascending k.
+  // One output feature of forward_into, term for term: the GEMM contract's
+  // single accumulator, bias first, ascending k.
   const float* w = weight.data() + row * in_;
   for (usize b = 0; b < n; ++b) {
     const float* xb = x.data() + b * in_;
@@ -301,8 +221,8 @@ void Dense::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy
 }
 
 std::vector<ParamRef> Dense::params() {
-  return {{"weight", &weight, &dweight, /*quantizable=*/true, /*top_layer=*/0, this},
-          {"bias", &bias, &dbias, /*quantizable=*/false, /*top_layer=*/0, this}};
+  return {{"weight", &weight, &dweight, /*quantizable=*/true},
+          {"bias", &bias, &dbias, /*quantizable=*/false}};
 }
 
 // --------------------------------------------------------------- Conv2d ----
@@ -321,7 +241,6 @@ Conv2d::Conv2d(usize in_ch, usize out_ch, usize kernel, usize stride, usize padd
 
 void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& ws) {
   assert(x.rank() == 4 && x.dim(1) == in_ch_);
-  record_act(x);
   const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const ConvGeom g = geom(h, w);
   const usize K = g.patch_size(), P = g.oh * g.ow, chw = in_ch_ * h * w;
@@ -336,47 +255,11 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace&
   // signed zero never changes a non-negative-zero accumulator, and the
   // accumulator can only be -0.0 if the bias is).
   //
-  // True-integer regime: the sample's input slice is quantized ONCE (the
-  // patches repeat each value up to k*k times), then the tap-major code
-  // gather and interleave_quads_i8 build the GEMM's quad-major A panel --
-  // byte-identical to quantizing the float patches. The calibrated scale
-  // covers the patches (every entry is an input value or an exact padding
-  // zero); the uncalibrated fallback derives a per-sample scale from the
-  // input slice, which depends only on that sample -- deterministic at any
-  // batch split.
-  const Int8Pack int8 = int8_pack();
-  const bool use_int8 = int8.codes != nullptr && simd::int8_enabled();
   // The weight panel is packed once per call, not per sample, and before the
   // sample region: team slots only read it.
-  float* packed_w = nullptr;
-  i8* packed_codes = nullptr;
-  if (use_int8) {
-    packed_codes = ws.qw_buffer(gemm::packed_b_int8_size(out_ch_, K));
-    gemm::pack_b_q8(int8.codes, out_ch_, K, packed_codes);
-  } else {
-    packed_w = ws.pack_buffer(gemm::packed_b_size(out_ch_, K));
-    gemm::pack_b(weight.data(), K, out_ch_, K, packed_w);
-  }
+  float* packed_w = ws.pack_buffer(gemm::packed_b_size(out_ch_, K));
+  gemm::pack_b(weight.data(), K, out_ch_, K, packed_w);
   for_sample_chunks(n, n * P * K * out_ch_, ws, [&](usize lo, usize hi, usize slot) {
-    if (use_int8) {
-      // qx: the sample's codes, then its padded code plane. qa: the
-      // quad-major A panel [0, P*K4) and the tap-major staging T
-      // [P*K4, 2*P*K4), plus the gather's 16-byte store slack.
-      const usize K4 = gemm::padded_k_int8(K), chw4 = gemm::padded_k_int8(chw);
-      i8* qx = ws.qx_buffer(chw4 + padded_plane_i8(g), slot);
-      i8* qa = ws.qa_buffer(2 * P * K4 + 16, slot);
-      for (usize b = lo; b < hi; ++b) {
-        const float* xb = x.data() + b * chw;
-        const float sa =
-            int8.act_scale > 0.0f ? int8.act_scale : gemm::activation_scale(xb, 1, chw, chw);
-        gemm::quantize_activations(xb, 1, chw, chw, sa, qx);
-        gather_taps_i8(qx, g, qx + chw4, qa + P * K4);
-        simd::interleave_quads_i8(qa + P * K4, P, K4 / 4, qa);
-        gemm::gemm_nt_int8(P, out_ch_, K, qa, packed_codes, y.data() + b * out_ch_ * P, 1, P,
-                           bias.data(), gemm::Bias::kPerCol, sa * int8.weight_scale);
-      }
-      return;
-    }
     const usize ph = h + 2 * pad_, pw = w + 2 * pad_;
     float* xp = ws.col_buffer(in_ch_ * ph * pw + P * K, slot);
     float* col = xp + in_ch_ * ph * pw;
@@ -393,34 +276,9 @@ bool Conv2d::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& 
   assert(x.rank() == 4 && x.dim(1) == in_ch_ && row < out_ch_);
   const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const ConvGeom g = geom(h, w);
-  const usize K = g.patch_size(), P = g.oh * g.ow, chw = in_ch_ * h * w;
+  const usize K = g.patch_size(), P = g.oh * g.ow;
   y.resize({n, 1, g.oh, g.ow});
-  const Int8Pack int8 = int8_pack();
-  if (int8.codes != nullptr && simd::int8_enabled()) {
-    // Int8: forward_into's per-sample (or calibrated) scale, codes and tap
-    // gather, an exact int32 dot with the row's raw weight codes, then the
-    // GEMM epilogue.
-    const usize chw4 = gemm::padded_k_int8(chw);
-    i8* qx = ws.qx_buffer(chw4 + padded_plane_i8(g));
-    i8* T = ws.qa_buffer(gemm::padded_k_int8(K) * P + 16);
-    const i8* wq = int8.codes + row * K;
-    for (usize b = 0; b < n; ++b) {
-      const float* xb = x.data() + b * chw;
-      const float sa =
-          int8.act_scale > 0.0f ? int8.act_scale : gemm::activation_scale(xb, 1, chw, chw);
-      const float requant = sa * int8.weight_scale;
-      gemm::quantize_activations(xb, 1, chw, chw, sa, qx);
-      gather_taps_i8(qx, g, qx + chw4, T);
-      float* yb = y.data() + b * P;
-      for (usize p = 0; p < P; ++p) {
-        i32 acc = 0;
-        for (usize kk = 0; kk < K; ++kk) acc += i32{T[kk * P + p]} * i32{wq[kk]};
-        yb[p] = static_cast<float>(acc) * requant + bias[row];
-      }
-    }
-    return true;
-  }
-  // Float: one accumulator per output position, bias first, then the taps in
+  // One accumulator per output position, bias first, then the taps in
   // ascending (ic, ki, kj) as a separate multiply and add -- the gemm.hpp
   // contract, so the bytes equal the GEMM's. Tap (ic, ki, kj) of output
   // (oi, oj) is the zero-bordered input element (ic, oi*stride + ki,
@@ -515,7 +373,7 @@ void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& d
     for (usize b = lo; b < hi; ++b) {
       spread_planes(x.data() + b * in_ch_ * hw, in_ch_, h, w, 1, static_cast<isize>(pad_), ph,
                     pw, xp);
-      (stride_ == 1 ? gather_taps<1, float> : gather_taps<0, float>)(xp, g, taps + b * P, n * P);
+      (stride_ == 1 ? gather_taps<1> : gather_taps<0>)(xp, g, taps + b * P, n * P);
       spread_planes(dy.data() + b * out_ch_ * P, out_ch_, g.oh, g.ow, stride_, dy_off, dh, dw,
                     dp);
       gather_windows_any(dp, dy_geom, col);
@@ -537,8 +395,8 @@ void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& d
 }
 
 std::vector<ParamRef> Conv2d::params() {
-  return {{"weight", &weight, &dweight, /*quantizable=*/true, /*top_layer=*/0, this},
-          {"bias", &bias, &dbias, /*quantizable=*/false, /*top_layer=*/0, this}};
+  return {{"weight", &weight, &dweight, /*quantizable=*/true},
+          {"bias", &bias, &dbias, /*quantizable=*/false}};
 }
 
 // ----------------------------------------------------------------- ReLU ----

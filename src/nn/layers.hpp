@@ -14,9 +14,9 @@
 // steady state performs zero heap allocations. Dense and Conv2d lower both
 // passes onto the cache-blocked GEMM in nn/gemm.hpp (Conv2d via patch
 // gathers) while preserving the naive loops' per-output accumulation order
-// bit-exactly; the float forward packs the weight operand from the float
-// tensor on every call, so it can never read stale weights. The
-// value-returning forward/backward wrappers remain for tests and one-off use.
+// bit-exactly; the forward packs the weight operand from the float tensor
+// on every call, so it can never read stale weights. The value-returning
+// forward/backward wrappers remain for tests and one-off use.
 #pragma once
 
 #include <algorithm>
@@ -29,8 +29,6 @@
 #include "nn/workspace.hpp"
 
 namespace dnnd::nn {
-
-class Layer;
 
 /// A named view of one parameter tensor and its gradient buffer.
 /// `quantizable` marks weights the BFA threat model targets (conv/dense
@@ -46,10 +44,6 @@ struct ParamRef {
   /// This is the layer argument the probes (Sequential::probe_from /
   /// probe_row) and invalidate_from take after the parameter is perturbed.
   usize top_layer = 0;
-  /// The layer object the parameter belongs to (the innermost one, not a
-  /// wrapping Sequential). QuantizedModel uses it to attach its int8 codes
-  /// to Dense/Conv2d for the true-integer forward path.
-  Layer* owner = nullptr;
 };
 
 /// Abstract layer.
@@ -75,7 +69,7 @@ class Layer {
   /// One-row forward for the channel-sparse probe: computes output row
   /// `row` alone -- the output channel of a Conv2d, the output feature of a
   /// Dense -- for the whole batch, into `y` as an {N, 1, ...} tensor whose
-  /// bytes equal that row of forward_into's output (eval mode, same regime).
+  /// bytes equal that row of forward_into's output (eval mode).
   /// Returns false, computing nothing, for layers without such a kernel.
   virtual bool forward_row_into(const Tensor& /*x*/, usize /*row*/, Tensor& /*y*/,
                                 Workspace& /*ws*/) {
@@ -109,47 +103,8 @@ class Layer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// True-integer int8 weights (the DNND_INT8 regime): a view of the
-  /// quantized model's raw codes in the weight's own row-major order (one
-  /// row per output feature / channel), plus the symmetric scales needed to
-  /// requantize. The forward packs the codes into GEMM panels once per call,
-  /// so a bit flip written to the codes is what the next forward reads.
-  /// act_scale == 0 means "uncalibrated": forward derives a per-call scale
-  /// from the live input instead (deterministic, but costs an extra pass and
-  /// floats the quantization grid per batch).
-  struct Int8Pack {
-    const i8* codes = nullptr;
-    float weight_scale = 1.0f;
-    float act_scale = 0.0f;
-  };
-  void attach_int8_pack(const Int8Pack& pack) { int8_pack_ = pack; }
-  void detach_int8_pack(const i8* codes) {
-    if (int8_pack_.codes == codes) int8_pack_ = {};
-  }
-  [[nodiscard]] const Int8Pack& int8_pack() const { return int8_pack_; }
-
-  /// Guard hook for code that mutates parameter tensors directly instead of
-  /// through quant::QuantizedModel (Model::load_state, the optimizer): drops
-  /// the attached int8 codes, which no longer match the floats, so forward
-  /// falls back to the float path over the current weights -- slower but
-  /// never stale.
-  void drop_packed_weight() { int8_pack_ = {}; }
-
-  /// Activation-calibration probe: while set, every Dense/Conv2d forward
-  /// folds max|input| into *sink. QuantizedModel::calibrate_int8 points it at
-  /// the per-layer amax accumulator for one recording pass, then clears it.
-  void set_act_probe(float* sink) { act_probe_ = sink; }
-
- protected:
-  /// Called by quantizable layers at the top of forward_into.
-  void record_act(const Tensor& x) {
-    if (act_probe_ != nullptr) *act_probe_ = std::max(*act_probe_, x.abs_max());
-  }
-
  private:
   std::unique_ptr<Workspace> legacy_ws_;  ///< lazily created for the wrappers
-  Int8Pack int8_pack_;
-  float* act_probe_ = nullptr;
 };
 
 /// Fully-connected layer: y = x W^T + b, W: {out, in}.
@@ -178,8 +133,8 @@ class Dense final : public Layer {
 
 /// 2-D convolution, square kernel, NCHW. y = conv(x, W) + b, computed as a
 /// GEMM per sample over patch rows (one per output position) against the
-/// weight rows. Every pass -- float and int8 forward, the one-row probe
-/// kernel, backward -- reads its patches from zero-bordered copies of the
+/// weight rows. Every pass -- forward, the one-row probe kernel,
+/// backward -- reads its patches from zero-bordered copies of the
 /// sample's planes, so no gather tests bounds.
 class Conv2d final : public Layer {
  public:

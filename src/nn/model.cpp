@@ -26,12 +26,7 @@ std::vector<Tensor> Model::save_state() {
 
 void Model::load_state(const std::vector<Tensor>& snapshot) {
   usize i = 0;
-  for (auto& p : params()) {
-    *p.value = snapshot.at(i++);
-    // The mutation bypasses any attached QuantizedModel: detach its int8
-    // codes so forward reads the restored floats instead of stale codes.
-    if (p.owner != nullptr) p.owner->drop_packed_weight();
-  }
+  for (auto& p : params()) *p.value = snapshot.at(i++);
   for (Tensor* t : net_.state_tensors()) *t = snapshot.at(i++);
   // Every cached activation is stale now; incremental evaluation must not
   // reuse any of them.

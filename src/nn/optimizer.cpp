@@ -20,11 +20,9 @@ void SgdOptimizer::step() {
       v[j] = mu * v[j] - lr * (g[j] + wd * w[j]);
       w[j] += v[j];
     }
-    // Direct weight mutation: detach any attached int8 codes (see
-    // Layer::drop_packed_weight) and mark cached activations stale, so
-    // int8/incremental inference never reads pre-step state.
-    if (params[i].owner != nullptr) params[i].owner->drop_packed_weight();
   }
+  // Direct weight mutation: mark cached activations stale, so incremental
+  // inference never reads pre-step state.
   model_.invalidate_from(0);
 }
 

@@ -21,14 +21,6 @@ void Workspace::reserve_team(usize teams) {
     pack_.resize(teams);
     alloc_events_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (qa_.size() < teams) {
-    qa_.resize(teams);
-    alloc_events_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (qx_.size() < teams) {
-    qx_.resize(teams);
-    alloc_events_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace dnnd::nn

@@ -50,7 +50,7 @@ class Workspace {
   /// scratch under the same indices without collisions.
   enum class SlotKind : u32 { kActivation = 0, kGradient = 1, kScratch = 2 };
 
-  Workspace() : col_(1), pack_(1), qa_(1), qx_(1) {}
+  Workspace() : col_(1), pack_(1) {}
 
   /// The (lazily created) tensor slot for (owner, kind, idx). References stay
   /// valid for the workspace lifetime (node-based map). NOT safe to call from
@@ -72,21 +72,6 @@ class Workspace {
   /// buffer because both are live during a lowered convolution.
   float* pack_buffer(usize n, usize team_slot = 0) { return grow(pack_[team_slot], n); }
 
-  /// Quantized-activation buffer of at least `n` int8 codes (the int8 GEMM's
-  /// A operand); same per-team-slot discipline as col_buffer.
-  i8* qa_buffer(usize n, usize team_slot = 0) { return grow(qa_[team_slot], n); }
-
-  /// Quantized-input buffer of at least `n` int8 codes: one conv sample's
-  /// input slice, quantized once, and its zero-bordered code plane, from
-  /// which the int8 gather copies codes. Live alongside qa_buffer (which
-  /// receives the gathered patches), hence a separate table.
-  i8* qx_buffer(usize n, usize team_slot = 0) { return grow(qx_[team_slot], n); }
-
-  /// Int8 weight panel of at least `n` codes (the int8 GEMM's B operand),
-  /// packed from the quantized codes once per forward call. Shared: filled
-  /// before any pool region, read-only inside one.
-  i8* qw_buffer(usize n) { return grow(qw_, n); }
-
   /// Conv2d backward's tap-major gather of the whole batch's input patches
   /// (the dweight GEMM's A operand). Shared, sized outside pool regions;
   /// team slots may fill disjoint column ranges.
@@ -104,15 +89,11 @@ class Workspace {
     return alloc_events_.load(std::memory_order_relaxed);
   }
 
-  /// Total allocated floats across slot tensors and the scratch buffers
-  /// (int8 bytes counted as quarter-floats, rounded up).
+  /// Total allocated floats across slot tensors and the scratch buffers.
   [[nodiscard]] usize slot_capacity() const {
     usize total = 0;
     for (const auto& b : col_) total += b.capacity();
     for (const auto& b : pack_) total += b.capacity();
-    for (const auto& b : qa_) total += (b.capacity() + 3) / 4;
-    for (const auto& b : qx_) total += (b.capacity() + 3) / 4;
-    total += (qw_.capacity() + 3) / 4;
     total += taps_.capacity() + transpose_.capacity();
     for (const auto& [key, t] : slots_) total += t.capacity();
     return total;
@@ -133,8 +114,7 @@ class Workspace {
     }
   };
 
-  template <typename T>
-  T* grow(std::vector<T>& buf, usize n) {
+  float* grow(std::vector<float>& buf, usize n) {
     if (buf.size() < n) {
       buf.resize(n);
       alloc_events_.fetch_add(1, std::memory_order_relaxed);
@@ -145,9 +125,6 @@ class Workspace {
   std::unordered_map<Key, Tensor, KeyHash> slots_;
   std::vector<std::vector<float>> col_;   ///< indexed by team slot
   std::vector<std::vector<float>> pack_;  ///< indexed by team slot
-  std::vector<std::vector<i8>> qa_;       ///< indexed by team slot
-  std::vector<std::vector<i8>> qx_;       ///< indexed by team slot
-  std::vector<i8> qw_;
   std::vector<float> taps_;
   std::vector<float> transpose_;
   std::atomic<usize> alloc_events_{0};

@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "nn/simd.hpp"
-
 namespace dnnd::quant {
 
 namespace detail {
@@ -42,7 +40,6 @@ QuantizedModel::QuantizedModel(nn::Model& model) : model_(model) {
     ql.value = p.value;
     ql.grad = p.grad;
     ql.net_layer = p.top_layer;
-    ql.owner = p.owner;
     const float amax = p.value->abs_max();
     ql.scale = amax > 0.0f ? amax / 127.0f : 1.0f;
     ql.q.resize(p.value->size());
@@ -60,20 +57,6 @@ QuantizedModel::QuantizedModel(nn::Model& model) : model_(model) {
   for (const auto& l : layers_) max_layer_size = std::max(max_layer_size, l.size());
   detail::validate_bit_key_bounds(layers_.size(), max_layer_size);
   materialize();
-  for (auto& l : layers_) attach_pack(l, true);
-}
-
-QuantizedModel::~QuantizedModel() {
-  for (auto& l : layers_) attach_pack(l, false);
-}
-
-void QuantizedModel::attach_pack(QuantizedLayer& l, bool on) {
-  if (l.owner == nullptr) return;
-  if (on) {
-    l.owner->attach_int8_pack({l.q.data(), l.scale, l.act_scale});
-  } else {
-    l.owner->detach_int8_pack(l.q.data());
-  }
 }
 
 u64 QuantizedModel::total_weights() const {
@@ -152,42 +135,6 @@ void QuantizedModel::restore(const std::vector<std::vector<i8>>& snap) {
       set_q(i, j, snap[i][j]);  // no-op (no invalidation) for unchanged codes
     }
   }
-}
-
-void QuantizedModel::calibrate_int8(const nn::Tensor& x) {
-  // One recording pass: point each quantizable layer's activation probe at
-  // its amax accumulator and run a FLOAT forward -- the scales come from
-  // reference numerics, not from a partially-calibrated integer pass. The
-  // pass detaches this model's own int8 codes (a layer without them runs the
-  // float path whatever the DNND_INT8 knob says) instead of switching the
-  // process-global override, which concurrent campaign workers share. Probes
-  // are cleared and the codes re-attached even if the forward throws.
-  auto finish = [&] {
-    for (auto& l : layers_) {
-      if (l.owner != nullptr) l.owner->set_act_probe(nullptr);
-      attach_pack(l, true);
-    }
-  };
-  for (auto& l : layers_) {
-    attach_pack(l, false);
-    if (l.owner != nullptr) l.owner->set_act_probe(&l.act_amax);
-  }
-  try {
-    model_.forward_cached(x);
-  } catch (...) {
-    finish();
-    throw;
-  }
-  for (auto& l : layers_) l.act_scale = l.act_amax > 0.0f ? l.act_amax / 127.0f : 1.0f;
-  finish();  // the re-attached codes carry the frozen act_scale
-  // The recorded activation cache is float-path output; an integer forward
-  // must not be reused by a refresh or a probe.
-  model_.invalidate_from(0);
-  int8_calibrated_ = true;
-}
-
-void QuantizedModel::ensure_int8_calibrated(const nn::Tensor& x) {
-  if (nn::simd::int8_enabled() && !int8_calibrated_) calibrate_int8(x);
 }
 
 u64 QuantizedModel::hamming_distance(const std::vector<std::vector<i8>>& snap) const {

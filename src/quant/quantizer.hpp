@@ -71,41 +71,27 @@ struct QuantizedLayer {
   /// Model::forward_from / probe_row argument that re-evaluates a flip in
   /// this tensor (only layers >= net_layer can see the changed weight).
   usize net_layer = 0;
-  /// The Dense/Conv2d the tensor belongs to (the int8 forward reads `q`
-  /// through it).
-  nn::Layer* owner = nullptr;
 
   /// Weights per output row (in features / in_ch*k*k): code `index` belongs
   /// to output feature / channel index / cols.
   usize cols = 0;
 
-  float act_scale = 0.0f;  ///< calibrated activation scale (0 = uncalibrated)
-  float act_amax = 0.0f;   ///< running input abs-max across calibration passes
-
   [[nodiscard]] usize size() const { return q.size(); }
 };
 
 /// Quantized view over a Model's weight tensors. Owns the integer codes --
-/// the single copy the true-integer forward path reads (each Dense/Conv2d
-/// packs them per call); the float model remains the inference engine (and
-/// stays in sync code-for-code).
+/// the bits the attacks flip; the float model remains the inference engine
+/// (and stays in sync code-for-code).
 ///
 /// Invariant: while a QuantizedModel is alive, every mutation of a quantized
 /// weight tensor must go through it (flip / set_q / restore / materialize) so
 /// codes and floats never diverge. All in-tree mutators (attacks,
-/// ReconstructionGuard, WeightMapping::download) already do; code that writes
-/// the floats directly (Model::load_state, the optimizer) detaches the int8
-/// codes from the layers, so no forward reads codes that no longer match.
-/// The codes' storage never moves after construction (layers hold pointers
-/// into it).
+/// ReconstructionGuard, WeightMapping::download) already do.
 class QuantizedModel {
  public:
-  /// Quantizes all quantizable parameters of `model`, materializes the
-  /// dequantized values into the model (so inference == quantized inference),
-  /// and attaches the int8 codes to the owning Dense/Conv2d layers (read only
-  /// while the DNND_INT8 regime is enabled).
+  /// Quantizes all quantizable parameters of `model` and materializes the
+  /// dequantized values into the model (so inference == quantized inference).
   explicit QuantizedModel(nn::Model& model);
-  ~QuantizedModel();
   QuantizedModel(const QuantizedModel&) = delete;
   QuantizedModel& operator=(const QuantizedModel&) = delete;
 
@@ -156,29 +142,9 @@ class QuantizedModel {
   /// Hamming distance of current codes to a snapshot (total flipped bits).
   [[nodiscard]] u64 hamming_distance(const std::vector<std::vector<i8>>& snap) const;
 
-  /// Freezes static activation scales for the true-integer regime from one
-  /// recording pass: a FLOAT forward over `x` (this model's int8 codes are
-  /// detached for the pass, so no process-global knob is touched and
-  /// concurrent models are unaffected) folds each quantizable layer's input
-  /// abs-max into its accumulator, then act_scale = amax / 127. Accumulates
-  /// across calls, so calibrating on several representative batches only
-  /// widens the range. Re-attaches the codes (with the frozen scales) and
-  /// invalidates the forward cache (the recorded activations are float-path).
-  void calibrate_int8(const nn::Tensor& x);
-
-  /// calibrate_int8(x) once per model, and only when the integer regime is
-  /// actually enabled -- a no-op in the default float regime, so wiring this
-  /// into attacker constructors cannot perturb the byte-gated paths.
-  void ensure_int8_calibrated(const nn::Tensor& x);
-  [[nodiscard]] bool int8_calibrated() const { return int8_calibrated_; }
-
  private:
-  /// Attaches/detaches layer `l`'s codes on its owning Dense/Conv2d.
-  void attach_pack(QuantizedLayer& l, bool on);
-
   nn::Model& model_;
   std::vector<QuantizedLayer> layers_;
-  bool int8_calibrated_ = false;
 };
 
 }  // namespace dnnd::quant

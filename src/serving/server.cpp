@@ -83,11 +83,10 @@ RegimeStats serve_regime(const std::string& name, system::ProtectedSystem& psys,
   u64 digest = plan.digest;
 
   // ----- attacker thread -----------------------------------------------------
-  // The search's constructor runs a forward (and, in the int8 regime, the
-  // activation calibration) on the shared model and workspace, so it is
-  // built here, before any thread starts -- the point where a serial replay
-  // of this loop builds it too. Built on the attacker thread it would race
-  // the server's first evaluate_batch.
+  // The search's constructor runs a forward on the shared model and
+  // workspace, so it is built here, before any thread starts -- the point
+  // where a serial replay of this loop builds it too. Built on the attacker
+  // thread it would race the server's first evaluate_batch.
   std::optional<attack::ProgressiveBitSearch> search;
   if (attack_on) search.emplace(psys.qm(), attack_x, attack_y, attack::BfaConfig{});
   AttackerChannel channel;

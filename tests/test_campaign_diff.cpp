@@ -10,6 +10,7 @@
 #include "harness/campaign_diff.hpp"
 #include "harness/sink.hpp"
 #include "sys/json.hpp"
+#include "sys/rng.hpp"
 
 namespace dnnd::harness {
 namespace {
@@ -106,8 +107,7 @@ TEST(CampaignDiff, AccuracyDeltaBeyondToleranceIsARegression) {
 
 TEST(CampaignDiff, TargetedMetricsGateLikeAccuracies) {
   // attack_success_rate / post_attack_other_acc are eval-batch fractions, so
-  // they gate at acc_tol -- including in final-only (cross-regime) mode, where
-  // a drifted ASR is exactly the kind of outcome change the gate exists for.
+  // they gate at acc_tol.
   auto base = make_campaign();
   base.results[0].attack = "tbfa-1-to-1";
   base.results[0].attack_success_rate = 0.8;
@@ -118,7 +118,6 @@ TEST(CampaignDiff, TargetedMetricsGateLikeAccuracies) {
   const auto strict = diff_campaigns(base, cur);
   EXPECT_FALSE(strict.ok());
   EXPECT_NE(strict.to_string().find("attack_success_rate"), std::string::npos);
-  EXPECT_FALSE(diff_campaigns(base, cur, DiffConfig{.final_only = true}).ok());
   EXPECT_TRUE(diff_campaigns(base, cur, DiffConfig{.acc_tol = 0.25}).ok());
 
   auto stealth = base;
@@ -138,6 +137,12 @@ TEST(CampaignDiff, FlipCountDeltaHonorsTolerance) {
   EXPECT_TRUE(tolerant.ok());
   ASSERT_EQ(tolerant.deltas.size(), 1u);
   EXPECT_EQ(tolerant.deltas[0].flip_delta, 3);
+
+  // The attack counters gate on the same tolerance.
+  auto drift = base;
+  drift.results[1].attempts = 42;
+  EXPECT_FALSE(diff_campaigns(base, drift).ok());
+  EXPECT_TRUE(diff_campaigns(base, drift, DiffConfig{.flip_tol = 42}).ok());
 }
 
 TEST(CampaignDiff, FlipsSpellingChangeIsARegressionAtZeroTolerance) {
@@ -177,48 +182,6 @@ TEST(CampaignDiff, OkFlagFlipAndTraceDivergenceAreRegressions) {
   traced_cur.results[0].trace.push_back(0.1);
   // A length mismatch is structural: no accuracy tolerance excuses it.
   EXPECT_FALSE(diff_campaigns(traced_base, traced_cur, DiffConfig{.acc_tol = 0.25}).ok());
-}
-
-TEST(CampaignDiff, FinalOnlyGatesAccuracyButNotPathShape) {
-  // Cross-regime mode (int8 vs float baseline): flip spellings, counters, and
-  // trace shape -- including LENGTH -- become informational; ok status and
-  // clean/post accuracy still gate at acc_tol.
-  auto base = make_campaign();
-  base.results[0].trace = {0.9, 0.5, 0.2};
-  auto cur = base;
-  cur.results[0].flips = "9";                // different spelling AND count
-  cur.results[0].trace = {0.9, 0.6};         // different length
-  cur.results[1].attempts = 42;              // counter drift
-  const auto strict = diff_campaigns(base, cur);
-  EXPECT_FALSE(strict.ok());
-  const auto final_only = diff_campaigns(base, cur, DiffConfig{.final_only = true});
-  EXPECT_TRUE(final_only.ok());
-  EXPECT_FALSE(final_only.deltas.empty());  // still reported as notes
-
-  // Accuracy beyond tolerance still regresses in final-only mode...
-  auto worse = cur;
-  worse.results[0].post_accuracy = 0.05;
-  EXPECT_FALSE(
-      diff_campaigns(base, worse, DiffConfig{.acc_tol = 0.1, .final_only = true}).ok());
-  // ...and so does a scenario that started failing.
-  auto broken = cur;
-  broken.results[0].ok = false;
-  broken.results[0].error = "boom";
-  EXPECT_FALSE(diff_campaigns(base, broken, DiffConfig{.final_only = true}).ok());
-}
-
-TEST(CampaignFromJson, Int8MarkerRoundTripsAndDefaultsOff) {
-  // Default-regime documents carry no marker (byte-stability of committed
-  // baselines); a marked document round-trips the flag.
-  auto base = make_campaign();
-  EXPECT_EQ(base.to_json().find("int8"), std::string::npos);
-  base.int8_regime = true;
-  const std::string json = base.to_json();
-  EXPECT_NE(json.find("\"int8\":true"), std::string::npos);
-  const auto reloaded = campaign_from_json(json);
-  EXPECT_TRUE(reloaded.int8_regime);
-  EXPECT_EQ(reloaded.to_json(), json);
-  EXPECT_FALSE(campaign_from_json(make_campaign().to_json()).int8_regime);
 }
 
 TEST(CampaignDiff, MissingScenariosRespectIgnoreMissing) {
@@ -293,6 +256,66 @@ TEST(CampaignFromJson, StrictLoaderRejectsTruncatedOrMissingFieldDocuments) {
   // Outright truncation is a parse error, not a partial load.
   const std::string full = make_campaign().to_json();
   EXPECT_THROW(campaign_from_json(full.substr(0, full.size() / 2)), sys::JsonParseError);
+}
+
+TEST(CampaignFromJson, UnknownTopLevelKeysAreRejected) {
+  // A key to_json never writes -- a regime marker from an older writer, a
+  // typo -- fails loudly instead of loading as a plain campaign.
+  for (const char* doc : {R"({"int8":true,"scenarios":[]})", R"({"extra":1,"scenarios":[]})"}) {
+    EXPECT_THROW(campaign_from_json(doc), sys::JsonParseError) << doc;
+  }
+  try {
+    (void)campaign_from_json(R"({"extra":1,"scenarios":[]})");
+  } catch (const sys::JsonParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("\"extra\""), std::string::npos) << e.what();
+  }
+  EXPECT_NO_THROW((void)campaign_from_json(R"({"scenarios":[]})"));
+}
+
+TEST(CampaignFromJson, SeededMutantsOfTheGoldenThrowOrRoundTrip) {
+  // Loader robustness over the committed golden: every truncated,
+  // byte-flipped or spliced mutant either fails with JsonParseError or loads
+  // to a campaign whose to_json() reloads to the same bytes. Any other
+  // exception is a loader bug; the sanitizer builds run this too.
+  std::ifstream in(std::string(DNND_SOURCE_DIR) + "/tests/data/tiny_grid_baseline.json",
+                   std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string golden = ss.str();
+  ASSERT_FALSE(golden.empty());
+
+  sys::Rng rng(20240601);
+  usize thrown = 0, loaded = 0;
+  for (usize i = 0; i < 2000; ++i) {
+    std::string m = golden;
+    const usize n = m.size();
+    switch (i % 3) {
+      case 0:  // truncate
+        m.resize(rng.uniform(n));
+        break;
+      case 1:  // flip one to four bytes by a nonzero mask
+        for (u64 f = 1 + rng.uniform(4); f > 0; --f) {
+          m[rng.uniform(n)] ^= static_cast<char>(1 + rng.uniform(255));
+        }
+        break;
+      default: {  // splice a span of the document over (or into) another spot
+        const std::string span = m.substr(rng.uniform(n), 1 + rng.uniform(64));
+        m.replace(rng.uniform(n), rng.uniform(span.size() + 1), span);
+        break;
+      }
+    }
+    try {
+      const std::string once = campaign_from_json(m).to_json();
+      EXPECT_EQ(campaign_from_json(once).to_json(), once) << "mutant " << i;
+      ++loaded;
+    } catch (const sys::JsonParseError&) {
+      ++thrown;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw a non-parse error: " << e.what();
+    }
+  }
+  EXPECT_GT(thrown, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST(CampaignFromJson, TimingFieldsAreRequiredAsAUnit) {

@@ -317,265 +317,6 @@ TEST(Gemm, AutoThreadsFollowsEnvChangesMidProcess) {
   }
 }
 
-TEST(Gemm, Int8PanelLayout) {
-  // pack_b_q8 must place code (n, k) in 8-row panels of 4-code k-quads: row
-  // n's quad k/4 sits at line k/4 of panel n/8, slot n%8, zero-padded past
-  // the K remainder and the ragged last panel -- the layout the int8
-  // microkernels read.
-  sys::Rng rng(112);
-  for (int trial = 0; trial < 20; ++trial) {
-    const usize N = 1 + rng.uniform(40), K = 1 + rng.uniform(60);
-    const usize K4 = gemm::padded_k_int8(K);
-    std::vector<i8> q(N * K);
-    for (auto& v : q) v = static_cast<i8>(static_cast<int>(rng.uniform(256)) - 128);
-
-    const usize size = gemm::packed_b_int8_size(N, K);
-    ASSERT_EQ(size, (N + 7) / 8 * 8 * K4);
-    std::vector<i8> panel(size, i8{-1});
-    gemm::pack_b_q8(q.data(), N, K, panel.data());
-    for (usize n = 0; n < (N + 7) / 8 * 8; ++n) {
-      for (usize k = 0; k < K4; ++k) {
-        const usize at = (n / 8) * 8 * K4 + (k / 4) * 32 + (n % 8) * 4 + k % 4;
-        ASSERT_EQ(panel[at], n < N && k < K ? q[n * K + k] : i8{0})
-            << "trial " << trial << " n=" << n << " k=" << k;
-      }
-    }
-  }
-}
-
-namespace {
-
-/// Random codes with the extreme -128 value forced in (the maddubs-style
-/// kernel's hardest case: |w| = 128 only fits the unsigned operand).
-std::vector<i8> random_codes(usize n, sys::Rng& rng) {
-  std::vector<i8> q(n);
-  for (auto& v : q) v = static_cast<i8>(static_cast<int>(rng.uniform(256)) - 128);
-  q[rng.uniform(n)] = i8{-128};
-  return q;
-}
-
-}  // namespace
-
-TEST(Gemm, Int8GemmMatchesIntegerReferenceExactly) {
-  // gemm_nt_int8 against a naive int accumulation with the identical
-  // requantization epilogue: int32 accumulators make the comparison EXACT
-  // (ASSERT_EQ on floats), not a tolerance.
-  SimdGuard guard;
-  sys::Rng rng(113);
-  for (int trial = 0; trial < 30; ++trial) {
-    const usize M = 1 + rng.uniform(20), N = 1 + rng.uniform(33), K = 1 + rng.uniform(70);
-    const usize K4 = gemm::padded_k_int8(K);
-    Tensor a({M, K}), bias({N});
-    fill_random(a, rng);
-    fill_random(bias, rng);
-    const std::vector<i8> q = random_codes(N * K, rng);
-    std::vector<i8> panel(gemm::packed_b_int8_size(N, K));
-    gemm::pack_b_q8(q.data(), N, K, panel.data());
-
-    const float sa = gemm::activation_scale(a.data(), M, K, K);
-    std::vector<i8> qa(M * K4);
-    gemm::quantize_activations(a.data(), M, K, K, sa, qa.data());
-    const float requant = sa * 0.01f;
-    const gemm::Bias kind = trial % 4 == 0 ? gemm::Bias::kNone : gemm::Bias::kPerCol;
-
-    Tensor c({M, N});
-    c.fill(-999.0f);  // stale sentinel: every element must be written
-    gemm::gemm_nt_int8(M, N, K, qa.data(), panel.data(), c.data(), N, 1, bias.data(), kind,
-                       requant);
-
-    for (usize m = 0; m < M; ++m) {
-      for (usize n = 0; n < N; ++n) {
-        i32 acc = 0;
-        for (usize k = 0; k < K; ++k) {
-          acc += static_cast<i32>(qa[gemm::packed_a_q8_index(m, k, M)]) *
-                 static_cast<i32>(q[n * K + k]);
-        }
-        const float expect = static_cast<float>(acc) * requant +
-                             (kind == gemm::Bias::kPerCol ? bias[n] : 0.0f);
-        ASSERT_EQ(c.at2(m, n), expect)
-            << "trial " << trial << " m=" << m << " n=" << n << " K=" << K;
-      }
-    }
-  }
-}
-
-TEST(Gemm, Int8SimdMatchesScalarByteExactOverRandomShapes) {
-  // The int8 tentpole's byte gate: the AVX2 maddubs-style kernel and the
-  // scalar reference must agree byte-for-byte (integer accumulation is
-  // exact -- ANY difference is a kernel bug, including s16 pair-sum
-  // saturation, which the activation clamp to [-127, 127] rules out).
-  SimdGuard guard;
-  sys::Rng rng(114);
-  for (int trial = 0; trial < 40; ++trial) {
-    const usize M = 1 + rng.uniform(40), N = 1 + rng.uniform(40), K = 1 + rng.uniform(200);
-    const usize K4 = gemm::padded_k_int8(K);
-    Tensor a({M, K}), bias({N});
-    fill_random(a, rng);
-    fill_random(bias, rng);
-    const std::vector<i8> q = random_codes(N * K, rng);
-    std::vector<i8> panel(gemm::packed_b_int8_size(N, K));
-    gemm::pack_b_q8(q.data(), N, K, panel.data());
-    const float sa = gemm::activation_scale(a.data(), M, K, K);
-    std::vector<i8> qa(M * K4);
-    gemm::quantize_activations(a.data(), M, K, K, sa, qa.data());
-    const gemm::Bias kind = trial % 4 == 0 ? gemm::Bias::kNone : gemm::Bias::kPerCol;
-
-    simd::set_scalar_override(1);
-    Tensor scalar({M, N});
-    gemm::gemm_nt_int8(M, N, K, qa.data(), panel.data(), scalar.data(), N, 1, bias.data(),
-                       kind, 0.003f);
-
-    simd::set_scalar_override(0);
-    Tensor vectored({M, N});
-    vectored.fill(-999.0f);
-    gemm::gemm_nt_int8(M, N, K, qa.data(), panel.data(), vectored.data(), N, 1, bias.data(),
-                       kind, 0.003f);
-    expect_bitwise_equal(vectored, scalar,
-                         "int8 simd trial " + std::to_string(trial) + " M=" +
-                             std::to_string(M) + " N=" + std::to_string(N) + " K=" +
-                             std::to_string(K));
-  }
-}
-
-TEST(Gemm, Int8ThreadedMatchesSerialByteExact) {
-  // Both partition regimes (row chunks and panel chunks): int32 addition is
-  // associative, so any split is exactly transparent -- byte-gated here.
-  ThreadsGuard guard;
-  sys::Rng rng(115);
-  const usize hw = std::max<usize>(1, std::thread::hardware_concurrency());
-  for (int trial = 0; trial < 16; ++trial) {
-    usize M, N, K;
-    if (trial % 3 == 0) {
-      M = 1 + rng.uniform(3);  // fewer rows than any team: panel split
-      N = 24 + rng.uniform(80);
-      K = 128 + rng.uniform(256);
-    } else {
-      M = 9 + rng.uniform(120);  // row split, ragged vs the 8-row tile
-      N = 1 + rng.uniform(40);
-      K = 16 + rng.uniform(96);
-    }
-    const usize K4 = gemm::padded_k_int8(K);
-    Tensor a({M, K}), bias({N});
-    fill_random(a, rng);
-    fill_random(bias, rng);
-    const std::vector<i8> q = random_codes(N * K, rng);
-    std::vector<i8> panel(gemm::packed_b_int8_size(N, K));
-    gemm::pack_b_q8(q.data(), N, K, panel.data());
-    const float sa = gemm::activation_scale(a.data(), M, K, K);
-    std::vector<i8> qa(M * K4);
-    gemm::quantize_activations(a.data(), M, K, K, sa, qa.data());
-
-    gemm::set_threads(1);
-    Tensor serial({M, N});
-    gemm::gemm_nt_int8(M, N, K, qa.data(), panel.data(), serial.data(), N, 1, bias.data(),
-                       gemm::Bias::kPerCol, 0.005f);
-    for (const usize teams : {usize{2}, usize{4}, hw}) {
-      gemm::set_threads(teams);
-      Tensor threaded({M, N});
-      threaded.fill(-999.0f);
-      gemm::gemm_nt_int8(M, N, K, qa.data(), panel.data(), threaded.data(), N, 1,
-                         bias.data(), gemm::Bias::kPerCol, 0.005f);
-      expect_bitwise_equal(threaded, serial,
-                           "int8 teams=" + std::to_string(teams) + " trial " +
-                               std::to_string(trial));
-    }
-  }
-}
-
-TEST(Gemm, Int8Conv2dForwardMatchesIntegerReference) {
-  // The int8 Conv2d forward (code gather + quad interleave + int8 GEMM) and
-  // its one-row probe kernel against a naive integer convolution: each
-  // sample's input quantized at the forward's scale, an int32 dot over the
-  // taps with padding read as code 0, then the epilogue
-  // float(acc) * requant + bias. Random geometry plus fixed shapes for each
-  // gather regime: stride 2, ow > 16, and padded planes over 8 KB.
-  SimdGuard simd_guard;
-  ThreadsGuard threads_guard;
-  simd::set_int8_override(1);
-  struct Shape {
-    usize in_ch, out_ch, k, stride, pad, h, w, n;
-  };
-  sys::Rng rng(116);
-  std::vector<Shape> shapes = {
-      {8, 5, 3, 1, 1, 32, 32, 2},   // ow = 32, plane 8 x 34 x 34 > 8 KB
-      {100, 3, 3, 1, 1, 10, 10, 1}, // ow = 10, plane 100 x 12 x 12 > 8 KB
-      {3, 7, 3, 2, 1, 20, 19, 3},   // stride 2, odd width
-      {5, 9, 1, 2, 0, 9, 9, 2},     // 1x1 stride 2, no padding
-  };
-  for (int trial = 0; trial < 24; ++trial) {
-    const usize k = 1 + rng.uniform(3);
-    const usize pad = rng.uniform(k + 1);
-    usize h = 3 + rng.uniform(18), w = 3 + rng.uniform(18);
-    if (h + 2 * pad < k) h = k;
-    if (w + 2 * pad < k) w = k;
-    shapes.push_back({1 + rng.uniform(12), 1 + rng.uniform(12), k, 1 + rng.uniform(2), pad, h,
-                      w, trial % 3 == 0 ? usize{1} : 2 + rng.uniform(3)});
-  }
-  for (usize si = 0; si < shapes.size(); ++si) {
-    const Shape& s = shapes[si];
-    Conv2d c(s.in_ch, s.out_ch, s.k, s.stride, s.pad, rng);
-    fill_random(c.bias, rng);
-    Tensor x({s.n, s.in_ch, s.h, s.w});
-    fill_random(x, rng);
-    const usize K = s.in_ch * s.k * s.k, chw = s.in_ch * s.h * s.w;
-    const usize oh = c.out_size(s.h), ow = c.out_size(s.w), P = oh * ow;
-    const std::vector<i8> q = random_codes(s.out_ch * K, rng);
-    const float weight_scale = 0.01f;
-    for (const bool calibrated : {false, true}) {
-      // A calibrated scale below the input's amax / 127, so some codes clamp.
-      const float act_scale = calibrated ? 0.7f * x.abs_max() / 127.0f : 0.0f;
-      c.attach_int8_pack({q.data(), weight_scale, act_scale});
-      Tensor ref({s.n, s.out_ch, oh, ow});
-      std::vector<i8> xq(gemm::padded_k_int8(chw));
-      for (usize b = 0; b < s.n; ++b) {
-        const float* xb = x.data() + b * chw;
-        const float sa = calibrated ? act_scale : gemm::activation_scale(xb, 1, chw, chw);
-        gemm::quantize_activations(xb, 1, chw, chw, sa, xq.data());
-        const float requant = sa * weight_scale;
-        for (usize oc = 0; oc < s.out_ch; ++oc) {
-          for (usize p = 0; p < P; ++p) {
-            i32 acc = 0;
-            for (usize kk = 0; kk < K; ++kk) {
-              const usize ic = kk / (s.k * s.k), ki = kk / s.k % s.k, kj = kk % s.k;
-              const isize pad = static_cast<isize>(s.pad);
-              const isize hi = static_cast<isize>(p / ow * s.stride + ki) - pad;
-              const isize wj = static_cast<isize>(p % ow * s.stride + kj) - pad;
-              if (hi < 0 || hi >= static_cast<isize>(s.h) || wj < 0 ||
-                  wj >= static_cast<isize>(s.w)) {
-                continue;  // padding: code 0
-              }
-              const usize at = (ic * s.h + static_cast<usize>(hi)) * s.w + static_cast<usize>(wj);
-              acc += i32{xq[at]} * i32{q[oc * K + kk]};
-            }
-            ref[(b * s.out_ch + oc) * P + p] = static_cast<float>(acc) * requant + c.bias[oc];
-          }
-        }
-      }
-      const std::string what =
-          "shape " + std::to_string(si) + " ic=" + std::to_string(s.in_ch) + " oc=" +
-          std::to_string(s.out_ch) + " k=" + std::to_string(s.k) + " s=" +
-          std::to_string(s.stride) + " p=" + std::to_string(s.pad) + " h=" +
-          std::to_string(s.h) + " w=" + std::to_string(s.w) + " n=" + std::to_string(s.n) +
-          (calibrated ? " calibrated" : " uncalibrated");
-      for (const usize teams : {usize{1}, usize{4}}) {
-        gemm::set_threads(teams);
-        expect_bitwise_equal(c.forward(x, false), ref,
-                             "int8 conv teams=" + std::to_string(teams) + " " + what);
-      }
-      const usize row = rng.uniform(s.out_ch);
-      Workspace ws;
-      Tensor y_row;
-      ASSERT_TRUE(c.forward_row_into(x, row, y_row, ws));
-      for (usize b = 0; b < s.n; ++b) {
-        ASSERT_EQ(0, std::memcmp(y_row.data() + b * P, ref.data() + (b * s.out_ch + row) * P,
-                                 P * sizeof(float)))
-            << "int8 row " << row << " sample " << b << " " << what;
-      }
-      c.detach_int8_pack(q.data());
-    }
-  }
-}
-
 // ----- accumulate mode and the backward lowering ----------------------------
 
 TEST(Gemm, AccumulateModeMatchesScalarOracle) {

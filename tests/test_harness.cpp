@@ -35,11 +35,9 @@ GridSpec mini_axes_spec() {
   return spec;
 }
 
-/// A committed tiny-grid golden, raw bytes (newline-terminated sink form):
-/// the float regime's by default, the int8 regime's with
-/// "tiny_grid_int8_baseline.json".
-std::string read_golden_text(const std::string& file = "tiny_grid_baseline.json") {
-  const std::string path = std::string(DNND_SOURCE_DIR) + "/tests/data/" + file;
+/// The committed tiny-grid golden, raw bytes (newline-terminated sink form).
+std::string read_golden_text() {
+  const std::string path = std::string(DNND_SOURCE_DIR) + "/tests/data/tiny_grid_baseline.json";
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in) << "missing baseline " << path;
   std::ostringstream ss;
@@ -407,26 +405,6 @@ TEST(Campaign, GoldenBaselineStableUnderForcedScalarSimd) {
   const auto res = runner.run(tiny_test_grid());
   for (const auto& r : res.results) ASSERT_TRUE(r.ok) << r.id << ": " << r.error;
   EXPECT_EQ(res.to_json() + "\n", golden);
-}
-
-// The int8 regime has its own committed golden, and it is deterministic:
-// int8 calibration must touch no process-global state, so concurrent workers
-// running int8 forwards while another worker calibrates still produce the
-// bytes of a single-worker run, every time.
-TEST(Campaign, Int8RegimeDeterministicAcrossWorkers) {
-  const testutil::SimdGuard guard;
-  nn::simd::set_int8_override(1);
-  const auto grid = tiny_test_grid();
-  CampaignRunner serial(CampaignConfig{.threads = 1});
-  const auto base = serial.run(grid);
-  for (const auto& r : base.results) ASSERT_TRUE(r.ok) << r.id << ": " << r.error;
-  const std::string base_json = base.to_json();
-  EXPECT_EQ(base_json + "\n", read_golden_text("tiny_grid_int8_baseline.json"));
-  for (int run = 0; run < 2; ++run) {
-    CampaignRunner runner(CampaignConfig{.threads = 4});
-    EXPECT_EQ(runner.run(grid).to_json(), base_json) << "4-worker run " << run;
-  }
-  EXPECT_EQ(nn::simd::int8_override(), 1) << "calibration leaked an override change";
 }
 
 TEST(Campaign, RepeatedRunsOnWarmCacheAreIdentical) {

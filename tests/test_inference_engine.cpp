@@ -1,6 +1,6 @@
 // Inference-engine behaviour: the probes (dense forward_from and the
 // channel-sparse QuantizedModel::probe) are bitwise identical to a full fresh
-// forward for a flip in ANY layer, in every numeric regime and across
+// forward for a flip in ANY layer, on the SIMD and the scalar kernels, across
 // arbitrary flip/unflip/restore sequences, and never write the clean
 // activation cache; the incremental evaluation helpers match their full-pass
 // counterparts, results are byte-identical at every GEMM team size, the
@@ -230,29 +230,15 @@ std::unique_ptr<Model> make_strided(sys::Rng& rng, usize k, usize stride, usize 
   return m;
 }
 
-enum class Regime { kFloat, kScalar, kInt8, kInt8Uncalibrated };
-
-const char* regime_name(Regime r) {
-  switch (r) {
-    case Regime::kFloat: return "float";
-    case Regime::kScalar: return "scalar";
-    case Regime::kInt8: return "int8";
-    case Regime::kInt8Uncalibrated: return "int8-uncalibrated";
-  }
-  return "?";
-}
-
 /// Prices `probes` random flips (a sign bit every third one) with
 /// QuantizedModel::probe over ONE clean cache, and compares each probe's
 /// logits byte for byte with a twin's fresh full forward of the flipped
 /// model. `make` builds the same weights on every call.
 template <typename Make>
-void expect_probes_match_twin(Make make, const Tensor& x, Regime regime, int probes,
+void expect_probes_match_twin(Make make, const Tensor& x, bool scalar, int probes,
                               u64 seed, const std::string& what) {
   testutil::SimdGuard guard;
-  simd::set_scalar_override(regime == Regime::kScalar ? 1 : 0);
-  simd::set_int8_override(regime == Regime::kInt8 || regime == Regime::kInt8Uncalibrated ? 1
-                                                                                         : 0);
+  simd::set_scalar_override(scalar ? 1 : 0);
   auto probed = make();
   auto twin = make();
   // Identical non-zero biases, BatchNorm affine parameters and running
@@ -269,10 +255,6 @@ void expect_probes_match_twin(Make make, const Tensor& x, Regime regime, int pro
   }
   quant::QuantizedModel qm(*probed);
   quant::QuantizedModel qm_twin(*twin);
-  if (regime == Regime::kInt8) {
-    qm.calibrate_int8(x);
-    qm_twin.calibrate_int8(x);
-  }
   probed->forward_cached(x);
   sys::Rng order(seed);
   for (int p = 0; p < probes; ++p) {
@@ -285,7 +267,7 @@ void expect_probes_match_twin(Make make, const Tensor& x, Regime regime, int pro
     qm_twin.flip(loc);
     const Tensor& full = twin->forward_cached(x);
     EXPECT_TRUE(bitwise_equal(logits, full))
-        << what << " " << regime_name(regime) << " probe " << p << " layer " << l
+        << what << (scalar ? " scalar" : " simd") << " probe " << p << " layer " << l
         << " index " << index << " bit " << bit;
     qm_twin.flip(loc);
   }
@@ -299,18 +281,17 @@ TEST(SparseProbe, MatchesFullForwardOnRandomFlips) {
   Tensor odd({3, 2, 7, 7});
   for (usize i = 0; i < odd.size(); ++i) odd[i] = static_cast<float>(xrng.normal(0.0, 1.0));
 
-  for (const Regime regime :
-       {Regime::kFloat, Regime::kScalar, Regime::kInt8, Regime::kInt8Uncalibrated}) {
+  for (const bool scalar : {false, true}) {
     for (const char* arch : {"vgg11", "resnet20"}) {
       expect_probes_match_twin([&] { return models::make_by_name(arch, 10, /*seed=*/7); }, img,
-                               regime, 40, 71, arch);
+                               scalar, 40, 71, arch);
     }
     expect_probes_match_twin(
         [] {
           sys::Rng rng(72);
           return make_conv_dense(rng);
         },
-        small, regime, 40, 73, "conv_dense");
+        small, scalar, 40, 73, "conv_dense");
     for (const auto& [k, stride, pad] : {std::tuple<usize, usize, usize>{3, 2, 1},
                                          {1, 2, 0}, {3, 1, 0}, {2, 3, 1}}) {
       expect_probes_match_twin(
@@ -318,7 +299,7 @@ TEST(SparseProbe, MatchesFullForwardOnRandomFlips) {
             sys::Rng rng(74);
             return make_strided(rng, k, stride, pad);
           },
-          odd, regime, 20, 75,
+          odd, scalar, 20, 75,
           "strided k" + std::to_string(k) + " s" + std::to_string(stride) + " p" +
               std::to_string(pad));
     }
@@ -379,64 +360,47 @@ TEST(SparseProbe, LeavesCleanCacheUntouched) {
   }
 }
 
-TEST(FusedInt8, ProbeForwardMatchesMaterializedPathAcrossRandomFlips) {
+TEST(ForwardFrom, MatchesMaterializedPathAcrossRandomFlips) {
   // Out-of-order flip/unflip sequences ride forward_from over a deliberately
   // dirty cache, and the diff-aware restore lands back on a snapshot. Every
   // probe must be byte-identical to a full forward_cached of a twin rebuilt
-  // from the same codes by a full materialize() pass. Run in both regimes:
-  // in int8 it pins that flip/restore write exactly the codes the integer
-  // forward reads.
-  testutil::SimdGuard guard;
-  for (const int int8 : {0, 1}) {
-    simd::set_int8_override(int8);
-    const std::string regime = int8 != 0 ? "int8" : "float";
-    sys::Rng rng(51);
-    auto model = make_conv_dense(rng);
-    sys::Rng xrng(52);
-    const Tensor x = random_input(3, xrng);
-    quant::QuantizedModel qm(*model);
-    qm.ensure_int8_calibrated(x);
-    ASSERT_EQ(qm.int8_calibrated(), int8 != 0);
-    auto rebuilt_forward = [&] {
-      sys::Rng twin_rng(51);
-      auto twin = make_conv_dense(twin_rng);
-      quant::QuantizedModel twin_qm(*twin);
-      for (usize l = 0; l < twin_qm.num_layers(); ++l) {
-        quant::QuantizedLayer& tl = twin_qm.layer(l);
-        tl.q = qm.layer(l).q;
-        // The twin's layers read these codes with qm's frozen scales, attached
-        // here, so the reference does not depend on how QuantizedModel hands
-        // its codes to the layers.
-        tl.owner->attach_int8_pack({tl.q.data(), tl.scale, qm.layer(l).act_scale});
-      }
-      twin_qm.materialize();
-      Tensor logits = twin->forward_cached(x);
-      return logits;
-    };
-    const auto clean = qm.snapshot();
-    const Tensor clean_logits = model->forward_cached(x);
-    EXPECT_TRUE(bitwise_equal(clean_logits, rebuilt_forward())) << regime;
+  // from the same codes by a full materialize() pass.
+  sys::Rng rng(51);
+  auto model = make_conv_dense(rng);
+  sys::Rng xrng(52);
+  const Tensor x = random_input(3, xrng);
+  quant::QuantizedModel qm(*model);
+  auto rebuilt_forward = [&] {
+    sys::Rng twin_rng(51);
+    auto twin = make_conv_dense(twin_rng);
+    quant::QuantizedModel twin_qm(*twin);
+    for (usize l = 0; l < twin_qm.num_layers(); ++l) twin_qm.layer(l).q = qm.layer(l).q;
+    twin_qm.materialize();
+    Tensor logits = twin->forward_cached(x);
+    return logits;
+  };
+  const auto clean = qm.snapshot();
+  const Tensor clean_logits = model->forward_cached(x);
+  EXPECT_TRUE(bitwise_equal(clean_logits, rebuilt_forward()));
 
-    sys::Rng order(53);
-    for (int probe = 0; probe < 16; ++probe) {
-      const usize l = order.uniform(qm.num_layers());
-      const quant::BitLocation loc{l, order.uniform(qm.layer(l).size()),
-                                   static_cast<u32>(order.uniform(8))};
-      qm.flip(loc);
-      const Tensor probed = model->forward_from(qm.layer(l).net_layer);
-      EXPECT_TRUE(bitwise_equal(probed, rebuilt_forward()))
-          << regime << " probe " << probe << " layer " << l;
-      if (probe % 3 != 0) qm.flip(loc);  // leave some flips committed, unflip the rest
-    }
-    // Restore-to-snapshot rewrites only the committed codes and invalidates
-    // from the earliest one; re-forwarding from the frontier must land on
-    // the clean logits again.
-    ASSERT_GT(qm.hamming_distance(clean), 0u);
-    qm.restore(clean);
-    const Tensor restored = model->forward_from(model->net().layer_count());
-    EXPECT_TRUE(bitwise_equal(restored, clean_logits)) << regime;
-    EXPECT_TRUE(bitwise_equal(restored, rebuilt_forward())) << regime;
+  sys::Rng order(53);
+  for (int probe = 0; probe < 16; ++probe) {
+    const usize l = order.uniform(qm.num_layers());
+    const quant::BitLocation loc{l, order.uniform(qm.layer(l).size()),
+                                 static_cast<u32>(order.uniform(8))};
+    qm.flip(loc);
+    const Tensor probed = model->forward_from(qm.layer(l).net_layer);
+    EXPECT_TRUE(bitwise_equal(probed, rebuilt_forward())) << "probe " << probe << " layer " << l;
+    if (probe % 3 != 0) qm.flip(loc);  // leave some flips committed, unflip the rest
   }
+  // Restore-to-snapshot rewrites only the committed codes and invalidates
+  // from the earliest one; re-forwarding from the frontier must land on
+  // the clean logits again.
+  ASSERT_GT(qm.hamming_distance(clean), 0u);
+  qm.restore(clean);
+  const Tensor restored = model->forward_from(model->net().layer_count());
+  EXPECT_TRUE(bitwise_equal(restored, clean_logits));
+  EXPECT_TRUE(bitwise_equal(restored, rebuilt_forward()));
 }
 
 TEST(IncrementalEval, MatchesFullEvaluationAfterFlipBursts) {
@@ -656,14 +620,10 @@ TEST(Workspace, LayersKeepNoForwardState) {
   }
 }
 
-TEST(FusedInt8, LoadStateDetachesInt8CodesInsteadOfGoingStale) {
+TEST(ModelState, LoadStateUnderQuantizedModelReadsRestoredWeights) {
   // Direct weight mutation bypassing the QuantizedModel (Model::load_state)
-  // must not leave inference reading int8 codes that no longer match the
-  // floats: the guard detaches the codes and invalidates the cache, so both
-  // the plain forward and the incremental evaluation honor the restored
-  // weights. The int8 regime is on, so codes left attached would be used.
-  testutil::SimdGuard guard;
-  simd::set_int8_override(1);
+  // invalidates the cache, so both the plain forward and the incremental
+  // evaluation honor the restored float weights.
   sys::Rng rng(64);
   auto m = make_conv_dense(rng);
   sys::Rng xrng(65);
@@ -673,11 +633,11 @@ TEST(FusedInt8, LoadStateDetachesInt8CodesInsteadOfGoingStale) {
   const Tensor clean_logits = m->forward_cached(x);
   const double clean_loss = m->evaluate_batch(x, y).loss;
 
-  quant::QuantizedModel qm(*m);  // attaches int8 codes, quantizes the weights
+  quant::QuantizedModel qm(*m);  // quantizes the weights
   m->evaluate_batch_incremental(x, y);  // cache now holds quantized activations
   m->load_state(clean);
   EXPECT_TRUE(bitwise_equal(m->forward_cached(x), clean_logits))
-      << "forward read stale int8 codes after load_state";
+      << "forward read the quantized weights after load_state";
   EXPECT_EQ(m->evaluate_batch_incremental(x, y).loss, clean_loss)
       << "incremental evaluation reused a stale cache after load_state";
 }

@@ -1,15 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "models/model_zoo.hpp"
-#include "nn/gemm.hpp"
-#include "nn/simd.hpp"
 #include "quant/bit_gradient.hpp"
 #include "quant/quantizer.hpp"
-#include "test_util.hpp"
 
 namespace dnnd::quant {
 namespace {
@@ -235,38 +231,9 @@ TEST(BitKeyBounds, ValidatesPackingLimits) {
                std::length_error);
 }
 
-// --------------------------------------------------- int8 rounding edges --
+// ------------------------------------------------ weight quantization --
 
-TEST(Int8Rounding, ActivationQuantizationEdges) {
-  // Symmetric activation quantization at scale 1.0: saturation clamps to
-  // +-127 (NOT -128 -- the kernel's no-saturation proof needs |a| <= 127),
-  // round-half ties go away from zero (lround), and the packed K remainder
-  // is zeroed so padded quads contribute exactly nothing.
-  const float src[5] = {200.0f, -0.5f, 1.5f, 0.49f, -200.0f};
-  i8 out[8];
-  std::memset(out, 99, sizeof(out));
-  nn::gemm::quantize_activations(src, 1, 5, 5, 1.0f, out);
-  EXPECT_EQ(out[0], 127);
-  EXPECT_EQ(out[1], -1);
-  EXPECT_EQ(out[2], 2);
-  EXPECT_EQ(out[3], 0);
-  EXPECT_EQ(out[4], -127);
-  ASSERT_EQ(nn::gemm::padded_k_int8(5), 8u);
-  for (usize k = 5; k < 8; ++k) EXPECT_EQ(out[k], 0) << "pad byte " << k;
-}
-
-TEST(Int8Rounding, AllZeroScaleGuard) {
-  // An all-zero operand must not divide by zero: the scale guard returns 1.0
-  // and the quantized codes are all zero.
-  const float zeros[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-  EXPECT_EQ(nn::gemm::activation_scale(zeros, 1, 4, 4), 1.0f);
-  i8 out[4];
-  std::memset(out, 55, sizeof(out));
-  nn::gemm::quantize_activations(zeros, 1, 4, 4, 1.0f, out);
-  for (const i8 v : out) EXPECT_EQ(v, 0);
-}
-
-TEST(Int8Rounding, WeightRoundHalfTiesAwayFromZero) {
+TEST(WeightQuantization, RoundHalfTiesAwayFromZero) {
   // Craft a weight tensor whose amax pins the scale to exactly 1.0, then
   // check the construction-time rounding: .5 ties away from zero, both signs.
   auto model = models::make_test_mlp(8, 6, 3, /*seed=*/11);
@@ -285,103 +252,6 @@ TEST(Int8Rounding, WeightRoundHalfTiesAwayFromZero) {
   EXPECT_EQ(qm.get_q(0, 2), -64);   // tie rounds away
   EXPECT_EQ(qm.get_q(0, 3), -127);  // tie rounds away (to -127, within clamp)
   EXPECT_EQ(qm.get_q(0, 4), 0);     // 0.25 rounds to zero
-}
-
-// ------------------------------------------------------ true-int8 regime --
-
-TEST(Int8Regime, SingleDenseOutputWithinQuantizationBound) {
-  // Requant round-trip at one int8 layer boundary: the materialized float
-  // weights are EXACTLY q*s_w, so the only int8-vs-float error on a single
-  // Dense is the activation quantization error |e_k| <= s_a/2, giving
-  // |y_f - y_q| <= s_w * (s_a/2) * sum_k |q_jk| (+ float rounding slack).
-  testutil::SimdGuard guard;
-  auto model = models::make_test_mlp(8, 6, 3, /*seed=*/21);
-  QuantizedModel qm(*model);
-  sys::Rng rng(5);
-  nn::Tensor x({4, 8});
-  for (usize i = 0; i < x.size(); ++i) x[i] = static_cast<float>(rng.normal(0.0, 1.0));
-  qm.calibrate_int8(x);
-
-  QuantizedLayer& l0 = qm.layer(0);
-  ASSERT_NE(l0.owner, nullptr);
-  ASSERT_GT(l0.act_scale, 0.0f);
-  nn::simd::set_int8_override(0);
-  const nn::Tensor yf = l0.owner->forward(x, false);
-  nn::simd::set_int8_override(1);
-  const nn::Tensor yq = l0.owner->forward(x, false);
-  ASSERT_EQ(yf.shape(), yq.shape());
-
-  const usize in = l0.cols, out = l0.size() / in;
-  for (usize m = 0; m < 4; ++m) {
-    for (usize j = 0; j < out; ++j) {
-      double code_mass = 0.0;
-      for (usize k = 0; k < in; ++k) code_mass += std::abs(static_cast<double>(l0.q[j * in + k]));
-      const double bound =
-          static_cast<double>(l0.scale) * (static_cast<double>(l0.act_scale) * 0.5) * code_mass +
-          1e-4;
-      EXPECT_NEAR(yf.at2(m, j), yq.at2(m, j), bound) << "m=" << m << " j=" << j;
-    }
-  }
-}
-
-TEST(Int8Regime, IncrementalProbeMatchesFullForwardAfterFlips) {
-  // The BFA probe contract in the integer regime: a bit flip updates one
-  // code, and forward_from(net_layer) over the cached prefix must be
-  // byte-identical to a from-scratch full forward of the flipped model.
-  testutil::SimdGuard guard;
-  auto model = models::make_test_mlp(8, 6, 3, /*seed=*/22);
-  QuantizedModel qm(*model);
-  sys::Rng rng(6);
-  nn::Tensor x({4, 8});
-  for (usize i = 0; i < x.size(); ++i) x[i] = static_cast<float>(rng.normal(0.0, 1.0));
-  nn::simd::set_int8_override(1);
-  qm.calibrate_int8(x);
-  qm.model().forward_cached(x);  // prime the cache
-
-  qm.flip({0, 3, 7});
-  qm.flip({1, 1, 6});
-  const nn::Tensor incremental = qm.model().forward_from(qm.layer(0).net_layer);
-
-  qm.model().invalidate_from(0);
-  const nn::Tensor& full = qm.model().forward_cached(x);
-  ASSERT_EQ(incremental.shape(), full.shape());
-  EXPECT_EQ(0, std::memcmp(incremental.data(), full.data(), full.size() * sizeof(float)))
-      << "incremental int8 probe diverged from the full forward";
-}
-
-TEST(Int8Regime, EndToEndAccuracyCloseToFloat) {
-  // Campaign-level gate in miniature: the integer regime is a different
-  // numeric path (never byte-gated against float), but on a trained model its
-  // accuracy must stay within a tight band of the float path.
-  testutil::SimdGuard guard;
-  auto model = testutil::trained_mlp();
-  QuantizedModel qm(*model);
-  auto [ex, ey] = testutil::easy_data().test.head(80);
-  nn::simd::set_int8_override(0);
-  const double float_acc = qm.model().evaluate_batch(ex, ey).accuracy;
-  nn::simd::set_int8_override(1);
-  qm.calibrate_int8(ex);
-  const double int8_acc = qm.model().evaluate_batch(ex, ey).accuracy;
-  EXPECT_NEAR(int8_acc, float_acc, 0.1);
-}
-
-TEST(Int8Regime, DisabledRegimeLeavesFloatPathByteIdentical) {
-  // With the override forced off, attaching int8 codes and calibrating must
-  // not perturb the float path by a single byte -- the default regime's
-  // golden baselines depend on it.
-  testutil::SimdGuard guard;
-  auto model = models::make_test_mlp(8, 6, 3, /*seed=*/23);
-  sys::Rng rng(7);
-  nn::Tensor x({4, 8});
-  for (usize i = 0; i < x.size(); ++i) x[i] = static_cast<float>(rng.normal(0.0, 1.0));
-  nn::simd::set_int8_override(0);
-
-  QuantizedModel qm(*model);
-  const nn::Tensor before = qm.model().forward_cached(x);
-  qm.calibrate_int8(x);
-  const nn::Tensor& after = qm.model().forward_cached(x);
-  ASSERT_EQ(before.shape(), after.shape());
-  EXPECT_EQ(0, std::memcmp(before.data(), after.data(), after.size() * sizeof(float)));
 }
 
 }  // namespace

@@ -18,16 +18,11 @@ namespace dnnd::testutil {
 /// campaign runner itself uses (nn/gemm.hpp).
 using ThreadsGuard = nn::gemm::ThreadsGuard;
 
-/// Restores the process-global SIMD knob overrides (force-scalar, int8
-/// regime) on scope exit, so kernel-selection sweeps cannot leak into later
-/// tests.
+/// Restores the process-global force-scalar SIMD override on scope exit, so
+/// kernel-selection sweeps cannot leak into later tests.
 struct SimdGuard {
   int saved_scalar = nn::simd::scalar_override();
-  int saved_int8 = nn::simd::int8_override();
-  ~SimdGuard() {
-    nn::simd::set_scalar_override(saved_scalar);
-    nn::simd::set_int8_override(saved_int8);
-  }
+  ~SimdGuard() { nn::simd::set_scalar_override(saved_scalar); }
 };
 
 /// A small, easy dataset for attack tests: 4 classes, 1x8x8, low noise.

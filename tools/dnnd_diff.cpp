@@ -7,8 +7,8 @@
 //             2 = usage / I/O / parse error.
 //
 // Usage:
-//   dnnd_diff [--acc-tol FRAC] [--flip-tol N] [--ignore-missing] [--final-only]
-//             [--quiet] <baseline.json> <current.json>
+//   dnnd_diff [--acc-tol FRAC] [--flip-tol N] [--ignore-missing] [--quiet]
+//             <baseline.json> <current.json>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -23,14 +23,12 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--acc-tol FRAC] [--flip-tol N] [--ignore-missing]\n"
-               "          [--final-only] [--quiet] <baseline.json> <current.json>\n"
+               "          [--quiet] <baseline.json> <current.json>\n"
                "\n"
                "Compares two campaign JSON files (CampaignSink output) scenario by\n"
                "scenario. --acc-tol is an absolute accuracy tolerance as a fraction\n"
                "(0.01 = one percentage point); --flip-tol bounds integer counter\n"
-               "drift (flips, attempts, landed, ...). --final-only gates only ok\n"
-               "status and clean/post accuracy (cross-regime comparisons, e.g.\n"
-               "DNND_INT8=1 vs the float baseline). Exits 1 on regression.\n",
+               "drift (flips, attempts, landed, ...). Exits 1 on regression.\n",
                argv0);
   return 2;
 }
@@ -100,8 +98,6 @@ int main(int argc, char** argv) {
       cfg.flip_tol = tol;
     } else if (arg == "--ignore-missing") {
       cfg.ignore_missing = true;
-    } else if (arg == "--final-only") {
-      cfg.final_only = true;
     } else if (arg == "--quiet" || arg == "-q") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h") {
