@@ -1,6 +1,7 @@
 #include "nn/layers.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -155,7 +156,7 @@ Tensor Layer::backward(const Tensor& dy) {
   Workspace& ws = *legacy_ws_;
   Tensor dx;
   backward_into(ws.slot(&ws, Workspace::SlotKind::kActivation, 0),
-                ws.slot(&ws, Workspace::SlotKind::kActivation, 1), dy, dx, ws);
+                ws.slot(&ws, Workspace::SlotKind::kActivation, 1), dy, &dx, ws);
   return dx;
 }
 
@@ -196,17 +197,19 @@ bool Dense::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& /
   return true;
 }
 
-void Dense::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor& dx,
+void Dense::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor* dx,
                           Workspace& ws) {
   const usize n = x.dim(0);
   assert(dy.rank() == 2 && dy.dim(0) == n && dy.dim(1) == out_);
-  dx.resize({n, in_});
-  // dx = dy W: dx[i, j] reduces over ascending outputs o. The weight is the
-  // transposed B operand, packed straight from its row-major layout.
   float* packed = ws.pack_buffer(gemm::packed_b_size(in_, std::max(out_, n)));
-  gemm::pack_bt(weight.data(), in_, in_, out_, packed);
-  gemm::gemm_nt_prepacked(n, in_, out_, dy.data(), out_, packed, dx.data(), in_, 1, nullptr,
-                          gemm::Bias::kNone);
+  if (dx != nullptr) {
+    // dx = dy W: dx[i, j] reduces over ascending outputs o. The weight is the
+    // transposed B operand, packed straight from its row-major layout.
+    dx->resize({n, in_});
+    gemm::pack_bt(weight.data(), in_, in_, out_, packed);
+    gemm::gemm_nt_prepacked(n, in_, out_, dy.data(), out_, packed, dx->data(), in_, 1, nullptr,
+                            gemm::Bias::kNone);
+  }
   // dweight += dy^T x: dweight[o, j] continues its sum over ascending samples.
   float* dyt = ws.transpose_buffer(out_ * n);
   for (usize i = 0; i < n; ++i) {
@@ -321,14 +324,13 @@ bool Conv2d::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& 
   return true;
 }
 
-void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor& dx,
+void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor* dx,
                            Workspace& ws) {
   const usize n = x.dim(0), h = x.dim(2), w = x.dim(3);
   const ConvGeom g = geom(h, w);
   assert(dy.dim(2) == g.oh && dy.dim(3) == g.ow);
   const usize K = g.patch_size(), P = g.oh * g.ow, hw = h * w;
   const usize kk = k_ * k_, Kd = out_ch_ * kk;  ///< dx GEMM depth: (oc, a, b)
-  dx.resize({n, in_ch_, h, w});
 
   // dbias[oc] continues its sum over ascending (sample, output position).
   for (usize oc = 0; oc < out_ch_; ++oc) {
@@ -346,17 +348,22 @@ void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& d
   // fixed dx element, ascending a is descending ki and so ascending i, and
   // ascending b is ascending j: the k order (oc, a, b) is exactly the naive
   // loops' (oc, i, j) term order, at every stride. The dy windows come from
-  // a plane that spreads dy by the stride and offsets it by k-1-pad.
-  float* wf = ws.transpose_buffer(in_ch_ * Kd);
-  for (usize ic = 0; ic < in_ch_; ++ic) {
-    for (usize oc = 0; oc < out_ch_; ++oc) {
-      const float* src = weight.data() + (oc * in_ch_ + ic) * kk;
-      float* dst = wf + ic * Kd + oc * kk;
-      for (usize t = 0; t < kk; ++t) dst[t] = src[kk - 1 - t];
+  // a plane that spreads dy by the stride and offsets it by k-1-pad. None of
+  // it runs when no dx is wanted.
+  float* wpack = nullptr;
+  if (dx != nullptr) {
+    dx->resize({n, in_ch_, h, w});
+    float* wf = ws.transpose_buffer(in_ch_ * Kd);
+    for (usize ic = 0; ic < in_ch_; ++ic) {
+      for (usize oc = 0; oc < out_ch_; ++oc) {
+        const float* src = weight.data() + (oc * in_ch_ + ic) * kk;
+        float* dst = wf + ic * Kd + oc * kk;
+        for (usize t = 0; t < kk; ++t) dst[t] = src[kk - 1 - t];
+      }
     }
+    wpack = ws.pack_buffer(gemm::packed_b_size(in_ch_, Kd));
+    gemm::pack_b(wf, Kd, in_ch_, Kd, wpack);
   }
-  float* wpack = ws.pack_buffer(gemm::packed_b_size(in_ch_, Kd));
-  gemm::pack_b(wf, Kd, in_ch_, Kd, wpack);
   // The same per-sample pass gathers the sample's input taps into the
   // whole-batch dweight operand (columns b*P .. b*P + P of every tap row).
   float* taps = ws.taps_buffer(K * n * P);
@@ -366,18 +373,20 @@ void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& d
   // The dy plane as the input of an unpadded stride-1 convolution with
   // output h x w: its windows are the dx GEMM's rows.
   const ConvGeom dy_geom{out_ch_, k_, 1, 0, dh, dw, h, w};
-  for_sample_chunks(n, n * hw * in_ch_ * Kd, ws, [&](usize lo, usize hi, usize slot) {
-    float* xp = ws.col_buffer(xp_size + dp_size + hw * Kd, slot);
+  const usize work = dx != nullptr ? n * hw * in_ch_ * Kd : n * P * K;
+  for_sample_chunks(n, work, ws, [&](usize lo, usize hi, usize slot) {
+    float* xp = ws.col_buffer(xp_size + (dx != nullptr ? dp_size + hw * Kd : 0), slot);
     float* dp = xp + xp_size;
     float* col = dp + dp_size;
     for (usize b = lo; b < hi; ++b) {
       spread_planes(x.data() + b * in_ch_ * hw, in_ch_, h, w, 1, static_cast<isize>(pad_), ph,
                     pw, xp);
       (stride_ == 1 ? gather_taps<1> : gather_taps<0>)(xp, g, taps + b * P, n * P);
+      if (dx == nullptr) continue;
       spread_planes(dy.data() + b * out_ch_ * P, out_ch_, g.oh, g.ow, stride_, dy_off, dh, dw,
                     dp);
       gather_windows_any(dp, dy_geom, col);
-      gemm::gemm_nt_prepacked(hw, in_ch_, Kd, col, Kd, wpack, dx.data() + b * in_ch_ * hw, 1,
+      gemm::gemm_nt_prepacked(hw, in_ch_, Kd, col, Kd, wpack, dx->data() + b * in_ch_ * hw, 1,
                               hw, nullptr, gemm::Bias::kNone);
     }
   });
@@ -411,18 +420,26 @@ namespace {
 /// dy times the relu mask, taken from the output: y > 0 exactly where x > 0
 /// (y is x there and +0 elsewhere). The mask multiplies as 1.0f or 0.0f
 /// instead of selecting dy, so an inf or NaN dy still turns into NaN at a
-/// dead unit.
+/// dead unit and a negative dy into -0. The factor is built from the
+/// comparison's bits -- all ones ANDed with the bits of 1.0f -- so the loop
+/// is compare, mask, multiply with no branch, and vectorizes.
 void relu_mask_into(const Tensor& y, const Tensor& dy, Tensor& dx) {
   assert(dy.size() == y.size());
   dx.resize(dy.shape());
-  for (usize i = 0; i < dy.size(); ++i) dx[i] = dy[i] * (y[i] > 0.0f ? 1.0f : 0.0f);
+  const float* __restrict yp = y.data();
+  const float* __restrict gp = dy.data();
+  float* __restrict out = dx.data();
+  for (usize i = 0, n = dy.size(); i < n; ++i) {
+    const u32 one_or_zero = (0u - static_cast<u32>(yp[i] > 0.0f)) & 0x3f800000u;
+    out[i] = gp[i] * std::bit_cast<float>(one_or_zero);
+  }
 }
 
 }  // namespace
 
-void ReLU::backward_into(const Tensor& /*x*/, const Tensor& y, const Tensor& dy, Tensor& dx,
+void ReLU::backward_into(const Tensor& /*x*/, const Tensor& y, const Tensor& dy, Tensor* dx,
                          Workspace& /*ws*/) {
-  relu_mask_into(y, dy, dx);
+  relu_mask_into(y, dy, *dx);
 }
 
 // ------------------------------------------------------------ MaxPool2d ----
@@ -468,12 +485,12 @@ void MaxPool2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspa
 }
 
 void MaxPool2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
-                              Tensor& dx, Workspace& /*ws*/) {
+                              Tensor* dx, Workspace& /*ws*/) {
   // Re-runs the forward's scan over x to find each window's chosen element.
-  dx.resize(x.shape());
-  dx.zero();
+  dx->resize(x.shape());
+  dx->zero();
   for_each_pool_window(x, [&](usize out_idx, usize idx, float /*best*/) {
-    dx[idx] += dy[out_idx];
+    (*dx)[idx] += dy[out_idx];
   });
 }
 
@@ -494,14 +511,14 @@ void GlobalAvgPool::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Wor
 }
 
 void GlobalAvgPool::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
-                                  Tensor& dx, Workspace& /*ws*/) {
+                                  Tensor* dx, Workspace& /*ws*/) {
   const usize n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
-  dx.resize(x.shape());
+  dx->resize(x.shape());
   const float inv = 1.0f / static_cast<float>(hw);
   for (usize b = 0; b < n; ++b) {
     for (usize ch = 0; ch < c; ++ch) {
       const float g = dy.at2(b, ch) * inv;
-      float* p = dx.data() + (b * c + ch) * hw;
+      float* p = dx->data() + (b * c + ch) * hw;
       for (usize i = 0; i < hw; ++i) p[i] = g;
     }
   }
@@ -516,10 +533,10 @@ void Flatten::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace
   std::memcpy(y.data(), x.data(), x.size() * sizeof(float));
 }
 
-void Flatten::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor& dx,
+void Flatten::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy, Tensor* dx,
                             Workspace& /*ws*/) {
-  dx.resize(x.shape());
-  std::memcpy(dx.data(), dy.data(), dy.size() * sizeof(float));
+  dx->resize(x.shape());
+  std::memcpy(dx->data(), dy.data(), dy.size() * sizeof(float));
 }
 
 // ---------------------------------------------------------- BatchNorm2d ----
@@ -614,14 +631,14 @@ void BatchNorm2d::forward_channel_into(const Tensor& x, usize c, Tensor& y,
 }
 
 void BatchNorm2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
-                                Tensor& dx, Workspace& ws) {
+                                Tensor* dx, Workspace& ws) {
   const usize n = x.dim(0), c = channels_, hw = x.dim(2) * x.dim(3);
   const double count = static_cast<double>(n * hw);
   const Tensor& stats = ws.slot(this, Workspace::SlotKind::kScratch, 0);
   assert(stats.size() == 2 * c);
   const float* batch_mean = stats.data();
   const float* batch_inv_std = stats.data() + c;
-  dx.resize(x.shape());
+  if (dx != nullptr) dx->resize(x.shape());
   // Per-channel independent (reductions, dgamma/dbeta, and dx slices), so the
   // channel partition is byte-identical to the serial loop.
   ThreadPool::instance().parallel(
@@ -645,11 +662,12 @@ void BatchNorm2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tens
           }
           dbeta[ch] += static_cast<float>(sum_dy);
           dgamma[ch] += static_cast<float>(sum_dy_xhat);
+          if (dx == nullptr) continue;
           const float g = gamma[ch];
           for (usize b = 0; b < n; ++b) {
             const float* p = x.data() + (b * c + ch) * hw;
             const float* gy = dy.data() + (b * c + ch) * hw;
-            float* gx = dx.data() + (b * c + ch) * hw;
+            float* gx = dx->data() + (b * c + ch) * hw;
             for (usize i = 0; i < hw; ++i) {
               const float xh = (p[i] - mean) * inv_std;
               gx[i] = static_cast<float>(
@@ -746,16 +764,31 @@ const Tensor& Sequential::probe_row(usize k, usize row, Workspace& ws, Workspace
   return run_probe(j, xj, probe);
 }
 
-const Tensor& Sequential::backward_cached(const Tensor& dy, Workspace& ws) {
+void Sequential::add(std::unique_ptr<Layer> layer) {
+  if (lowest_param_layer_ == layers_.size() && layer->params().empty()) ++lowest_param_layer_;
+  layers_.push_back(std::move(layer));
+}
+
+const Tensor* Sequential::backward_down_to(usize lowest, bool input_grad, const Tensor& dy,
+                                           Workspace& ws) {
   const Tensor* g = &dy;
-  for (usize i = layers_.size(); i-- > 0;) {
-    Tensor& gx = ws.slot(this, Workspace::SlotKind::kGradient, i);
+  for (usize i = layers_.size(); i-- > lowest;) {
+    Tensor* gx = i > lowest || input_grad ? &ws.slot(this, Workspace::SlotKind::kGradient, i)
+                                          : nullptr;
     layers_[i]->backward_into(ws.slot(this, Workspace::SlotKind::kActivation, i),
                               ws.slot(this, Workspace::SlotKind::kActivation, i + 1), *g, gx,
                               ws);
-    g = &gx;
+    g = gx;
   }
-  return *g;
+  return g;
+}
+
+const Tensor& Sequential::backward_cached(const Tensor& dy, Workspace& ws) {
+  return *backward_down_to(0, /*input_grad=*/true, dy, ws);
+}
+
+void Sequential::backward_params(const Tensor& dy, Workspace& ws) {
+  backward_down_to(lowest_param_layer_, /*input_grad=*/false, dy, ws);
 }
 
 void Sequential::forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) {
@@ -763,8 +796,12 @@ void Sequential::forward_into(const Tensor& x, Tensor& y, bool train, Workspace&
 }
 
 void Sequential::backward_into(const Tensor& /*x*/, const Tensor& /*y*/, const Tensor& dy,
-                               Tensor& dx, Workspace& ws) {
-  dx = backward_cached(dy, ws);
+                               Tensor* dx, Workspace& ws) {
+  if (dx != nullptr) {
+    *dx = backward_cached(dy, ws);
+  } else {
+    backward_params(dy, ws);
+  }
 }
 
 std::vector<Tensor*> Sequential::state_tensors() {
@@ -816,14 +853,19 @@ void ResidualBlock::forward_into(const Tensor& x, Tensor& y, bool train, Workspa
 }
 
 void ResidualBlock::backward_into(const Tensor& /*x*/, const Tensor& y, const Tensor& dy,
-                                  Tensor& dx, Workspace& ws) {
+                                  Tensor* dx, Workspace& ws) {
   Tensor& dsum = ws.slot(this, Workspace::SlotKind::kScratch, 0);
   relu_mask_into(y, dy, dsum);
-  dx = body_.backward_cached(dsum, ws);
+  if (dx == nullptr) {
+    body_.backward_params(dsum, ws);
+    if (projection_) projection_->backward_params(dsum, ws);
+    return;
+  }
+  *dx = body_.backward_cached(dsum, ws);
   if (projection_) {
-    dx.add_(projection_->backward_cached(dsum, ws));
+    dx->add_(projection_->backward_cached(dsum, ws));
   } else {
-    dx.add_(dsum);
+    dx->add_(dsum);
   }
 }
 

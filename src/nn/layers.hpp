@@ -7,7 +7,7 @@
 // batch statistics) lives in a workspace slot keyed by the layer. So a layer
 // is a function of the activation cache: a forward into another workspace
 // cannot disturb a pending backward. Backward accumulates parameter gradients
-// (call Model::zero_grad between batches) and returns dL/dx.
+// (call Model::zero_grad between batches) and, when asked for it, dL/dx.
 //
 // The compute API is arena-based: forward_into/backward_into write into
 // caller-provided tensors and draw all scratch from a Workspace, so the
@@ -57,13 +57,19 @@ class Layer {
   /// this allocates nothing.
   virtual void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) = 0;
 
-  /// Propagates dL/dy -> dL/dx into `dx`, accumulating parameter gradients.
+  /// Accumulates the parameter gradients from dL/dy and, when `dx` is not
+  /// null, writes dL/dx into *dx. A null `dx` says nobody reads the input
+  /// gradient (Sequential::backward_params passes it to the lowest layer
+  /// with parameters): the layer then skips every pass that only feeds dx --
+  /// Conv2d its dy gather, flipped-weight pack and dx GEMM, Dense its dx
+  /// GEMM, BatchNorm2d its dx loop -- and the parameter gradients come out
+  /// byte-identical. Layers without parameters always get a `dx`.
   /// `x` and `y` must be the input and output of this layer's latest
-  /// forward_into against `ws`, unmodified since (Sequential::backward_cached
-  /// passes its activation slots i and i + 1). Backward reads nothing else of
-  /// that forward: what it needs beyond x and y it recomputes, or reads from
-  /// the layer's own slots in `ws`.
-  virtual void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  /// forward_into against `ws`, unmodified since (Sequential passes its
+  /// activation slots i and i + 1). Backward reads nothing else of that
+  /// forward: what it needs beyond x and y it recomputes, or reads from the
+  /// layer's own slots in `ws`.
+  virtual void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                              Workspace& ws) = 0;
 
   /// One-row forward for the channel-sparse probe: computes output row
@@ -113,7 +119,7 @@ class Dense final : public Layer {
   Dense(usize in_features, usize out_features, sys::Rng& rng);
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                      Workspace& ws) override;
   bool forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& ws) override;
   std::vector<ParamRef> params() override;
@@ -141,7 +147,7 @@ class Conv2d final : public Layer {
   Conv2d(usize in_ch, usize out_ch, usize kernel, usize stride, usize padding, sys::Rng& rng);
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                      Workspace& ws) override;
   bool forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& ws) override;
   std::vector<ParamRef> params() override;
@@ -165,7 +171,7 @@ class Conv2d final : public Layer {
 class ReLU final : public Layer {
  public:
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                      Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "relu"; }
   [[nodiscard]] bool channel_local() const override { return true; }
@@ -175,7 +181,7 @@ class ReLU final : public Layer {
 class MaxPool2d final : public Layer {
  public:
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                      Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "maxpool2d"; }
   [[nodiscard]] bool channel_local() const override { return true; }
@@ -185,7 +191,7 @@ class MaxPool2d final : public Layer {
 class GlobalAvgPool final : public Layer {
  public:
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                      Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "gap"; }
   [[nodiscard]] bool channel_local() const override { return true; }
@@ -195,7 +201,7 @@ class GlobalAvgPool final : public Layer {
 class Flatten final : public Layer {
  public:
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                      Workspace& ws) override;
   [[nodiscard]] std::string name() const override { return "flatten"; }
   [[nodiscard]] bool channel_local() const override { return true; }
@@ -210,7 +216,7 @@ class BatchNorm2d final : public Layer {
   explicit BatchNorm2d(usize channels, float momentum = 0.1f, float eps = 1e-5f);
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                      Workspace& ws) override;
   std::vector<ParamRef> params() override;
   std::vector<Tensor*> state_tensors() override { return {&running_mean, &running_var}; }
@@ -243,7 +249,9 @@ class Sequential final : public Layer {
  public:
   Sequential() = default;
 
-  void add(std::unique_ptr<Layer> layer) { layers_.push_back(std::move(layer)); }
+  /// Appends a layer. Its parameter set is read here, once, so a layer must
+  /// have its parameters when it is added.
+  void add(std::unique_ptr<Layer> layer);
   [[nodiscard]] usize layer_count() const { return layers_.size(); }
   [[nodiscard]] Layer& layer(usize i) { return *layers_.at(i); }
 
@@ -280,6 +288,12 @@ class Sequential final : public Layer {
   /// differentiates against activation slots i and i + 1.
   const Tensor& backward_cached(const Tensor& dy, Workspace& ws);
 
+  /// The parameter gradients of the last forward, and nothing else: runs
+  /// backward from the top down to the lowest layer that has parameters,
+  /// which gets no dx to fill (see Layer::backward_into); the layers below
+  /// it do not run. Byte-identical parameter gradients to backward_cached.
+  void backward_params(const Tensor& dy, Workspace& ws);
+
   /// Records that the parameters of layer `first_changed` were mutated
   /// (a committed flip, a restore), so cached activations beyond it are
   /// stale. O(1); the next refresh re-runs from the clamped frontier.
@@ -294,7 +308,7 @@ class Sequential final : public Layer {
   [[nodiscard]] bool has_cache(const Workspace& ws) const { return cache_ws_ == &ws; }
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                      Workspace& ws) override;
   std::vector<ParamRef> params() override;
   std::vector<Tensor*> state_tensors() override;
@@ -305,7 +319,15 @@ class Sequential final : public Layer {
   /// `in`; returns the final activation (`in` itself when nothing runs).
   const Tensor& run_probe(usize first, const Tensor& in, Workspace& probe);
 
+  /// Backward through layers >= `lowest`, top down; layer `lowest` writes
+  /// its dx into gradient slot `lowest` when `input_grad`, else gets none.
+  /// Returns that slot, or null.
+  const Tensor* backward_down_to(usize lowest, bool input_grad, const Tensor& dy,
+                                 Workspace& ws);
+
   std::vector<std::unique_ptr<Layer>> layers_;
+  /// Index of the first layer with parameters; layer_count() when none has.
+  usize lowest_param_layer_ = 0;
   /// Activations 0..clean_frontier_ in the cache were computed with the
   /// current parameters of their producing layers. The cache lives in
   /// exactly one workspace at a time (cache_ws_); refreshes and probes
@@ -324,7 +346,7 @@ class ResidualBlock final : public Layer {
   ResidualBlock(usize in_ch, usize out_ch, usize stride, sys::Rng& rng);
 
   void forward_into(const Tensor& x, Tensor& y, bool train, Workspace& ws) override;
-  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor& dx,
+  void backward_into(const Tensor& x, const Tensor& y, const Tensor& dy, Tensor* dx,
                      Workspace& ws) override;
   std::vector<ParamRef> params() override;
   std::vector<Tensor*> state_tensors() override;

@@ -49,7 +49,7 @@ const LossResult& Model::loss_and_grad(const Tensor& x, const std::vector<u32>& 
                                        bool train_mode) {
   const Tensor& logits = forward_cached(x, train_mode);
   softmax_cross_entropy_into(logits, labels, loss_scratch_);
-  net_.backward_cached(loss_scratch_.dlogits, ws_);
+  net_.backward_params(loss_scratch_.dlogits, ws_);
   return loss_scratch_;
 }
 
@@ -78,7 +78,7 @@ const LossResult& Model::loss_and_grad_incremental(const Tensor& x,
                                                    const std::vector<u32>& labels) {
   const Tensor& logits = forward_incremental(x);
   softmax_cross_entropy_into(logits, labels, loss_scratch_);
-  net_.backward_cached(loss_scratch_.dlogits, ws_);
+  net_.backward_params(loss_scratch_.dlogits, ws_);
   return loss_scratch_;
 }
 

@@ -70,8 +70,12 @@ class Model {
   /// Value-returning forward for callers that keep the logits.
   Tensor forward(const Tensor& x, bool train = false) { return forward_cached(x, train); }
 
-  /// Backward pass from dL/dlogits.
-  void backward(const Tensor& dlogits) { net_.backward_cached(dlogits, ws_); }
+  /// Backward pass from dL/dlogits: accumulates every parameter gradient.
+  /// The gradient of the network input is never computed -- nothing reads
+  /// it -- so backward stops at the lowest layer with parameters
+  /// (Sequential::backward_params), as do loss_and_grad and
+  /// loss_and_grad_incremental.
+  void backward(const Tensor& dlogits) { net_.backward_params(dlogits, ws_); }
 
   /// All parameters in declaration order with hierarchical names.
   std::vector<ParamRef> params() { return net_.params(); }

@@ -11,6 +11,7 @@
 #include "harness/sink.hpp"
 #include "sys/json.hpp"
 #include "sys/rng.hpp"
+#include "test_util.hpp"
 
 namespace dnnd::harness {
 namespace {
@@ -287,23 +288,7 @@ TEST(CampaignFromJson, SeededMutantsOfTheGoldenThrowOrRoundTrip) {
   sys::Rng rng(20240601);
   usize thrown = 0, loaded = 0;
   for (usize i = 0; i < 2000; ++i) {
-    std::string m = golden;
-    const usize n = m.size();
-    switch (i % 3) {
-      case 0:  // truncate
-        m.resize(rng.uniform(n));
-        break;
-      case 1:  // flip one to four bytes by a nonzero mask
-        for (u64 f = 1 + rng.uniform(4); f > 0; --f) {
-          m[rng.uniform(n)] ^= static_cast<char>(1 + rng.uniform(255));
-        }
-        break;
-      default: {  // splice a span of the document over (or into) another spot
-        const std::string span = m.substr(rng.uniform(n), 1 + rng.uniform(64));
-        m.replace(rng.uniform(n), rng.uniform(span.size() + 1), span);
-        break;
-      }
-    }
+    const std::string m = testutil::seeded_mutant(golden, i, rng);
     try {
       const std::string once = campaign_from_json(m).to_json();
       EXPECT_EQ(campaign_from_json(once).to_json(), once) << "mutant " << i;

@@ -163,6 +163,63 @@ TEST(Workspace, ZeroAllocSteadyStateForwardBackward) {
       << "steady-state forward moved the cached logits storage";
 }
 
+TEST(Backward, ParameterGradientsEqualAFullDxTwinAndNoInputGradientIsComputed) {
+  // Model-driven backward (loss_and_grad, backward) stops at the lowest
+  // layer with parameters and never computes the network-input gradient.
+  // Every parameter gradient must equal, byte for byte, that of a twin whose
+  // backward computes dx at every layer (Sequential::backward_cached). The
+  // twin's workspace then holds a gradient slot the size of the input (and
+  // the first conv's dx scratch); the model's must not, so its arena stays
+  // smaller by at least the input's size -- this fails if the input
+  // gradient is computed again.
+  struct Case {
+    const char* name;
+    std::unique_ptr<Model> (*make)();
+    std::vector<usize> input;
+  };
+  const Case cases[] = {
+      {"vgg11", [] { return models::make_by_name("vgg11", 10, 8); }, {4, 3, 12, 12}},
+      {"resnet20", [] { return models::make_by_name("resnet20", 10, 8); }, {4, 3, 12, 12}},
+      {"mlp", [] { return models::make_test_mlp(64, 24, 4, 8); }, {4, 1, 8, 8}},
+  };
+  const std::vector<u32> y{0, 1, 2, 3};
+  for (const Case& c : cases) {
+    sys::Rng rng(70);
+    Tensor x(c.input);
+    for (usize i = 0; i < x.size(); ++i) x[i] = static_cast<float>(rng.normal(0.0, 1.0));
+    for (const bool train : {false, true}) {
+      auto m = c.make();
+      m->zero_grad();
+      m->loss_and_grad(x, y, train);
+
+      auto twin = c.make();
+      twin->zero_grad();
+      LossResult ce;
+      softmax_cross_entropy_into(twin->forward_cached(x, train), y, ce);
+      twin->net().backward_cached(ce.dlogits, twin->workspace());
+
+      // Model::backward on the same logits gradient: the attacks' path.
+      auto via_backward = c.make();
+      via_backward->zero_grad();
+      via_backward->forward_cached(x, train);
+      via_backward->backward(ce.dlogits);
+
+      const auto got = m->params(), want = twin->params(), got_b = via_backward->params();
+      ASSERT_EQ(got.size(), want.size());
+      for (usize i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(bitwise_equal(*got[i].grad, *want[i].grad))
+            << c.name << (train ? " train " : " eval ") << got[i].name;
+        EXPECT_TRUE(bitwise_equal(*got_b[i].grad, *want[i].grad))
+            << c.name << (train ? " train " : " eval ") << got[i].name << " via backward()";
+      }
+      EXPECT_GE(twin->workspace().slot_capacity(), m->workspace().slot_capacity() + x.size())
+          << c.name << ": the model-driven backward computed an input-sized gradient";
+      EXPECT_EQ(via_backward->workspace().slot_capacity(), m->workspace().slot_capacity())
+          << c.name;
+    }
+  }
+}
+
 TEST(Workspace, ZeroAllocAcrossIncrementalProbes) {
   // Both arenas, the clean cache and the probe workspace, stop growing once
   // every probe shape has run: dense forward_from probes and channel-sparse

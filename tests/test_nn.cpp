@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
 
 #include "nn/dataset.hpp"
@@ -193,6 +195,80 @@ TEST(ReLU, ForwardBackwardMasks) {
   EXPECT_FLOAT_EQ(dx[1], 1.0f);
   EXPECT_FLOAT_EQ(dx[2], 0.0f);
   EXPECT_FLOAT_EQ(dx[3], 1.0f);
+}
+
+// The relu mask on edge values: dx must equal dy * (y > 0 ? 1 : 0) bit for
+// bit, so -0, denormals, inf and NaN in dy keep IEEE multiply semantics
+// (a negative dy at a dead unit gives -0, inf or NaN gives NaN).
+const float kEdgeDy[] = {0.0f,
+                         -0.0f,
+                         std::numeric_limits<float>::denorm_min(),
+                         -std::numeric_limits<float>::denorm_min(),
+                         std::numeric_limits<float>::infinity(),
+                         -std::numeric_limits<float>::infinity(),
+                         std::numeric_limits<float>::quiet_NaN(),
+                         1.5f,
+                         -2.25f};
+const float kEdgeY[] = {0.0f, std::numeric_limits<float>::denorm_min(), 3.0f};
+
+/// dy * (y > 0 ? 1 : 0) with the factor kept out of constant folding.
+u32 masked_bits(float dy, float y) {
+  volatile float mask = y > 0.0f ? 1.0f : 0.0f;
+  const float v = dy * mask;
+  u32 bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+u32 bits_of(float v) {
+  u32 bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(ReLU, BackwardMaskIsExactOnEdgeValues) {
+  // Every (dy, y) pair: y = +0 from x = -1, positive y from x = y.
+  constexpr usize kPairs = std::size(kEdgeDy) * std::size(kEdgeY);
+  Tensor x({kPairs}), dy({kPairs});
+  for (usize i = 0; i < std::size(kEdgeDy); ++i) {
+    for (usize j = 0; j < std::size(kEdgeY); ++j) {
+      x[i * std::size(kEdgeY) + j] = kEdgeY[j] > 0.0f ? kEdgeY[j] : -1.0f;
+      dy[i * std::size(kEdgeY) + j] = kEdgeDy[i];
+    }
+  }
+  ReLU r;
+  const Tensor y = r.forward(x, false);
+  const Tensor dx = r.backward(dy);
+  for (usize p = 0; p < kPairs; ++p) {
+    EXPECT_EQ(bits_of(dx[p]), masked_bits(dy[p], y[p])) << "dy " << dy[p] << ", y " << y[p];
+  }
+}
+
+TEST(Residual, FinalReluMaskIsExactOnEdgeValues) {
+  // The block's backward multiplies dy by the final relu's mask, taken from
+  // the y it is given, into its kScratch slot 0 before the body and the
+  // shortcut read it. A 3x3x3 identity block holds the 27 (dy, y) pairs.
+  sys::Rng rng(12);
+  ResidualBlock block(3, 3, 1, rng);
+  Workspace ws;
+  Tensor x({1, 3, 3, 3});
+  for (usize i = 0; i < x.size(); ++i) x[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  Tensor y_fwd;
+  block.forward_into(x, y_fwd, /*train=*/false, ws);
+  Tensor y(y_fwd.shape()), dy(y_fwd.shape()), dx;
+  ASSERT_EQ(y.size(), std::size(kEdgeDy) * std::size(kEdgeY));
+  for (usize i = 0; i < std::size(kEdgeDy); ++i) {
+    for (usize j = 0; j < std::size(kEdgeY); ++j) {
+      y[i * std::size(kEdgeY) + j] = kEdgeY[j];
+      dy[i * std::size(kEdgeY) + j] = kEdgeDy[i];
+    }
+  }
+  block.backward_into(x, y, dy, &dx, ws);
+  const Tensor& dsum = ws.slot(&block, Workspace::SlotKind::kScratch, 0);
+  ASSERT_EQ(dsum.size(), y.size());
+  for (usize p = 0; p < y.size(); ++p) {
+    EXPECT_EQ(bits_of(dsum[p]), masked_bits(dy[p], y[p])) << "dy " << dy[p] << ", y " << y[p];
+  }
 }
 
 TEST(MaxPool, ForwardPicksMaxAndRoutesGradient) {

@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "attack/bfa.hpp"
@@ -418,6 +421,40 @@ TEST(ServingReport, LoaderRejectsMissingFields) {
   }
   EXPECT_THROW(serving_report_from_json(R"({"bench":"bench_grid"})"),
                sys::JsonParseError);  // wrong document type
+}
+
+TEST(ServingReport, SeededMutantsOfATinyArtifactThrowOrRoundTrip) {
+  // Loader robustness over a real `bench_serving --tiny` artifact
+  // (tests/data/serving_tiny_report.json, DNND_SERVE_RATE=2000,
+  // DNND_SERVE_DURATION_MS=150, DNND_SERVE_SEED=11): every truncated,
+  // byte-flipped or spliced mutant either fails with JsonParseError or loads
+  // to a report whose to_json() reloads to the same bytes. Any other
+  // exception is a loader bug; the sanitizer builds run this too.
+  std::ifstream in(std::string(DNND_SOURCE_DIR) + "/tests/data/serving_tiny_report.json",
+                   std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  std::string artifact = ss.str();
+  while (!artifact.empty() && artifact.back() == '\n') artifact.pop_back();
+  ASSERT_FALSE(artifact.empty());
+  ASSERT_EQ(serving_report_from_json(artifact).to_json(), artifact);
+
+  sys::Rng rng(20240602);
+  usize thrown = 0, loaded = 0;
+  for (usize i = 0; i < 2000; ++i) {
+    const std::string m = testutil::seeded_mutant(artifact, i, rng);
+    try {
+      const std::string once = serving_report_from_json(m).to_json();
+      EXPECT_EQ(serving_report_from_json(once).to_json(), once) << "mutant " << i;
+      ++loaded;
+    } catch (const sys::JsonParseError&) {
+      ++thrown;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw a non-parse error: " << e.what();
+    }
+  }
+  EXPECT_GT(thrown, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST(ServingReport, ValidateCatchesInvariantViolations) {

@@ -16,6 +16,8 @@
 #include "harness/shard.hpp"
 #include "nn/gemm.hpp"
 #include "sys/json.hpp"
+#include "sys/rng.hpp"
+#include "test_util.hpp"
 
 namespace dnnd::harness {
 namespace {
@@ -179,6 +181,46 @@ TEST(CellCheckpointStore, CorruptCellsReadAsAbsentForResumeButFailMerge) {
   }
   EXPECT_FALSE(store.has_valid_cell("a/one"));
   EXPECT_THROW(merge_cells(store, {sc}), std::runtime_error);
+}
+
+TEST(CellCheckpointStore, SeededMutantsOfACellThrowOrMergeToAStableCampaign) {
+  // Loader robustness over one real cell file: the first scenario of the
+  // tiny golden, checkpointed as a shard writes it. Every truncated,
+  // byte-flipped or spliced mutant either makes merge_cells fail loudly
+  // (JsonParseError, or the runtime_error of a cell carrying another id) or
+  // merges to a campaign whose to_json() reloads to the same bytes. Any
+  // other exception is a loader bug; the sanitizer builds run this too.
+  const std::string golden =
+      slurp(fs::path(DNND_SOURCE_DIR) / "tests" / "data" / "tiny_grid_baseline.json");
+  const ScenarioResult cell = campaign_from_json(golden).results.at(0);
+  TempDir tmp("dnnd_shard_mutant_test");
+  const CellCheckpointStore store(tmp.str());
+  store.write_cell(cell);
+  const std::string path = store.cell_path(cell.id);
+  const std::string text = slurp(path);
+  Scenario sc;
+  sc.id = cell.id;
+  ASSERT_EQ(merge_cells(store, {sc}).campaign.results.at(0).id, cell.id);
+
+  sys::Rng rng(20240603);
+  usize thrown = 0, loaded = 0;
+  for (usize i = 0; i < 2000; ++i) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << testutil::seeded_mutant(text, i, rng);
+    }
+    try {
+      const std::string once = merge_cells(store, {sc}).campaign.to_json();
+      EXPECT_EQ(campaign_from_json(once).to_json(), once) << "mutant " << i;
+      ++loaded;
+    } catch (const std::runtime_error&) {  // JsonParseError is one too
+      ++thrown;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what();
+    }
+  }
+  EXPECT_GT(thrown, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST(Shard, PendingScenariosDiffsCheckpointsAgainstGrid) {

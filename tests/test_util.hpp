@@ -4,12 +4,14 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "models/model_zoo.hpp"
 #include "nn/gemm.hpp"
 #include "nn/simd.hpp"
 #include "nn/trainer.hpp"
 #include "quant/quantizer.hpp"
+#include "sys/rng.hpp"
 
 namespace dnnd::testutil {
 
@@ -60,6 +62,30 @@ inline double trained_mlp_accuracy() {
     return nn::evaluate(*m, easy_data().test);
   }();
   return acc;
+}
+
+/// Mutant `i` of a document for the loader robustness tests, drawn from
+/// `rng`: by i mod 3, a truncation, one to four bytes flipped by a nonzero
+/// mask, or a span of the document spliced over (or into) another spot.
+inline std::string seeded_mutant(const std::string& doc, usize i, sys::Rng& rng) {
+  std::string m = doc;
+  const usize n = m.size();
+  switch (i % 3) {
+    case 0:
+      m.resize(rng.uniform(n));
+      break;
+    case 1:
+      for (u64 f = 1 + rng.uniform(4); f > 0; --f) {
+        m[rng.uniform(n)] ^= static_cast<char>(1 + rng.uniform(255));
+      }
+      break;
+    default: {
+      const std::string span = m.substr(rng.uniform(n), 1 + rng.uniform(64));
+      m.replace(rng.uniform(n), rng.uniform(span.size() + 1), span);
+      break;
+    }
+  }
+  return m;
 }
 
 }  // namespace dnnd::testutil
