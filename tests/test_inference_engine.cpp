@@ -181,6 +181,21 @@ TEST(Backward, ParameterGradientsEqualAFullDxTwinAndNoInputGradientIsComputed) {
       {"vgg11", [] { return models::make_by_name("vgg11", 10, 8); }, {4, 3, 12, 12}},
       {"resnet20", [] { return models::make_by_name("resnet20", 10, 8); }, {4, 3, 12, 12}},
       {"mlp", [] { return models::make_test_mlp(64, 24, 4, 8); }, {4, 1, 8, 8}},
+      // The lowest layer with parameters is a nested Sequential whose own
+      // lowest is a projection ResidualBlock: both pass the null dx down.
+      {"nested-resblock",
+       [] {
+         sys::Rng rng(9);
+         auto inner = std::make_unique<Sequential>();
+         inner->add(std::make_unique<ResidualBlock>(3, 4, 2, rng));
+         inner->add(std::make_unique<ReLU>());
+         auto m = std::make_unique<Model>("nested_resblock");
+         m->add(std::move(inner));
+         m->add(std::make_unique<GlobalAvgPool>());
+         m->add(std::make_unique<Dense>(4, 4, rng));
+         return m;
+       },
+       {4, 3, 8, 8}},
   };
   const std::vector<u32> y{0, 1, 2, 3};
   for (const Case& c : cases) {
