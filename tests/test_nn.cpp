@@ -211,35 +211,39 @@ const float kEdgeDy[] = {0.0f,
                          -2.25f};
 const float kEdgeY[] = {0.0f, std::numeric_limits<float>::denorm_min(), 3.0f};
 
-/// dy * (y > 0 ? 1 : 0) with the factor kept out of constant folding.
-u32 masked_bits(float dy, float y) {
-  volatile float mask = y > 0.0f ? 1.0f : 0.0f;
-  const float v = dy * mask;
-  u32 bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
 u32 bits_of(float v) {
   u32 bits;
   std::memcpy(&bits, &v, sizeof bits);
   return bits;
 }
 
-TEST(ReLU, BackwardMaskIsExactOnEdgeValues) {
-  // Every (dy, y) pair: y = +0 from x = -1, positive y from x = y.
-  constexpr usize kPairs = std::size(kEdgeDy) * std::size(kEdgeY);
-  Tensor x({kPairs}), dy({kPairs});
+/// dy * (y > 0 ? 1 : 0) with the factor kept out of constant folding.
+u32 masked_bits(float dy, float y) {
+  volatile float mask = y > 0.0f ? 1.0f : 0.0f;
+  return bits_of(dy * mask);
+}
+
+/// Fills `dy` and `y`, both of kEdgeDy x kEdgeY elements, with every pair.
+void fill_edge_pairs(Tensor& dy, Tensor& y) {
+  ASSERT_EQ(y.size(), std::size(kEdgeDy) * std::size(kEdgeY));
   for (usize i = 0; i < std::size(kEdgeDy); ++i) {
     for (usize j = 0; j < std::size(kEdgeY); ++j) {
-      x[i * std::size(kEdgeY) + j] = kEdgeY[j] > 0.0f ? kEdgeY[j] : -1.0f;
       dy[i * std::size(kEdgeY) + j] = kEdgeDy[i];
+      y[i * std::size(kEdgeY) + j] = kEdgeY[j];
     }
+  }
+}
+
+TEST(ReLU, BackwardMaskIsExactOnEdgeValues) {
+  Tensor x({std::size(kEdgeDy) * std::size(kEdgeY)}), dy(x.shape());
+  fill_edge_pairs(dy, x);
+  for (usize p = 0; p < x.size(); ++p) {
+    if (x[p] == 0.0f) x[p] = -1.0f;  // relu(-1) = +0
   }
   ReLU r;
   const Tensor y = r.forward(x, false);
   const Tensor dx = r.backward(dy);
-  for (usize p = 0; p < kPairs; ++p) {
+  for (usize p = 0; p < x.size(); ++p) {
     EXPECT_EQ(bits_of(dx[p]), masked_bits(dy[p], y[p])) << "dy " << dy[p] << ", y " << y[p];
   }
 }
@@ -256,13 +260,7 @@ TEST(Residual, FinalReluMaskIsExactOnEdgeValues) {
   Tensor y_fwd;
   block.forward_into(x, y_fwd, /*train=*/false, ws);
   Tensor y(y_fwd.shape()), dy(y_fwd.shape()), dx;
-  ASSERT_EQ(y.size(), std::size(kEdgeDy) * std::size(kEdgeY));
-  for (usize i = 0; i < std::size(kEdgeDy); ++i) {
-    for (usize j = 0; j < std::size(kEdgeY); ++j) {
-      y[i * std::size(kEdgeY) + j] = kEdgeY[j];
-      dy[i * std::size(kEdgeY) + j] = kEdgeDy[i];
-    }
-  }
+  fill_edge_pairs(dy, y);
   block.backward_into(x, y, dy, &dx, ws);
   const Tensor& dsum = ws.slot(&block, Workspace::SlotKind::kScratch, 0);
   ASSERT_EQ(dsum.size(), y.size());
