@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the primitives: DRAM commands,
 // RowClone, the four-step protection swap (with and without the fault model
-// listening), fault-model cell queries, remapping, quantization, and one BFA
-// search step.
+// listening), fault-model cell queries, remapping, quantization, one BFA
+// search step, and vgg11's conv and pool layers at batch 32 (forward, and
+// backward with and without the input gradient).
 //
 // Results print as the usual google-benchmark console table AND persist as a
 // JSON document through the shared CampaignSink protocol (DNND_JSON_OUT file
@@ -16,7 +17,9 @@
 #include "core/swap_engine.hpp"
 #include "harness/sink.hpp"
 #include "models/model_zoo.hpp"
+#include "nn/layers.hpp"
 #include "nn/trainer.hpp"
+#include "nn/workspace.hpp"
 #include "rowhammer/hammer_model.hpp"
 
 using namespace dnnd;
@@ -204,6 +207,92 @@ void BM_ForwardPassMlpBatch16(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 16);
 }
 BENCHMARK(BM_ForwardPassMlpBatch16);
+
+// ----- vgg11's layers at batch 32 ---------------------------------------------
+// The zoo's vgg11 (width 1) on 3 x 12 x 12 inputs: three 3x3 stride-1 pad-1
+// convolutions and two 2x2 max-pools, keyed by their index in the model. The
+// team size follows DNND_THREADS; the per-layer rows in ROADMAP.md use
+// DNND_THREADS=1.
+
+constexpr usize kLayerBatch = 32;
+
+struct VggConv {
+  usize in_ch, out_ch, hw;
+};
+
+VggConv vgg11_conv(i64 layer) {
+  switch (layer) {
+    case 0: return {3, 6, 12};
+    case 4: return {6, 12, 6};
+    default: return {12, 16, 3};  // layer 8
+  }
+}
+
+nn::Tensor normal_tensor(std::vector<usize> shape, sys::Rng& rng) {
+  nn::Tensor t(std::move(shape));
+  for (usize i = 0; i < t.size(); ++i) t[i] = static_cast<float>(rng.normal(0.0, 1.0));
+  return t;
+}
+
+void BM_Conv2dForward(benchmark::State& state) {
+  const VggConv c = vgg11_conv(state.range(0));
+  sys::Rng rng(11);
+  nn::Conv2d conv(c.in_ch, c.out_ch, 3, 1, 1, rng);
+  const nn::Tensor x = normal_tensor({kLayerBatch, c.in_ch, c.hw, c.hw}, rng);
+  nn::Tensor y;
+  nn::Workspace ws;
+  for (auto _ : state) {
+    conv.forward_into(x, y, /*train=*/false, ws);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations() * kLayerBatch));
+}
+BENCHMARK(BM_Conv2dForward)->ArgName("conv")->Arg(0)->Arg(4)->Arg(8);
+
+/// dx = 0 is the BFA prepare's lowest conv, whose input gradient nothing
+/// reads (Sequential::backward_params hands it a null dx).
+void BM_Conv2dBackward(benchmark::State& state) {
+  const VggConv c = vgg11_conv(state.range(0));
+  const bool with_dx = state.range(1) != 0;
+  sys::Rng rng(12);
+  nn::Conv2d conv(c.in_ch, c.out_ch, 3, 1, 1, rng);
+  const nn::Tensor x = normal_tensor({kLayerBatch, c.in_ch, c.hw, c.hw}, rng);
+  nn::Tensor y, dx;
+  nn::Workspace ws;
+  conv.forward_into(x, y, /*train=*/false, ws);
+  const nn::Tensor dy = normal_tensor(y.shape(), rng);
+  for (auto _ : state) {
+    conv.backward_into(x, y, dy, with_dx ? &dx : nullptr, ws);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations() * kLayerBatch));
+}
+BENCHMARK(BM_Conv2dBackward)
+    ->ArgNames({"conv", "dx"})
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Args({8, 0})
+    ->Args({8, 1});
+
+/// Pool 3 follows conv0 (6 x 12 x 12), pool 7 follows conv4 (12 x 6 x 6).
+void BM_MaxPool2dBackward(benchmark::State& state) {
+  const VggConv c = vgg11_conv(state.range(0) == 3 ? 0 : 4);
+  sys::Rng rng(13);
+  nn::MaxPool2d pool;
+  const nn::Tensor x = normal_tensor({kLayerBatch, c.out_ch, c.hw, c.hw}, rng);
+  nn::Tensor y, dx;
+  nn::Workspace ws;
+  pool.forward_into(x, y, /*train=*/false, ws);
+  const nn::Tensor dy = normal_tensor(y.shape(), rng);
+  for (auto _ : state) {
+    pool.backward_into(x, y, dy, &dx, ws);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations() * kLayerBatch));
+}
+BENCHMARK(BM_MaxPool2dBackward)->ArgName("pool")->Arg(3)->Arg(7);
 
 /// Sends every report to both reporters. Google Benchmark refuses a file
 /// reporter without a --benchmark_out file, so the JSON reporter rides along

@@ -1,7 +1,8 @@
 // Conv2d geometry (ConvGeom, shared by every Conv2d pass) and the
 // bounds-checked patch-row iteration of the naive reference loops
-// (nn/reference.cpp). The engine's own gathers need no bounds tests: they
-// read zero-bordered copies of the input planes (nn/layers.cpp).
+// (nn/reference.cpp). The engine's own lowering needs no bounds tests: its
+// GEMMs read zero-bordered copies of the planes through offset tables
+// (nn/layers.cpp).
 #pragma once
 
 #include "sys/types.hpp"

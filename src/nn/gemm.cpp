@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "nn/simd.hpp"
 #include "nn/thread_pool.hpp"
@@ -35,9 +38,6 @@ usize auto_threads() {
 /// accumulator still sees its terms in ascending k.
 constexpr usize kNr = 8;
 
-/// M tile: bounds the live span of A rows streamed against one packed panel.
-constexpr usize kMc = 128;
-
 /// A rows per register tile -- also the grain of the threaded row split, so a
 /// team never cuts a tile in half.
 constexpr usize kMr = 8;
@@ -50,62 +50,46 @@ void pack_panel(const float* B, usize ldb, usize rows, usize K, float* panel) {
   }
 }
 
-inline float bias_for(const float* bias, Bias kind, usize n) {
-  return kind == Bias::kPerCol ? bias[n] : 0.0f;
+/// koff[k] = k for k < K: the offset table of a contiguous A row. Grown once
+/// per thread to the largest depth it has seen; the pool threads of a call
+/// only read the caller's table.
+const u32* identity_offsets(usize K) {
+  thread_local std::vector<u32> table;
+  if (K > std::numeric_limits<u32>::max()) throw std::length_error("gemm: K exceeds 32 bits");
+  while (table.size() < K) table.push_back(static_cast<u32>(table.size()));
+  return table.data();
 }
 
-/// Starting value of the accumulator for output (row c, column n0 + r) of an
-/// N-column GEMM; `c` points at the row's column n0. Lanes past the ragged
-/// edge read a clamped in-bounds element and are never stored.
-inline float acc_start(const float* bias, Bias kind, const float* c, usize ccs, usize n0,
-                       usize r, usize N) {
-  const usize n = n0 + r < N ? n0 + r : N - 1;
-  return kind == Bias::kAccumulate ? c[(n - n0) * ccs] : bias_for(bias, kind, n);
-}
-
-/// The serial kernel body: one float accumulator per output, advanced in
-/// ascending k. The inner k loops are the simd:: microkernels -- explicit
-/// AVX2/NEON register tiles with one output column per vector lane, byte-
-/// identical to the scalar loops by construction (see nn/simd.hpp for the
-/// lane-per-accumulator argument). The threaded entry point below only ever
-/// calls this on disjoint output blocks.
-void kernel(const simd::Kernels& simd_kernels, usize M, usize N, usize K, const float* A,
-            usize lda, const float* packed_b, float* C, usize crs, usize ccs,
-            const float* bias, Bias bias_kind) {
-  for (usize n0 = 0; n0 < N; n0 += kNr) {
-    const usize rows = std::min(kNr, N - n0);
-    const float* panel = packed_b + n0 * K;
-    for (usize m0 = 0; m0 < M; m0 += kMc) {
-      const usize m1 = std::min(M, m0 + kMc);
-      usize m = m0;
-      // 8x8 register tile: one panel line feeds eight A rows per k step. Each
-      // of the 64 accumulators is still a single float advanced in ascending
-      // k, so neither the tiling nor the lane assignment can change any
-      // output bit.
-      for (; m + kMr <= m1; m += kMr) {
-        const float* a[kMr];
-        for (usize i = 0; i < kMr; ++i) a[i] = A + (m + i) * lda;
-        float acc[kMr][kNr];
-        for (usize i = 0; i < kMr; ++i) {
-          const float* c = C + (m + i) * crs + n0 * ccs;
-          for (usize r = 0; r < kNr; ++r) {
-            acc[i][r] = acc_start(bias, bias_kind, c, ccs, n0, r, N);
-          }
-        }
-        simd_kernels.tile8(K, a, panel, &acc[0][0]);
-        for (usize i = 0; i < kMr; ++i) {
-          float* c = C + (m + i) * crs + n0 * ccs;
-          for (usize r = 0; r < rows; ++r) c[r * ccs] = acc[i][r];
-        }
-      }
-      for (; m < m1; ++m) {
-        const float* a = A + m * lda;
-        float* c = C + m * crs + n0 * ccs;
-        float acc[kNr];
-        for (usize r = 0; r < kNr; ++r) acc[r] = acc_start(bias, bias_kind, c, ccs, n0, r, N);
-        simd_kernels.row1(K, a, panel, acc);
-        for (usize r = 0; r < rows; ++r) c[r * ccs] = acc[r];
-      }
+/// The serial kernel body over output rows [m_lo, m_hi) and columns
+/// [n_lo, n_hi): every 8x8 register tile and single-row remainder goes to a
+/// simd:: microkernel, which starts its accumulators, advances each in
+/// ascending k and stores them (see nn/simd.hpp for the lane-per-accumulator
+/// argument). `row(m)` is A row m's base pointer. The threaded entry point
+/// below only ever calls this on disjoint output blocks.
+template <typename RowBase>
+void kernel(const simd::Kernels& kernels, const RowBase& row, usize m_lo, usize m_hi,
+            usize n_lo, usize n_hi, usize K, const u32* koff, const float* packed_b, float* C,
+            usize crs, usize ccs, const float* bias, Bias bias_kind) {
+  simd::Tile t;
+  t.K = K;
+  t.koff = koff;
+  t.crs = crs;
+  t.ccs = ccs;
+  t.start = bias_kind;
+  for (usize n0 = n_lo; n0 < n_hi; n0 += kNr) {
+    t.panel = packed_b + n0 * K;
+    t.cols = std::min(kNr, n_hi - n0);
+    t.bias = bias_kind == Bias::kPerCol ? bias + n0 : nullptr;
+    usize m = m_lo;
+    for (; m + kMr <= m_hi; m += kMr) {
+      const float* a[kMr];
+      for (usize i = 0; i < kMr; ++i) a[i] = row(m + i);
+      t.c = C + m * crs + n0 * ccs;
+      kernels.tile8(t, a);
+    }
+    for (; m < m_hi; ++m) {
+      t.c = C + m * crs + n0 * ccs;
+      kernels.row1(t, row(m));
     }
   }
 }
@@ -185,19 +169,40 @@ void pack_bt(const float* Bt, usize ldbt, usize N, usize K, float* packed) {
   }
 }
 
-void gemm_nt_prepacked(usize M, usize N, usize K, const float* A, usize lda,
-                       const float* packed_b, float* C, usize crs, usize ccs,
-                       const float* bias, Bias bias_kind) {
+namespace {
+
+/// The one GEMM body behind both entry points: partitions the output and
+/// runs the kernel on each block with A row m at row(m).
+template <typename RowBase>
+void run(usize M, usize N, usize K, const RowBase& row, const u32* koff,
+         const float* packed_b, float* C, usize crs, usize ccs, const float* bias,
+         Bias bias_kind) {
   if (M == 0 || N == 0) return;
+  if (crs != 1 && ccs != 1) throw std::invalid_argument("gemm: C needs a unit stride");
   // Resolved once per GEMM (not per team slot): the knob reads fall through
   // to getenv when no override is set, which must stay off the per-probe
   // hot path -- BFA campaigns issue thousands of microsecond-scale GEMMs.
-  const simd::Kernels simd_kernels = simd::active_kernels();
+  const simd::Kernels kernels = simd::active_kernels();
   for_output_blocks(M, N, K, [&](usize m_lo, usize m_hi, usize n_lo, usize n_hi) {
-    kernel(simd_kernels, m_hi - m_lo, n_hi - n_lo, K, A + m_lo * lda, lda, packed_b + n_lo * K,
-           C + m_lo * crs + n_lo * ccs, crs, ccs,
-           bias_kind == Bias::kPerCol ? bias + n_lo : bias, bias_kind);
+    kernel(kernels, row, m_lo, m_hi, n_lo, n_hi, K, koff, packed_b, C, crs, ccs, bias,
+           bias_kind);
   });
+}
+
+}  // namespace
+
+void gemm_nt_prepacked(usize M, usize N, usize K, const float* A, usize lda,
+                       const float* packed_b, float* C, usize crs, usize ccs,
+                       const float* bias, Bias bias_kind) {
+  run(M, N, K, [A, lda](usize m) { return A + m * lda; }, identity_offsets(K), packed_b, C,
+      crs, ccs, bias, bias_kind);
+}
+
+void gemm_nt_offsets(usize M, usize N, usize K, const float* base, const u32* rows,
+                     const u32* koff, const float* packed_b, float* C, usize crs, usize ccs,
+                     const float* bias, Bias bias_kind) {
+  run(M, N, K, [base, rows](usize m) { return base + rows[m]; }, koff, packed_b, C, crs, ccs,
+      bias, bias_kind);
 }
 
 }  // namespace dnnd::nn::gemm

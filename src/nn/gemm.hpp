@@ -1,21 +1,27 @@
-// Cache-blocked, order-preserving GEMM -- the compute core of the inference
-// engine.
+// Order-preserving GEMM -- the compute core of the inference engine.
 //
 // Both operands are K-major ("NT" layout: C[m,n] = dot(A row m, B row n)),
-// which is exactly how Dense (x rows x weight rows) and the patch-row
-// lowering of Conv2d (patch rows x weight rows) present their data. The kernel packs B
-// into 8-row interleaved panels so the inner loop is a contiguous SIMD-
-// friendly stream, and tiles M for L2 residency of the panel. Operands that
-// are stored the other way round are packed straight from their own layout
-// (pack_bt, pack_b_block), which is how the backward passes lower onto the
-// same kernel.
+// which is exactly how Dense (x rows x weight rows) and Conv2d (window rows
+// x weight rows) present their data. The kernel packs B into 8-row
+// interleaved panels so the inner loop is a contiguous SIMD-friendly stream.
+// Operands that are stored the other way round are packed straight from
+// their own layout (pack_bt, pack_b_block), which is how the backward passes
+// lower onto the same kernel.
+//
+// A is read through offset tables, never gathered: element k of A row m is
+// base[rows[m] + koff[k]] (gemm_nt_offsets). A contiguous row-major A is the
+// identity case (gemm_nt_prepacked: row m at A + m*lda, koff[k] = k). Conv2d
+// points the rows at windows of its zero-bordered planes and koff at the
+// taps within a window, so its patch matrices exist only as offsets. There
+// is one kernel family for both (nn/simd.hpp).
 //
 // Bit-exactness contract: every output element is produced by ONE float
 // accumulator initialised with its bias term (or, in accumulate mode, with
 // the current C element) and advanced in strictly ascending k -- the
 // accumulation order of the original hand-rolled forward and backward loops
-// (retained verbatim in src/nn/reference.cpp). Blocking and packing only
-// reorder *independent* accumulators, never the terms within one, so the
+// (retained verbatim in src/nn/reference.cpp). Tiling and packing only
+// reorder *independent* accumulators, never the terms within one, and an
+// offset read yields the very element a gather would have copied, so the
 // lowered path is bitwise identical to the naive path (tests/test_gemm.cpp
 // holds this over randomized shapes).
 //
@@ -31,7 +37,8 @@
 // dispatched AVX2/NEON microkernels that put one output column per vector
 // lane and issue a distinct non-contracted multiply and add per lane -- the
 // same contract again, so the SIMD path is byte-identical to the scalar path
-// (DNND_SIMD=0 forces scalar).
+// (DNND_SIMD=0 forces scalar). The microkernels also start and store the
+// accumulators, straight from registers.
 #pragma once
 
 #include "sys/types.hpp"
@@ -42,7 +49,7 @@ namespace gemm {
 
 /// How the per-output accumulator is initialised. Both forward lowerings put
 /// the bias-carrying dimension on the GEMM columns: for Dense, n is the
-/// output feature; for Conv2d (patches as rows, weights as columns), n is the
+/// output feature; for Conv2d (windows as rows, weights as columns), n is the
 /// output channel.
 ///
 /// kAccumulate gives `C += A B^T` semantics for the backward lowerings'
@@ -79,11 +86,18 @@ void pack_bt(const float* Bt, usize ldbt, usize N, usize K, float* packed);
 /// B[n, k], for m in [0,M), n in [0,N), k ascending, with B given as a
 /// pack_b / pack_b_block / pack_bt panel. Callers pack B once per call (Dense
 /// into its workspace's pack buffer; Conv2d once for all samples) and pick the
-/// output strides: Dense writes row-major C (crs=N, ccs=1), Conv2d writes the
-/// NCHW output slice directly (crs=1, ccs=oh*ow).
+/// output strides, one of which must be 1: Dense writes row-major C (crs=N,
+/// ccs=1), Conv2d writes the NCHW output slice directly (crs=1, ccs=oh*ow).
 void gemm_nt_prepacked(usize M, usize N, usize K, const float* A, usize lda,
                        const float* packed_b, float* C, usize crs, usize ccs,
                        const float* bias, Bias bias_kind);
+
+/// gemm_nt_prepacked with A read through offset tables: A[m, k] =
+/// base[rows[m] + koff[k]] (M row offsets, K k-offsets). The bytes equal
+/// gemm_nt_prepacked's on the explicitly gathered A.
+void gemm_nt_offsets(usize M, usize N, usize K, const float* base, const u32* rows,
+                     const u32* koff, const float* packed_b, float* C, usize crs, usize ccs,
+                     const float* bias, Bias bias_kind);
 
 /// Sets the GEMM team size. 0 (the default) resolves to the DNND_THREADS env
 /// var, else to std::thread::hardware_concurrency(). Process-global; outputs

@@ -28,9 +28,11 @@ namespace {
 // byte-identical for finite inputs (tests/test_gemm.cpp pins it against the
 // reference over ragged shapes, and pins the non-finite case separately).
 //
-// Every Conv2d patch gather reads from zero-bordered copies of one sample's
-// planes, so it is a plain window copy with no bounds tests: every gathered
-// value is an input (or dy) value, or an exact zero.
+// Conv2d gathers no patches. Each pass spreads its operand into
+// zero-bordered planes, and the GEMM reads every window of the planes
+// through offset tables (gemm::gemm_nt_offsets): a row offset per window and
+// a k offset per tap, so every value the GEMM reads is an input (or dy)
+// value, or an exact zero, with no bounds tests.
 
 /// Zeroes the C x PH x PW buffer `dst` and copies the C planes of H x W
 /// elements at `src` into it, element (r, q) landing at (r*step + off,
@@ -64,54 +66,25 @@ void spread_planes(const float* src, usize C, usize H, usize W, usize step, isiz
   }
 }
 
-/// Tap-major patch gather from one sample's padded input planes `xp`
-/// (in_ch x (h + 2 pad) x (w + 2 pad)): T row kk = (ic, ki, kj), at
-/// T + kk * ld, receives that tap's value for every output position.
-/// kStride is the stride when fixed at compile time (0: read g.stride).
-template <usize kStride>
-void gather_taps(const float* xp, const ConvGeom& g, float* T, usize ld) {
-  const usize stride = kStride != 0 ? kStride : g.stride;
-  const usize ph = g.h + 2 * g.pad, pw = g.w + 2 * g.pad;
-  usize kk = 0;
-  for (usize ic = 0; ic < g.in_ch; ++ic) {
-    for (usize ki = 0; ki < g.k; ++ki) {
-      for (usize kj = 0; kj < g.k; ++kj, ++kk) {
-        float* dst = T + kk * ld;
-        for (usize oi = 0; oi < g.oh; ++oi, dst += g.ow) {
-          const float* src = xp + (ic * ph + oi * stride + ki) * pw + kj;
-          for (usize oj = 0; oj < g.ow; ++oj) dst[oj] = src[oj * stride];
-        }
-      }
-    }
+/// Writes base + i*row_step + j*col_step for the rows x cols grid, (i, j)
+/// ascending, to `out` and returns the end of what it wrote.
+u32* grid_offsets(usize base, usize rows, usize cols, usize row_step, usize col_step,
+                  u32* out) {
+  if (rows == 0 || cols == 0) return out;
+  if (base + (rows - 1) * row_step + (cols - 1) * col_step > std::numeric_limits<u32>::max()) {
+    throw std::length_error("Conv2d: planes exceed 32-bit offsets");
   }
+  for (usize i = 0; i < rows; ++i) {
+    for (usize j = 0; j < cols; ++j) *out++ = static_cast<u32>(base + i * row_step + j * col_step);
+  }
+  return out;
 }
 
-/// Patch-major gather from padded planes laid out as for gather_taps: row
-/// p = (oi, oj) of `col` holds the K = in_ch * k * k window values
-/// xp[ic][oi*stride + ki][oj*stride + kj] at column (ic, ki, kj), so `col`
-/// is the A operand of a per-sample GEMM with one row per output position.
-/// kK is k when fixed at compile time (0: read g.k) -- the window rows are
-/// only k floats long, so an unrolled copy is several times faster than a
-/// runtime-length loop.
-template <usize kK>
-void gather_windows(const float* xp, const ConvGeom& g, float* col) {
-  const usize k = kK != 0 ? kK : g.k;
-  const usize ph = g.h + 2 * g.pad, pw = g.w + 2 * g.pad;
-  for (usize oi = 0; oi < g.oh; ++oi) {
-    for (usize oj = 0; oj < g.ow; ++oj) {
-      for (usize ic = 0; ic < g.in_ch; ++ic) {
-        const float* src = xp + (ic * ph + oi * g.stride) * pw + oj * g.stride;
-        for (usize a = 0; a < k; ++a, src += pw, col += k) {
-          for (usize b = 0; b < k; ++b) col[b] = src[b];
-        }
-      }
-    }
-  }
-}
-
-/// gather_windows with k fixed at compile time for the zoo's kernels.
-void gather_windows_any(const float* xp, const ConvGeom& g, float* col) {
-  (g.k == 3 ? gather_windows<3> : g.k == 1 ? gather_windows<1> : gather_windows<0>)(xp, g, col);
+/// The k offsets of a k x k window over C planes of PH x PW: tap (c, a, b)
+/// at (c*PH + a)*PW + b, in ascending (c, a, b). Returns the end.
+u32* window_taps(usize C, usize k, usize PH, usize PW, u32* out) {
+  for (usize c = 0; c < C; ++c) out = grid_offsets(c * PH * PW, k, k, PW, 1, out);
+  return out;
 }
 
 /// Runs fn(lo, hi, slot) over contiguous chunks [lo, hi) of the n samples,
@@ -248,29 +221,31 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace&
   const ConvGeom g = geom(h, w);
   const usize K = g.patch_size(), P = g.oh * g.ow, chw = in_ch_ * h * w;
   y.resize({n, out_ch_, g.oh, g.ow});
-  // Lowering: per sample, y[oc, p] = bias[oc] + dot(col[p, :], W[oc, :]) over
+  // Lowering: per sample, y[oc, p] = bias[oc] + dot(window p, W[oc, :]) over
   // the patch dimension. The sample's planes are spread into a zero-bordered
-  // copy, so every patch row of `col` is a plain window copy; the rows
-  // stream through the GEMM against the packed weight panels (the small
-  // operand), and the strided store writes the NCHW slice directly. The
-  // padded taps contribute exact zeros in the same (ic, ki, kj) positions the
-  // naive loops skipped, so the accumulation is bit-identical (adding a
-  // signed zero never changes a non-negative-zero accumulator, and the
-  // accumulator can only be -0.0 if the bias is).
+  // copy; GEMM row p starts at window p's corner (oi*stride, oj*stride) and
+  // reads tap (ic, ki, kj) at offset (ic*ph + ki)*pw + kj from it. The rows
+  // stream against the packed weight panels (the small operand), and the
+  // transposed store writes the NCHW slice directly. The padded taps
+  // contribute exact zeros in the same (ic, ki, kj) positions the naive
+  // loops skipped, so the accumulation is bit-identical (adding a signed
+  // zero never changes a non-negative-zero accumulator, and the accumulator
+  // can only be -0.0 if the bias is).
   //
-  // The weight panel is packed once per call, not per sample, and before the
-  // sample region: team slots only read it.
+  // The offset tables and the weight panel are built once per call, not per
+  // sample, and before the sample region: team slots only read them.
+  const usize ph = h + 2 * pad_, pw = w + 2 * pad_;
+  u32* rows = ws.offset_buffer(P + K);
+  u32* koff = grid_offsets(0, g.oh, g.ow, stride_ * pw, stride_, rows);
+  window_taps(in_ch_, k_, ph, pw, koff);
   float* packed_w = ws.pack_buffer(gemm::packed_b_size(out_ch_, K));
   gemm::pack_b(weight.data(), K, out_ch_, K, packed_w);
   for_sample_chunks(n, n * P * K * out_ch_, ws, [&](usize lo, usize hi, usize slot) {
-    const usize ph = h + 2 * pad_, pw = w + 2 * pad_;
-    float* xp = ws.col_buffer(in_ch_ * ph * pw + P * K, slot);
-    float* col = xp + in_ch_ * ph * pw;
+    float* xp = ws.planes_buffer(in_ch_ * ph * pw, slot);
     for (usize b = lo; b < hi; ++b) {
       spread_planes(x.data() + b * chw, in_ch_, h, w, 1, static_cast<isize>(pad_), ph, pw, xp);
-      gather_windows_any(xp, g, col);
-      gemm::gemm_nt_prepacked(P, out_ch_, K, col, K, packed_w, y.data() + b * out_ch_ * P, 1,
-                              P, bias.data(), gemm::Bias::kPerCol);
+      gemm::gemm_nt_offsets(P, out_ch_, K, xp, rows, koff, packed_w,
+                            y.data() + b * out_ch_ * P, 1, P, bias.data(), gemm::Bias::kPerCol);
     }
   });
 }
@@ -294,7 +269,7 @@ bool Conv2d::forward_row_into(const Tensor& x, usize row, Tensor& y, Workspace& 
   // grid points that are not outputs are computed and dropped.
   const usize ph = h + 2 * pad_, pw = w + 2 * pad_, grid = ph * pw, G = n * grid;
   const usize span = (n - 1) * grid + (g.oh - 1) * stride_ * pw + (g.ow - 1) * stride_ + 1;
-  float* xp = ws.col_buffer(in_ch_ * G + G);
+  float* xp = ws.planes_buffer(in_ch_ * G + G);
   float* acc = xp + in_ch_ * G;
   for (usize ic = 0; ic < in_ch_; ++ic) {
     for (usize b = 0; b < n; ++b) {
@@ -347,12 +322,30 @@ void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& d
   // and likewise for j (terms with no such output position are +0). For a
   // fixed dx element, ascending a is descending ki and so ascending i, and
   // ascending b is ascending j: the k order (oc, a, b) is exactly the naive
-  // loops' (oc, i, j) term order, at every stride. The dy windows come from
-  // a plane that spreads dy by the stride and offsets it by k-1-pad. None of
-  // it runs when no dx is wanted.
+  // loops' (oc, i, j) term order, at every stride. The GEMM reads dy through
+  // a plane that spreads it by the stride and offsets it by k-1-pad: row
+  // (hi, wj) is the k x k window at (hi, wj) of that plane, an unpadded
+  // stride-1 convolution's window. None of it runs when no dx is wanted.
+  const usize ph = h + 2 * pad_, pw = w + 2 * pad_, dh = h + k_ - 1, dw = w + k_ - 1;
+  const usize xp_size = in_ch_ * ph * pw, dp_size = out_ch_ * dh * dw;
+  const isize dy_off = static_cast<isize>(k_) - 1 - static_cast<isize>(pad_);
+  // dweight's A operand is the whole batch's input planes: row kk = (ic, ki,
+  // kj) is that tap's offset into a sample's planes, and k = (b, oi, oj)
+  // reads sample b's window corner (oi*stride, oj*stride). The dx tables
+  // follow when dx is wanted.
+  u32* tap_rows = ws.offset_buffer(K + n * P + (dx != nullptr ? hw + Kd : 0));
+  u32* pos_koff = window_taps(in_ch_, k_, ph, pw, tap_rows);
+  u32* end = pos_koff;
+  for (usize b = 0; b < n; ++b) {
+    end = grid_offsets(b * xp_size, g.oh, g.ow, stride_ * pw, stride_, end);
+  }
+  u32* dx_rows = end;
+  u32* dx_koff = nullptr;
   float* wpack = nullptr;
   if (dx != nullptr) {
     dx->resize({n, in_ch_, h, w});
+    dx_koff = grid_offsets(0, h, w, dw, 1, dx_rows);
+    window_taps(out_ch_, k_, dh, dw, dx_koff);
     float* wf = ws.transpose_buffer(in_ch_ * Kd);
     for (usize ic = 0; ic < in_ch_; ++ic) {
       for (usize oc = 0; oc < out_ch_; ++oc) {
@@ -364,43 +357,33 @@ void Conv2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& d
     wpack = ws.pack_buffer(gemm::packed_b_size(in_ch_, Kd));
     gemm::pack_b(wf, Kd, in_ch_, Kd, wpack);
   }
-  // The same per-sample pass gathers the sample's input taps into the
-  // whole-batch dweight operand (columns b*P .. b*P + P of every tap row).
-  float* taps = ws.taps_buffer(K * n * P);
-  const usize ph = h + 2 * pad_, pw = w + 2 * pad_, dh = h + k_ - 1, dw = w + k_ - 1;
-  const usize xp_size = in_ch_ * ph * pw, dp_size = out_ch_ * dh * dw;
-  const isize dy_off = static_cast<isize>(k_) - 1 - static_cast<isize>(pad_);
-  // The dy plane as the input of an unpadded stride-1 convolution with
-  // output h x w: its windows are the dx GEMM's rows.
-  const ConvGeom dy_geom{out_ch_, k_, 1, 0, dh, dw, h, w};
+  // The same per-sample pass spreads the sample's input planes into their
+  // slice of the whole-batch buffer.
+  float* xp_all = ws.batch_planes_buffer(n * xp_size);
   const usize work = dx != nullptr ? n * hw * in_ch_ * Kd : n * P * K;
   for_sample_chunks(n, work, ws, [&](usize lo, usize hi, usize slot) {
-    float* xp = ws.col_buffer(xp_size + (dx != nullptr ? dp_size + hw * Kd : 0), slot);
-    float* dp = xp + xp_size;
-    float* col = dp + dp_size;
+    float* dp = dx != nullptr ? ws.planes_buffer(dp_size, slot) : nullptr;
     for (usize b = lo; b < hi; ++b) {
       spread_planes(x.data() + b * in_ch_ * hw, in_ch_, h, w, 1, static_cast<isize>(pad_), ph,
-                    pw, xp);
-      (stride_ == 1 ? gather_taps<1> : gather_taps<0>)(xp, g, taps + b * P, n * P);
+                    pw, xp_all + b * xp_size);
       if (dx == nullptr) continue;
       spread_planes(dy.data() + b * out_ch_ * P, out_ch_, g.oh, g.ow, stride_, dy_off, dh, dw,
                     dp);
-      gather_windows_any(dp, dy_geom, col);
-      gemm::gemm_nt_prepacked(hw, in_ch_, Kd, col, Kd, wpack, dx->data() + b * in_ch_ * hw, 1,
-                              hw, nullptr, gemm::Bias::kNone);
+      gemm::gemm_nt_offsets(hw, in_ch_, Kd, dp, dx_rows, dx_koff, wpack,
+                            dx->data() + b * in_ch_ * hw, 1, hw, nullptr, gemm::Bias::kNone);
     }
   });
 
-  // dweight += taps x dy^T, one GEMM over the whole batch: dweight[oc, kk]
-  // continues its sum over ascending (sample, output position), and a short
-  // per-sample reduction (P = 9 in the deepest vgg11 layer) still gets one
-  // long k loop.
+  // dweight += T dy^T, T being the tap rows read through the tables above,
+  // one GEMM over the whole batch: dweight[oc, kk] continues its sum over
+  // ascending (sample, output position), and a short per-sample reduction
+  // (P = 9 in the deepest vgg11 layer) still gets one long k loop.
   float* dypack = ws.pack_buffer(gemm::packed_b_size(out_ch_, n * P));
   for (usize b = 0; b < n; ++b) {
     gemm::pack_b_block(dy.data() + b * out_ch_ * P, P, out_ch_, P, b * P, n * P, dypack);
   }
-  gemm::gemm_nt_prepacked(K, out_ch_, n * P, taps, n * P, dypack, dweight.data(), 1, K,
-                          nullptr, gemm::Bias::kAccumulate);
+  gemm::gemm_nt_offsets(K, out_ch_, n * P, xp_all, tap_rows, pos_koff, dypack, dweight.data(),
+                        1, K, nullptr, gemm::Bias::kAccumulate);
 }
 
 std::vector<ParamRef> Conv2d::params() {
@@ -446,52 +429,75 @@ void ReLU::backward_into(const Tensor& /*x*/, const Tensor& y, const Tensor& dy,
 
 namespace {
 
-/// Calls f(out_idx, idx, best) for every 2x2 window of the NCHW tensor x in
-/// output order, where best is the window maximum under a strict-> scan from
-/// -inf and idx the flat index of the element holding it. A window with no
-/// element above -inf (all NaN or all -inf) reports best = -inf at its own
-/// first element.
-template <typename F>
-void for_each_pool_window(const Tensor& x, F&& f) {
-  const usize n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const usize oh = h / 2, ow = w / 2;
-  usize out_idx = 0;
-  for (usize bc = 0; bc < n * c; ++bc) {
-    for (usize i = 0; i < oh; ++i) {
-      for (usize j = 0; j < ow; ++j) {
-        const usize first = (bc * h + i * 2) * w + j * 2;
-        float best = -std::numeric_limits<float>::infinity();
-        usize best_idx = first;
-        for (const usize idx : {first, first + 1, first + w, first + w + 1}) {
-          if (x[idx] > best) {
-            best = x[idx];
-            best_idx = idx;
-          }
-        }
-        f(out_idx++, best_idx, best);
-      }
-    }
-  }
+/// The strict-> scan from -inf over one 2x2 window (v0 v1 / v2 v3): returns
+/// the window maximum and sets `pick` to the index of the element holding
+/// it. A window with no element above -inf (all NaN or all -inf) yields
+/// -inf at its first element. Selects, not branches.
+inline float pool_scan(float v0, float v1, float v2, float v3, u32& pick) {
+  float best = v0 > -std::numeric_limits<float>::infinity()
+                   ? v0
+                   : -std::numeric_limits<float>::infinity();
+  pick = 0;
+  pick = v1 > best ? 1u : pick;
+  best = v1 > best ? v1 : best;
+  pick = v2 > best ? 2u : pick;
+  best = v2 > best ? v2 : best;
+  pick = v3 > best ? 3u : pick;
+  return v3 > best ? v3 : best;
 }
 
 }  // namespace
 
 void MaxPool2d::forward_into(const Tensor& x, Tensor& y, bool /*train*/, Workspace& /*ws*/) {
   assert(x.rank() == 4);
-  y.resize({x.dim(0), x.dim(1), x.dim(2) / 2, x.dim(3) / 2});
-  for_each_pool_window(x, [&](usize out_idx, usize /*idx*/, float best) {
-    y[out_idx] = best;
-  });
+  const usize n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const usize oh = h / 2, ow = w / 2;
+  y.resize({n, c, oh, ow});
+  float* out = y.data();
+  for (usize bc = 0; bc < n * c; ++bc) {
+    for (usize i = 0; i < oh; ++i) {
+      const float* x0 = x.data() + (bc * h + 2 * i) * w;
+      const float* x1 = x0 + w;
+      for (usize j = 0; j < ow; ++j, ++out) {
+        u32 pick;
+        *out = pool_scan(x0[2 * j], x0[2 * j + 1], x1[2 * j], x1[2 * j + 1], pick);
+      }
+    }
+  }
 }
 
 void MaxPool2d::backward_into(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
                               Tensor* dx, Workspace& /*ws*/) {
-  // Re-runs the forward's scan over x to find each window's chosen element.
+  // Writes every element of dx once, with no branch on the data. A window
+  // puts 0.0f + dy (what adding dy to a zeroed dx gave) at the element the
+  // forward's strict-> scan from -inf chose, its first element if none
+  // beats -inf, and +0 at the other three. The other three get their +0 as
+  // the chosen value ANDed with a zero mask. An odd trailing row or column,
+  // which no window covers, is +0.
+  const usize n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const usize oh = h / 2, ow = w / 2;
   dx->resize(x.shape());
-  dx->zero();
-  for_each_pool_window(x, [&](usize out_idx, usize idx, float /*best*/) {
-    (*dx)[idx] += dy[out_idx];
-  });
+  for (usize bc = 0; bc < n * c; ++bc) {
+    float* plane = dx->data() + bc * h * w;
+    for (usize i = 0; i < oh; ++i) {
+      const float* x0 = x.data() + (bc * h + 2 * i) * w;
+      const float* x1 = x0 + w;
+      const float* gy = dy.data() + (bc * oh + i) * ow;
+      float* d0 = plane + 2 * i * w;
+      float* d1 = d0 + w;
+      for (usize j = 0; j < ow; ++j) {
+        u32 pick;
+        pool_scan(x0[2 * j], x0[2 * j + 1], x1[2 * j], x1[2 * j + 1], pick);
+        const u32 g = std::bit_cast<u32>(0.0f + gy[j]);
+        d0[2 * j] = std::bit_cast<float>(g & (0u - static_cast<u32>(pick == 0)));
+        d0[2 * j + 1] = std::bit_cast<float>(g & (0u - static_cast<u32>(pick == 1)));
+        d1[2 * j] = std::bit_cast<float>(g & (0u - static_cast<u32>(pick == 2)));
+        d1[2 * j + 1] = std::bit_cast<float>(g & (0u - static_cast<u32>(pick == 3)));
+      }
+      if (w % 2 != 0) d0[w - 1] = d1[w - 1] = 0.0f;
+    }
+    if (h % 2 != 0) std::fill(plane + (h - 1) * w, plane + h * w, 0.0f);
+  }
 }
 
 // -------------------------------------------------------- GlobalAvgPool ----

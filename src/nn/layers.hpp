@@ -12,8 +12,8 @@
 // The compute API is arena-based: forward_into/backward_into write into
 // caller-provided tensors and draw all scratch from a Workspace, so the
 // steady state performs zero heap allocations. Dense and Conv2d lower both
-// passes onto the cache-blocked GEMM in nn/gemm.hpp (Conv2d via patch
-// gathers) while preserving the naive loops' per-output accumulation order
+// passes onto the GEMM in nn/gemm.hpp (Conv2d as an implicit GEMM over
+// offset tables into zero-bordered planes) while preserving the naive loops' per-output accumulation order
 // bit-exactly; the forward packs the weight operand from the float tensor
 // on every call, so it can never read stale weights. The value-returning
 // forward/backward wrappers remain for tests and one-off use.
@@ -61,7 +61,7 @@ class Layer {
   /// null, writes dL/dx into *dx. A null `dx` says nobody reads the input
   /// gradient (Sequential::backward_params passes it to the lowest layer
   /// with parameters): the layer then skips every pass that only feeds dx --
-  /// Conv2d its dy gather, flipped-weight pack and dx GEMM, Dense its dx
+  /// Conv2d its dy planes, flipped-weight pack and dx GEMM, Dense its dx
   /// GEMM, BatchNorm2d its dx loop -- and the parameter gradients come out
   /// byte-identical. Layers without parameters always get a `dx`.
   /// `x` and `y` must be the input and output of this layer's latest
@@ -138,10 +138,11 @@ class Dense final : public Layer {
 };
 
 /// 2-D convolution, square kernel, NCHW. y = conv(x, W) + b, computed as a
-/// GEMM per sample over patch rows (one per output position) against the
-/// weight rows. Every pass -- forward, the one-row probe kernel,
-/// backward -- reads its patches from zero-bordered copies of the
-/// sample's planes, so no gather tests bounds.
+/// GEMM per sample whose rows are the input windows (one per output
+/// position) against the weight rows. Every pass -- forward, the one-row
+/// probe kernel, backward -- reads zero-bordered copies of the planes, the
+/// GEMMs through offset tables, so no read tests bounds and no patch
+/// matrix is built.
 class Conv2d final : public Layer {
  public:
   Conv2d(usize in_ch, usize out_ch, usize kernel, usize stride, usize padding, sys::Rng& rng);

@@ -17,10 +17,26 @@
 // shapes; the campaign baseline gates it end to end). No kernel here uses a
 // fused multiply-add: there is one numeric regime, and it is byte-gated.
 //
+// A microkernel reads its A operand through an offset table: element k of
+// A row i is a[i][koff[k]], where a[i] is the row's base pointer and koff
+// the k-offset table the whole GEMM call shares. A contiguous row is the
+// identity table; Conv2d's rows are windows over zero-bordered planes, so
+// the table holds each tap's offset within the window and no patch matrix
+// is ever gathered (nn/gemm.hpp).
+//
+// A microkernel also owns its accumulators' start and store: it starts them
+// at +0, at the column's bias or at the current C element, and stores C
+// straight from registers. A row-major C (column stride 1) is stored one row
+// per register; a column-major C (row stride 1, Conv2d's NCHW outputs and
+// its weight gradient) goes through an in-register 8x8 transpose and is
+// stored one column per register. Moving values between lanes never
+// touches their bits.
+//
 // Knob (resolved per kernel selection, overridable in-process):
 //   DNND_SIMD=0   force the scalar microkernels (CI's forced-scalar leg)
 #pragma once
 
+#include "nn/gemm.hpp"
 #include "sys/types.hpp"
 
 namespace dnnd::nn::simd {
@@ -34,14 +50,27 @@ enum class Isa : u32 { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 /// the bench_inference JSON.
 [[nodiscard]] const char* isa_name(Isa isa);
 
-/// 8x8 register-tile microkernel: for k ascending then i in [0,8),
-/// acc[i*8 + r] += a[i][k] * panel[k*8 + r] for all eight lanes r.
-/// `a` holds the eight A-row pointers, `panel` the 8-wide interleaved B
-/// panel, `acc` the 64 contiguous accumulators.
-using Tile8Fn = void (*)(usize K, const float* const* a, const float* panel, float* acc);
+/// One register tile of the GEMM: up to eight A rows against one 8-column
+/// B panel, writing C[i, r] = c[i * crs + r * ccs] for the tile's rows i and
+/// its `cols` valid columns r. One of crs and ccs is 1. Lanes past `cols`
+/// are computed from the panel's zero padding and never stored.
+struct Tile {
+  usize K = 0;
+  const u32* koff = nullptr;      ///< A[i, k] = a[i][koff[k]], K entries
+  const float* panel = nullptr;   ///< 8-wide interleaved B panel, K lines
+  float* c = nullptr;             ///< C of tile row 0, panel column 0
+  usize crs = 0, ccs = 0;
+  usize cols = 0;                 ///< valid panel columns, 1..8
+  const float* bias = nullptr;    ///< kPerCol: bias of panel column 0
+  gemm::Bias start = gemm::Bias::kNone;
+};
 
-/// Single-row remainder: acc[r] += a[k] * panel[k*8 + r], k ascending.
-using Row1Fn = void (*)(usize K, const float* a, const float* panel, float* acc);
+/// 8x8 register tile: for k ascending then i in [0,8),
+/// acc[i][r] += a[i][koff[k]] * panel[k*8 + r] for all eight lanes r.
+using Tile8Fn = void (*)(const Tile& t, const float* const* a);
+
+/// Single-row remainder: acc[r] += a[koff[k]] * panel[k*8 + r], k ascending.
+using Row1Fn = void (*)(const Tile& t, const float* a);
 
 /// A resolved microkernel pair plus what it was resolved to.
 struct Kernels {

@@ -13,12 +13,8 @@ Tensor& Workspace::slot(const void* owner, SlotKind kind, usize idx) {
 }
 
 void Workspace::reserve_team(usize teams) {
-  if (col_.size() < teams) {
-    col_.resize(teams);
-    alloc_events_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (pack_.size() < teams) {
-    pack_.resize(teams);
+  if (planes_.size() < teams) {
+    planes_.resize(teams);
     alloc_events_.fetch_add(1, std::memory_order_relaxed);
   }
 }

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "nn/gemm.hpp"
 #include "nn/layers.hpp"
@@ -103,6 +104,14 @@ TEST(Gemm, Conv2dForwardMatchesReference) {
     fill_random(c.bias, rng);
     Tensor x({n, in_ch, h, w});
     fill_random(x, rng);
+    // Non-finite inputs: the padded taps the GEMM adds as +0 or -0 must not
+    // disturb an inf or NaN accumulator, and every term must meet the same
+    // operands in the same order as in the naive loops.
+    if (trial % 2 == 1) {
+      x[rng.uniform(x.size())] = std::numeric_limits<float>::infinity();
+      x[rng.uniform(x.size())] = -std::numeric_limits<float>::infinity();
+      x[rng.uniform(x.size())] = std::numeric_limits<float>::quiet_NaN();
+    }
     const Tensor y = c.forward(x, /*train=*/false);
     Tensor ref(y.shape());
     reference::conv2d_forward(x, c.weight, c.bias, stride, pad, ref);
@@ -264,9 +273,10 @@ TEST(Gemm, SimdThreadsMatrixMatchesScalarSerial) {
 
 TEST(Gemm, ThreadedIm2colGatherMatchesSerialByteExact) {
   // Single-sample convolution big enough to clear the parallel-work
-  // threshold: the batch cannot be split, so the patch gather runs serially
-  // and the sample's GEMM partitions its output rows across the pool. Output
-  // must be byte-identical to serial and to the naive reference.
+  // threshold: the batch cannot be split, so the sample's planes are spread
+  // serially and its GEMM partitions its output rows across the pool, every
+  // team slot reading the planes through the same shared offset tables.
+  // Output must be byte-identical to serial and to the naive reference.
   ThreadsGuard guard;
   sys::Rng rng(111);
   Conv2d conv(8, 9, 3, 1, 1, rng);
@@ -362,6 +372,66 @@ TEST(Gemm, AccumulateModeMatchesScalarOracle) {
         gemm_packed(M, N, K - k1, a.data() + k1, K, b.data() + k1, K, split.data(), crs, ccs,
                     nullptr, gemm::Bias::kAccumulate);
         expect_bitwise_equal(split, oracle, "split accumulate " + what);
+      }
+    }
+  }
+}
+
+TEST(Gemm, OffsetTableMatchesGatheredOperand) {
+  // gemm_nt_offsets reads A[m, k] = base[rows[m] + koff[k]]. Gathering that
+  // operand explicitly and running gemm_nt_prepacked on it must give the
+  // same bytes, for every start (bias kind), both C layouts (row stride 1
+  // is the transposed store) and every {scalar, SIMD} x {1, 2, 4} teams
+  // setting. The tables are random, so windows overlap and offsets repeat,
+  // as Conv2d's do.
+  SimdGuard simd_guard;
+  ThreadsGuard threads_guard;
+  sys::Rng rng(116);
+  const gemm::Bias kinds[] = {gemm::Bias::kNone, gemm::Bias::kPerCol, gemm::Bias::kAccumulate};
+  for (int trial = 0; trial < 36; ++trial) {
+    const usize M = 1 + rng.uniform(70), N = 1 + rng.uniform(40), K = 1 + rng.uniform(260);
+    const gemm::Bias kind = kinds[trial % 3];
+    const bool col_major = (trial / 3) % 2 == 1;
+    const usize crs = col_major ? 1 : N, ccs = col_major ? M : 1;
+    const usize span = 1 + rng.uniform(4 * K + 64);
+    Tensor base({2 * span}), b({N, K}), bias({N}), seed({M, N});
+    fill_random(base, rng);
+    fill_random(b, rng);
+    fill_random(bias, rng);
+    fill_random(seed, rng);
+    std::vector<u32> rows(M), koff(K);
+    for (u32& r : rows) r = static_cast<u32>(rng.uniform(span));
+    for (u32& k : koff) k = static_cast<u32>(rng.uniform(span));
+    Tensor a({M, K});
+    for (usize m = 0; m < M; ++m) {
+      for (usize k = 0; k < K; ++k) a[m * K + k] = base[rows[m] + koff[k]];
+    }
+    std::vector<float> packed(gemm::packed_b_size(N, K));
+    gemm::pack_b(b.data(), K, N, K, packed.data());
+    // Without accumulation every element must be written over a sentinel.
+    if (kind != gemm::Bias::kAccumulate) seed.fill(-999.0f);
+
+    simd::set_scalar_override(1);
+    gemm::set_threads(1);
+    Tensor golden = seed;
+    gemm::gemm_nt_prepacked(M, N, K, a.data(), K, packed.data(), golden.data(), crs, ccs,
+                            bias.data(), kind);
+    const std::string shape = " M=" + std::to_string(M) + " N=" + std::to_string(N) +
+                              " K=" + std::to_string(K) + " col_major=" +
+                              std::to_string(col_major) + " trial " + std::to_string(trial);
+    for (const int scalar : {1, 0}) {
+      for (const usize teams : {usize{1}, usize{2}, usize{4}}) {
+        simd::set_scalar_override(scalar);
+        gemm::set_threads(teams);
+        const std::string what =
+            "scalar=" + std::to_string(scalar) + " teams=" + std::to_string(teams) + shape;
+        Tensor gathered = seed, offsets = seed;
+        gemm::gemm_nt_prepacked(M, N, K, a.data(), K, packed.data(), gathered.data(), crs, ccs,
+                                bias.data(), kind);
+        gemm::gemm_nt_offsets(M, N, K, base.data(), rows.data(), koff.data(), packed.data(),
+                              offsets.data(), crs, ccs, bias.data(), kind);
+        expect_bitwise_equal(gathered, golden, "gathered " + what);
+        expect_bitwise_equal(offsets, golden, "offsets " + what);
       }
     }
   }

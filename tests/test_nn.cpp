@@ -4,6 +4,7 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <utility>
 
 #include "nn/dataset.hpp"
 #include "nn/layers.hpp"
@@ -317,6 +318,62 @@ TEST(MaxPool, DeadWindowRoutesGradientIntoItsOwnWindow) {
   EXPECT_EQ(dx[0], 0.0f);
   EXPECT_EQ(dx[5], dy[0]);
   EXPECT_EQ(dx.sum(), dy.sum());
+}
+
+TEST(MaxPool, BackwardMatchesScanOnEdgeValues) {
+  // The zero-then-scatter backward, kept as the oracle: zero dx, re-run the
+  // forward's strict-> scan from -inf and add each dy at its window's chosen
+  // element (the first one when none beats -inf).
+  auto oracle = [](const Tensor& x, const Tensor& dy) {
+    Tensor dx(x.shape());
+    const usize h = x.dim(2), w = x.dim(3);
+    usize out = 0;
+    for (usize bc = 0; bc < x.dim(0) * x.dim(1); ++bc) {
+      for (usize i = 0; i < h / 2; ++i) {
+        for (usize j = 0; j < w / 2; ++j) {
+          const usize first = (bc * h + 2 * i) * w + 2 * j;
+          float best = -std::numeric_limits<float>::infinity();
+          usize best_idx = first;
+          for (const usize idx : {first, first + 1, first + w, first + w + 1}) {
+            if (x[idx] > best) {
+              best = x[idx];
+              best_idx = idx;
+            }
+          }
+          dx[best_idx] += dy[out++];
+        }
+      }
+    }
+    return dx;
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Repeats make ties; NaN and -inf make windows with no strict winner.
+  const float kX[] = {1.0f, 1.0f, -0.0f, 0.0f, inf, -inf, nan, 2.5f, -3.0f, 1.0f};
+  MaxPool2d p;
+  Workspace ws;
+  for (const auto& [h, w] : {std::pair<usize, usize>{4, 4}, {5, 4}, {4, 5}, {5, 7}, {3, 2}}) {
+    Tensor x({2, 3, h, w});
+    for (usize i = 0; i < x.size(); ++i) x[i] = kX[(i * 7 + i / 5) % std::size(kX)];
+    for (usize di = 0; di < 2; ++di) {
+      for (usize dj = 0; dj < 2; ++dj) {
+        x.at4(0, 0, di, dj) = nan;         // an all-NaN window
+        x.at4(1, 2, di, dj) = -inf;        // an all--inf window
+        x.at4(1, 0, di, 2 * (w / 2) - 2 + dj) = 2.0f;  // a four-way tie
+      }
+    }
+    Tensor y;
+    p.forward_into(x, y, /*train=*/false, ws);
+    Tensor dy(y.shape());
+    for (usize i = 0; i < dy.size(); ++i) dy[i] = kEdgeDy[i % std::size(kEdgeDy)];
+    Tensor dx = Tensor::full(x.shape(), 7.0f);  // every element must be written
+    p.backward_into(x, y, dy, &dx, ws);
+    const Tensor want = oracle(x, dy);
+    for (usize i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(bits_of(dx[i]), bits_of(want[i]))
+          << "h=" << h << " w=" << w << " element " << i << ": x " << x[i];
+    }
+  }
 }
 
 TEST(GlobalAvgPool, ForwardAndGradient) {
