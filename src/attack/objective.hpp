@@ -65,8 +65,8 @@ class Objective {
 
 /// Untargeted cross-entropy maximizer -- the classic BFA objective (Rakin et
 /// al. ICCV'19). With `allow_fallback` false it doubles as the limited-budget
-/// VWA objective: an attacker paying for every flip out of a hard budget
-/// never spends one on a non-improving first-order estimate.
+/// VWA objective and the binary-weight sign-bit attack's: an attacker paying
+/// for every flip never spends one on a non-improving first-order estimate.
 class UntargetedCeObjective final : public Objective {
  public:
   explicit UntargetedCeObjective(bool allow_fallback = true)

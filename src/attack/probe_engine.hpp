@@ -22,9 +22,11 @@
 // one full forward, which also resolves the model's class count.
 //
 // ProgressiveBitSearch (BFA), TbfaAttack, AdaptiveWhiteBoxAttack, the
-// white-box DRAM system loop, and VwaLimitedAttack are all thin drivers over
-// this engine; their campaign results are byte-identical to the pre-engine
-// per-family loops (the tiny-grid golden gates this at zero tolerance).
+// white-box DRAM system loop, VwaLimitedAttack and the binary-weight sign-bit
+// attack (defense::software::attack_binary) are all thin drivers over this
+// engine; their campaign results are byte-identical to the pre-engine
+// per-family loops (the tiny-grid golden and the paper-model golden gate this
+// at zero tolerance).
 #pragma once
 
 #include <optional>

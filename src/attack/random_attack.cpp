@@ -5,7 +5,8 @@
 namespace dnnd::attack {
 
 quant::BitLocation RandomBitAttack::flip_one(const quant::BitSkipSet& skip) {
-  const u64 total_bits = qm_.total_bits();
+  // Uniform over all eight bits of every code (flat index = weight * 8 + bit).
+  const u64 total_bits = qm_.total_weights() * 8;
   for (;;) {
     u64 flat = rng_.uniform(total_bits);
     const u32 bit = static_cast<u32>(flat % 8);

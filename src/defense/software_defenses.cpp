@@ -5,104 +5,44 @@
 #include <cmath>
 #include <numeric>
 
+#include "attack/probe_engine.hpp"
 #include "nn/trainer.hpp"
 
 namespace dnnd::defense::software {
 
 // ------------------------------------------------------ BinaryWeightModel --
 
-BinaryWeightModel::BinaryWeightModel(nn::Model& model) : model_(model) {
-  for (auto& p : model_.quantizable_params()) {
-    BinLayer bl;
-    bl.value = p.value;
-    bl.grad = p.grad;
-    double mean_abs = 0.0;
-    for (usize i = 0; i < p.value->size(); ++i) mean_abs += std::fabs((*p.value)[i]);
-    mean_abs /= static_cast<double>(p.value->size() == 0 ? 1 : p.value->size());
-    bl.alpha = static_cast<float>(mean_abs);
-    bl.sign.resize(p.value->size());
-    for (usize i = 0; i < p.value->size(); ++i) {
-      bl.sign[i] = (*p.value)[i] >= 0.0f ? i8{1} : i8{-1};
-    }
-    layers_.push_back(std::move(bl));
-  }
-  materialize();
+namespace {
+
+/// alpha = mean|w|; codes +-64 by sign at scale alpha/64, sign bit only.
+void code_binary(const nn::Tensor& w, quant::QuantizedLayer& l) {
+  double mean_abs = 0.0;
+  for (usize i = 0; i < w.size(); ++i) mean_abs += std::fabs(w[i]);
+  mean_abs /= static_cast<double>(w.size() == 0 ? 1 : w.size());
+  l.scale = static_cast<float>(mean_abs) / 64.0f;
+  l.q.resize(w.size());
+  for (usize i = 0; i < w.size(); ++i) l.q[i] = w[i] >= 0.0f ? i8{64} : i8{-64};
+  l.lowest_bit = 7;
 }
 
-u64 BinaryWeightModel::total_bits() const {
-  u64 n = 0;
-  for (const auto& l : layers_) n += l.sign.size();
-  return n;
-}
+}  // namespace
 
-bool BinaryWeightModel::is_positive(usize layer, usize index) const {
-  return layers_.at(layer).sign.at(index) > 0;
-}
-
-void BinaryWeightModel::flip(usize layer, usize index) {
-  BinLayer& l = layers_.at(layer);
-  l.sign.at(index) = static_cast<i8>(-l.sign[index]);
-  (*l.value)[index] = l.alpha * static_cast<float>(l.sign[index]);
-}
-
-void BinaryWeightModel::materialize() {
-  for (auto& l : layers_) {
-    for (usize i = 0; i < l.sign.size(); ++i) {
-      (*l.value)[i] = l.alpha * static_cast<float>(l.sign[i]);
-    }
-  }
-}
+BinaryWeightModel::BinaryWeightModel(nn::Model& model)
+    : quant::QuantizedModel(model, code_binary) {}
 
 BinaryAttackResult attack_binary(BinaryWeightModel& bm, const nn::Tensor& attack_x,
                                  const std::vector<u32>& attack_y, usize max_flips,
                                  double stop_accuracy) {
-  constexpr usize kLayersEvaluated = 6;  // exact-loss check of the best n layers by gain
+  attack::UntargetedCeObjective objective(/*allow_fallback=*/false);
+  attack::ProbeEngine engine(bm, attack_x, attack_y, objective,
+                             {/*candidates_per_layer=*/1, /*layers_evaluated=*/6});
   BinaryAttackResult result;
-  nn::Model& model = bm.model();
-  result.final_accuracy = model.accuracy(attack_x, attack_y);
-  for (usize flip = 0; flip < max_flips; ++flip) {
-    model.zero_grad();
-    model.loss_and_grad(attack_x, attack_y);
-    // Per-layer best sign flip by first-order gain g * (-2 alpha s).
-    struct Cand {
-      usize layer, index;
-      double gain;
-    };
-    std::vector<Cand> cands;
-    for (usize l = 0; l < bm.num_layers(); ++l) {
-      const nn::Tensor& g = bm.grad(l);
-      double best_gain = 0.0;
-      usize best_idx = 0;
-      for (usize i = 0; i < bm.layer_size(l); ++i) {
-        const double s = bm.is_positive(l, i) ? 1.0 : -1.0;
-        const double gain = g[i] * (-2.0 * bm.alpha(l) * s);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_idx = i;
-        }
-      }
-      if (best_gain > 0.0) cands.push_back({l, best_idx, best_gain});
-    }
-    if (cands.empty()) break;
-    std::sort(cands.begin(), cands.end(),
-              [](const Cand& a, const Cand& b) { return a.gain > b.gain; });
-    if (cands.size() > kLayersEvaluated) cands.resize(kLayersEvaluated);
-    const double base_loss = model.loss(attack_x, attack_y);
-    double best_loss = base_loss;
-    i64 best = -1;
-    for (usize c = 0; c < cands.size(); ++c) {
-      bm.flip(cands[c].layer, cands[c].index);
-      const double loss = model.loss(attack_x, attack_y);
-      bm.flip(cands[c].layer, cands[c].index);
-      if (loss > best_loss) {
-        best_loss = loss;
-        best = static_cast<i64>(c);
-      }
-    }
-    if (best < 0) break;
-    bm.flip(cands[static_cast<usize>(best)].layer, cands[static_cast<usize>(best)].index);
+  result.final_accuracy = nn::evaluate_logits(engine.clean_logits(), attack_y).accuracy;
+  while (result.flips < max_flips) {
+    const auto step = engine.step({});
+    if (!step.has_value()) break;
     result.flips += 1;
-    result.final_accuracy = model.accuracy(attack_x, attack_y);
+    result.final_accuracy = step->best.accuracy;
     if (result.final_accuracy <= stop_accuracy) {
       result.reached_stop = true;
       break;

@@ -4,8 +4,8 @@
 //     layer's weights toward two clusters, removing the outliers BFA exploits.
 //   * Weight reconstruction (Li et al., DAC'20): inference-time clamping of
 //     codes to deployment-profiled bounds neutralises large flipped weights.
-//   * RA-BNN (Rakin et al., 2021): robust binary network (modelled as a
-//     wider binary-weight net; see DESIGN.md for the simplification note).
+//   * RA-BNN (Rakin et al., 2021): robust binary network, modelled as a
+//     wider binary-weight net (see the README's stand-ins note).
 //   * Model capacity scaling (x16 in the paper): built via the zoo's
 //     width_mult knob.
 // These carry training overhead and/or clean-accuracy loss -- the trade-off
@@ -23,35 +23,16 @@ namespace dnnd::defense::software {
 // ----------------------------------------------------------------------
 
 /// Binary-weight view of a model: per-layer alpha = mean|w|, weight =
-/// alpha * sign. The attack surface shrinks to one (sign) bit per weight.
-class BinaryWeightModel {
+/// alpha * sign. It is held as a QuantizedModel with codes +-64 at scale
+/// alpha/64 and the sign bit (bit 7) as each weight's only attackable bit, so
+/// a sign flip is an ordinary flip/probe: 0x40 ^ 0x80 is -64, and
+/// 64 * (alpha/64) is exactly alpha. The attack surface shrinks to one bit
+/// per weight.
+class BinaryWeightModel final : public quant::QuantizedModel {
  public:
   explicit BinaryWeightModel(nn::Model& model);
 
-  [[nodiscard]] usize num_layers() const { return layers_.size(); }
-  [[nodiscard]] usize layer_size(usize l) const { return layers_.at(l).sign.size(); }
-  [[nodiscard]] u64 total_bits() const;
-
-  [[nodiscard]] bool is_positive(usize layer, usize index) const;
-  /// Flips the sign bit of one weight (and the materialized float weight).
-  void flip(usize layer, usize index);
-
-  /// Rewrites all float weights as alpha * sign.
-  void materialize();
-
-  [[nodiscard]] nn::Model& model() { return model_; }
-  [[nodiscard]] float alpha(usize layer) const { return layers_.at(layer).alpha; }
-  [[nodiscard]] nn::Tensor& grad(usize layer) { return *layers_.at(layer).grad; }
-
- private:
-  struct BinLayer {
-    nn::Tensor* value;
-    nn::Tensor* grad;
-    float alpha;
-    std::vector<i8> sign;  ///< +1 / -1
-  };
-  nn::Model& model_;
-  std::vector<BinLayer> layers_;
+  [[nodiscard]] float alpha(usize l) const { return layer(l).scale * 64.0f; }
 };
 
 struct BinaryAttackResult {
@@ -60,8 +41,12 @@ struct BinaryAttackResult {
   bool reached_stop = false;
 };
 
-/// Progressive bit search adapted to sign bits: candidates ranked by the
-/// first-order gain of a sign flip, dL = g * (-2 * alpha * sign).
+/// Progressive bit search over sign bits, an attack::ProbeEngine driver:
+/// each step ranks every layer's best sign flip by its first-order gain
+/// dL = g * (-2 * alpha * sign), prices the best six layers' candidates
+/// exactly and commits the one that raises the attack-batch loss most. It
+/// stops when no candidate raises the loss (no first-order fallback), after
+/// `max_flips` flips, or once the accuracy is <= `stop_accuracy`.
 BinaryAttackResult attack_binary(BinaryWeightModel& bm, const nn::Tensor& attack_x,
                                  const std::vector<u32>& attack_y, usize max_flips,
                                  double stop_accuracy);

@@ -32,7 +32,7 @@ std::vector<FlipCandidate> top_k_flips(const QuantizedLayer& layer, usize layer_
     // sign bit (|dq| = 128); prune weights that cannot beat the current
     // k-th best even with the sign bit.
     if (best.size() == k && s_abs * 128.0 <= best.back().estimated_gain) continue;
-    for (u32 bit = 0; bit < 8; ++bit) {
+    for (u32 bit = layer.lowest_bit; bit < 8; ++bit) {
       const double gain = flip_gain(layer, i, bit);
       if (gain <= 0.0) continue;
       if (best.size() == k && gain <= best.back().estimated_gain) continue;

@@ -48,7 +48,8 @@ struct FlipCandidate {
 /// given its current code and gradient.
 double flip_gain(const QuantizedLayer& layer, usize index, u32 bit);
 
-/// Top-k candidates of one layer by estimated gain, skipping `skip`.
+/// Top-k candidates of one layer by estimated gain over its attackable bits
+/// (QuantizedLayer::lowest_bit through the sign bit), skipping `skip`.
 /// Only candidates with positive estimated gain are returned (a flip that
 /// lowers the loss is never useful to the attacker).
 std::vector<FlipCandidate> top_k_flips(const QuantizedLayer& layer, usize layer_index, usize k,

@@ -31,23 +31,29 @@ namespace {
 /// arithmetic everything (full pass, flip, restore) shares.
 inline float dequant(i8 q, float scale) { return static_cast<float>(q) * scale; }
 
+/// Symmetric 8-bit coding: scale max|W| / 127, codes round(W / scale).
+void code_8bit(const nn::Tensor& w, QuantizedLayer& l) {
+  const float amax = w.abs_max();
+  l.scale = amax > 0.0f ? amax / 127.0f : 1.0f;
+  l.q.resize(w.size());
+  for (usize i = 0; i < l.q.size(); ++i) {
+    const long r = std::lround(w[i] / l.scale);
+    l.q[i] = static_cast<i8>(std::clamp<long>(r, -128, 127));
+  }
+}
+
 }  // namespace
 
-QuantizedModel::QuantizedModel(nn::Model& model) : model_(model) {
+QuantizedModel::QuantizedModel(nn::Model& model) : QuantizedModel(model, code_8bit) {}
+
+QuantizedModel::QuantizedModel(nn::Model& model, LayerCoder coder) : model_(model) {
   for (auto& p : model_.quantizable_params()) {
     QuantizedLayer ql;
     ql.name = p.name;
     ql.value = p.value;
     ql.grad = p.grad;
     ql.net_layer = p.top_layer;
-    const float amax = p.value->abs_max();
-    ql.scale = amax > 0.0f ? amax / 127.0f : 1.0f;
-    ql.q.resize(p.value->size());
-    for (usize i = 0; i < ql.q.size(); ++i) {
-      const float w = (*p.value)[i];
-      const long r = std::lround(w / ql.scale);
-      ql.q[i] = static_cast<i8>(std::clamp<long>(r, -128, 127));
-    }
+    coder(*p.value, ql);
     // Both Dense ({out, in}) and Conv2d ({oc, ic, k, k}) present as a
     // row-major code matrix with dim(0) rows.
     ql.cols = ql.q.size() / p.value->dim(0);
@@ -62,6 +68,12 @@ QuantizedModel::QuantizedModel(nn::Model& model) : model_(model) {
 u64 QuantizedModel::total_weights() const {
   u64 n = 0;
   for (const auto& l : layers_) n += l.size();
+  return n;
+}
+
+u64 QuantizedModel::total_bits() const {
+  u64 n = 0;
+  for (const auto& l : layers_) n += static_cast<u64>(l.size()) * (8 - l.lowest_bit);
   return n;
 }
 

@@ -76,12 +76,22 @@ struct QuantizedLayer {
   /// to output feature / channel index / cols.
   usize cols = 0;
 
+  /// Lowest attackable bit: bits [lowest_bit, 7] of every code are the
+  /// layer's attack surface (0 for 8-bit codes; 7 for binary weights, whose
+  /// sign bit is the only bit that carries information).
+  u32 lowest_bit = 0;
+
   [[nodiscard]] usize size() const { return q.size(); }
 };
 
 /// Quantized view over a Model's weight tensors. Owns the integer codes --
 /// the bits the attacks flip; the float model remains the inference engine
 /// (and stays in sync code-for-code).
+///
+/// The public constructor codes every layer with the symmetric 8-bit scheme
+/// above; a subclass may code them differently through the protected
+/// constructor (defense::software::BinaryWeightModel: codes +-64, sign bit
+/// only).
 ///
 /// Invariant: while a QuantizedModel is alive, every mutation of a quantized
 /// weight tensor must go through it (flip / set_q / restore / materialize) so
@@ -101,9 +111,10 @@ class QuantizedModel {
 
   [[nodiscard]] nn::Model& model() { return model_; }
 
-  /// Total number of weights / weight bits across all quantized layers.
+  /// Total number of weights / attackable weight bits across all quantized
+  /// layers.
   [[nodiscard]] u64 total_weights() const;
-  [[nodiscard]] u64 total_bits() const { return total_weights() * 8; }
+  [[nodiscard]] u64 total_bits() const;
 
   /// Rewrites every float weight from its code -- the full dequantization
   /// pass. flip/set_q/restore keep everything in sync
@@ -141,6 +152,13 @@ class QuantizedModel {
 
   /// Hamming distance of current codes to a snapshot (total flipped bits).
   [[nodiscard]] u64 hamming_distance(const std::vector<std::vector<i8>>& snap) const;
+
+ protected:
+  /// Fills one layer's `scale`, `q` and `lowest_bit` from its float weights.
+  using LayerCoder = void (*)(const nn::Tensor& weights, QuantizedLayer& layer);
+  /// Builds every layer's bookkeeping (name, tensors, net_layer, cols), codes
+  /// it with `coder`, checks the key bounds and materializes.
+  QuantizedModel(nn::Model& model, LayerCoder coder);
 
  private:
   nn::Model& model_;

@@ -96,6 +96,20 @@ TEST_F(BfaFixture, NeverReflipsABit) {
   }
 }
 
+TEST_F(BfaFixture, NeverRecommitsABitAfterARestore) {
+  // Restoring the clean codes puts the search back where it started, so the
+  // same bit ranks first again; only the engine's committed-bit exclusion
+  // keeps it from being chosen twice.
+  const auto snap = qm_.snapshot();
+  ProgressiveBitSearch bfa(qm_, ax_, ay_);
+  const auto first = bfa.step({});
+  ASSERT_TRUE(first.has_value());
+  qm_.restore(snap);
+  const auto second = bfa.step({});
+  ASSERT_TRUE(second.has_value());
+  EXPECT_NE(second->loc, first->loc);
+}
+
 TEST_F(BfaFixture, PrefersHighOrderBits) {
   BfaConfig cfg;
   cfg.max_flips = 15;

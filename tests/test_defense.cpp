@@ -271,9 +271,9 @@ TEST(Overhead, FastMemoryFlagsMatchPaper) {
 TEST(BinaryWeight, FlipNegatesSign) {
   auto model = testutil::trained_mlp();
   software::BinaryWeightModel bm(*model);
-  const bool before = bm.is_positive(0, 5);
-  bm.flip(0, 5);
-  EXPECT_NE(bm.is_positive(0, 5), before);
+  const i8 before = bm.get_q(0, 5);
+  bm.flip({0, 5, 7});
+  EXPECT_EQ(bm.get_q(0, 5), -before);
   EXPECT_EQ(bm.total_bits(), model->weight_count());
 }
 
@@ -309,9 +309,82 @@ TEST(BinaryWeight, PerFlipDamageIsBounded) {
   }
   // And the flip really moves the weight by exactly 2*alpha.
   const float before = (*bm.model().quantizable_params()[0].value)[3];
-  bm.flip(0, 3);
+  bm.flip({0, 3, 7});
   const float after = (*bm.model().quantizable_params()[0].value)[3];
   EXPECT_NEAR(std::fabs(after - before), 2.0 * bm.alpha(0), 1e-6);
+}
+
+/// Every code of `bm` is +-64 and every float weight is exactly +-alpha.
+void expect_binary(software::BinaryWeightModel& bm) {
+  for (usize l = 0; l < bm.num_layers(); ++l) {
+    const quant::QuantizedLayer& layer = bm.layer(l);
+    EXPECT_EQ(layer.lowest_bit, 7u);
+    for (usize i = 0; i < layer.size(); ++i) {
+      ASSERT_TRUE(layer.q[i] == 64 || layer.q[i] == -64) << l << ":" << i;
+      ASSERT_EQ((*layer.value)[i], layer.q[i] > 0 ? bm.alpha(l) : -bm.alpha(l))
+          << l << ":" << i;
+    }
+  }
+}
+
+TEST(BinaryBfa, EveryCommittedFlipIsTheSignBitOfADistinctWeight) {
+  auto model = testutil::trained_mlp();
+  software::BinaryWeightModel bm(*model);
+  expect_binary(bm);
+  const auto snap = bm.snapshot();
+  auto [ax, ay] = testutil::easy_data().test.head(64);
+  const auto res = software::attack_binary(bm, ax, ay, /*max_flips=*/8,
+                                           /*stop_accuracy=*/-1.0);
+  ASSERT_GT(res.flips, 0u);
+  EXPECT_FALSE(res.reached_stop);
+  // With every code still +-64, each changed weight differs from its snapshot
+  // in the sign bit alone, so the distance counts changed weights: one per
+  // flip, and a weight flipped twice would be back at its snapshot code.
+  expect_binary(bm);
+  EXPECT_EQ(bm.hamming_distance(snap), res.flips);
+  EXPECT_EQ(res.final_accuracy, model->evaluate_batch(ax, ay).accuracy);
+}
+
+TEST(BinaryBfa, SignBitGainIsTheBinaryFirstOrderGain) {
+  // top_k_flips on a binary layer offers bit 7 only, and prices it as
+  // g * (-2 * alpha * sign) exactly.
+  auto model = testutil::trained_mlp();
+  software::BinaryWeightModel bm(*model);
+  auto [ax, ay] = testutil::easy_data().test.head(64);
+  model->zero_grad();
+  model->loss_and_grad(ax, ay);
+  for (usize l = 0; l < bm.num_layers(); ++l) {
+    const quant::QuantizedLayer& layer = bm.layer(l);
+    const auto cands = quant::top_k_flips(layer, l, 16, {});
+    ASSERT_FALSE(cands.empty());
+    for (const auto& c : cands) {
+      EXPECT_EQ(c.loc.bit, 7u);
+      const double sign = layer.q[c.loc.index] > 0 ? 1.0 : -1.0;
+      EXPECT_EQ(c.estimated_gain,
+                (*layer.grad)[c.loc.index] * (-2.0 * bm.alpha(l) * sign));
+    }
+  }
+}
+
+TEST(BinaryBfa, StopsAtTheBudgetOrTheStopAccuracy) {
+  auto [ax, ay] = testutil::easy_data().test.head(64);
+  {
+    auto model = testutil::trained_mlp();
+    software::BinaryWeightModel bm(*model);
+    const double clean = model->evaluate_batch(ax, ay).accuracy;
+    const auto res = software::attack_binary(bm, ax, ay, /*max_flips=*/0, -1.0);
+    EXPECT_EQ(res.flips, 0u);
+    EXPECT_EQ(res.final_accuracy, clean);
+    EXPECT_FALSE(res.reached_stop);
+  }
+  {
+    // Any accuracy is <= 1, so the first committed flip stops the search.
+    auto model = testutil::trained_mlp();
+    software::BinaryWeightModel bm(*model);
+    const auto res = software::attack_binary(bm, ax, ay, /*max_flips=*/8, 1.0);
+    EXPECT_EQ(res.flips, 1u);
+    EXPECT_TRUE(res.reached_stop);
+  }
 }
 
 TEST(BinaryWeight, SteFinetuneRecoversAccuracy) {
