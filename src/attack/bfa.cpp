@@ -1,7 +1,5 @@
 #include "attack/bfa.hpp"
 
-#include <cstdio>
-
 namespace dnnd::attack {
 
 ProgressiveBitSearch::ProgressiveBitSearch(quant::QuantizedModel& qm, nn::Tensor attack_x,
@@ -25,11 +23,6 @@ std::optional<FlipRecord> ProgressiveBitSearch::step(const quant::BitSkipSet& sk
   rec.loss_after = es->objective_after;
   rec.batch_accuracy_after = es->best.accuracy;
   rec.fallback = es->fallback;
-  if (cfg_.verbose) {
-    std::printf("[bfa] flip layer=%zu idx=%zu bit=%u loss %.4f -> %.4f acc=%.3f\n",
-                rec.loc.layer, rec.loc.index, rec.loc.bit, rec.loss_before, rec.loss_after,
-                rec.batch_accuracy_after);
-  }
   return rec;
 }
 

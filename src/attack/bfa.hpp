@@ -26,7 +26,6 @@ struct BfaConfig {
   usize max_flips = 60;
   double stop_accuracy = 0.0;      ///< stop when attack-batch accuracy <= this;
                                    ///< 0 = random-guess level (1/num_classes)
-  bool verbose = false;
 };
 
 /// One committed flip.

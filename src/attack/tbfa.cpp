@@ -1,6 +1,5 @@
 #include "attack/tbfa.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -59,11 +58,6 @@ std::optional<TbfaFlip> TbfaAttack::step(const quant::BitSkipSet& skip) {
   // restores the exact probed state).
   best.asr_after = es->best.asr;
   best.other_acc_after = es->best.other_accuracy;
-  if (cfg_.verbose) {
-    std::printf("[tbfa] flip layer=%zu idx=%zu bit=%u loss %.4f -> %.4f asr=%.3f other=%.3f\n",
-                best.loc.layer, best.loc.index, best.loc.bit, best.loss_before,
-                best.loss_after, best.asr_after, best.other_acc_after);
-  }
   return best;
 }
 

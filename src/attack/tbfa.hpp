@@ -44,7 +44,6 @@ struct TbfaConfig {
   /// (kStealthy only; the unconstrained variants optimise the pure
   /// redirect term).
   double stealth_weight = 1.0;
-  bool verbose = false;
 };
 
 /// One committed flip of a targeted search.

@@ -1,6 +1,5 @@
 #include "attack/vwa.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace dnnd::attack {
@@ -29,11 +28,6 @@ std::optional<VwaFlip> VwaLimitedAttack::step(const quant::BitSkipSet& skip) {
   rec.loss_before = es->objective_before;
   rec.loss_after = es->objective_after;
   rec.batch_accuracy_after = es->best.accuracy;
-  if (cfg_.verbose) {
-    std::printf("[vwa] flip layer=%zu idx=%zu bit=%u loss %.4f -> %.4f acc=%.3f\n",
-                rec.loc.layer, rec.loc.index, rec.loc.bit, rec.loss_before, rec.loss_after,
-                rec.batch_accuracy_after);
-  }
   return rec;
 }
 

@@ -24,7 +24,6 @@ struct VwaLimitedConfig {
   usize flip_budget = 10;          ///< hard budget B: never commits more flips
   double stop_accuracy = 0.0;      ///< early-out when attack-batch accuracy <=
                                    ///< this; 0 = random-guess level
-  bool verbose = false;
 };
 
 /// Why the attack ended -- budget exhaustion is a first-class outcome, not a

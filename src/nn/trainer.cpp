@@ -1,6 +1,6 @@
 #include "nn/trainer.hpp"
 
-#include <cstdio>
+#include <algorithm>
 #include <numeric>
 
 namespace dnnd::nn {
@@ -32,12 +32,7 @@ TrainReport train(Model& model, const SplitDataset& data, const TrainConfig& cfg
     }
     epoch_loss /= static_cast<double>(batches == 0 ? 1 : batches);
     report.epoch_loss.push_back(epoch_loss);
-    if (cfg.verbose) {
-      std::printf("[train %s] epoch %zu/%zu loss=%.4f lr=%.4f\n", model.name().c_str(),
-                  epoch + 1, cfg.epochs, epoch_loss, opt.lr());
-    }
   }
-  report.train_accuracy = evaluate(model, data.train);
   report.test_accuracy = evaluate(model, data.test);
   return report;
 }

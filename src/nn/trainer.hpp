@@ -14,16 +14,15 @@ struct TrainConfig {
   double lr_decay = 0.5;      ///< multiply lr by this ...
   usize decay_every = 3;      ///< ... every this many epochs
   u64 shuffle_seed = 7;
-  bool verbose = false;
 };
 
 struct TrainReport {
   std::vector<double> epoch_loss;
-  double train_accuracy = 0.0;
   double test_accuracy = 0.0;
 };
 
-/// Trains `model` on `data.train`, reports final train/test accuracy.
+/// Trains `model` on `data.train`, reports the per-epoch loss and the final
+/// test accuracy (evaluated last, so the model's cache ends on the test split).
 TrainReport train(Model& model, const SplitDataset& data, const TrainConfig& cfg);
 
 /// Batched accuracy over a dataset (bounds activation memory).
