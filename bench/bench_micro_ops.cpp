@@ -4,10 +4,11 @@
 // search step, and vgg11's conv and pool layers at batch 32 (forward, and
 // backward with and without the input gradient).
 //
-// Results print as the usual google-benchmark console table AND persist as a
-// JSON document through the shared CampaignSink protocol (DNND_JSON_OUT file
-// or DNND_JSON run directory), like every other bench -- so CI can upload the
-// micro-op numbers next to the campaign and inference artifacts.
+// Results print in the --benchmark_format display (the usual console table by
+// default, or json/csv) AND persist as a JSON document through the shared
+// CampaignSink protocol (DNND_JSON_OUT file or DNND_JSON run directory), like
+// every other bench -- so CI can upload the micro-op numbers next to the
+// campaign and inference artifacts.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -324,14 +325,15 @@ class TeeReporter final : public benchmark::BenchmarkReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Console table to stdout (the interactive contract), JSON to a string so
-  // the run can persist through the sink like every other bench.
-  benchmark::ConsoleReporter console;
+  // The --benchmark_format display (console by default, or json/csv) to
+  // stdout, and JSON to a string so the run can persist through the sink like
+  // every other bench. The library owns the display reporter.
+  benchmark::BenchmarkReporter& display = *benchmark::CreateDefaultDisplayReporter();
   std::ostringstream json;
   benchmark::JSONReporter json_reporter;
   json_reporter.SetOutputStream(&json);
   json_reporter.SetErrorStream(&json);
-  TeeReporter both(console, json_reporter);
+  TeeReporter both(display, json_reporter);
   benchmark::RunSpecifiedBenchmarks(&both);
   benchmark::Shutdown();
 
@@ -341,7 +343,8 @@ int main(int argc, char** argv) {
   std::string destination;
   switch (dnnd::harness::write_document_from_env(doc, "micro_ops", &destination)) {
     case dnnd::harness::SinkWriteStatus::kWritten:
-      std::printf("[sink] micro-op JSON -> %s\n", destination.c_str());
+      // stderr, so a --benchmark_format=json|csv stdout stays parseable.
+      std::fprintf(stderr, "[sink] micro-op JSON -> %s\n", destination.c_str());
       break;
     case dnnd::harness::SinkWriteStatus::kFailed:
       return 1;
