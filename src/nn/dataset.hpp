@@ -1,9 +1,10 @@
 // Deterministic synthetic image-classification datasets.
 //
 // The paper evaluates on CIFAR-10 and ImageNet, which are unavailable
-// offline; DESIGN.md documents the substitution. Each class is a smooth
-// random template (low-frequency pattern upsampled bilinearly); samples are
-// amplitude-jittered, spatially-shifted, noisy draws of their class template.
+// offline; the README's stand-ins note describes the substitution. Each
+// class is a smooth random template (low-frequency pattern upsampled
+// bilinearly); samples are amplitude-jittered, spatially-shifted, noisy
+// draws of their class template.
 // Small conv nets reach >90% accuracy on these in seconds of single-core
 // training, while remaining non-trivial (noise + shift defeat nearest-mean
 // shortcuts), so BFA's loss landscape dynamics are preserved.
