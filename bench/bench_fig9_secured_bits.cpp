@@ -7,12 +7,13 @@
 // the attacker-visible secured set is the row expansion of the SB prefix.
 // The x-axis is SB + additional landed flips, as in the paper.
 //
-// Scale note (EXPERIMENTS.md): on our ~10^4-weight stand-in models nearly
-// every weight row holds catastrophic bits, so the intermediate-SB curves
-// compress toward the unprotected one (small models lack the redundancy
-// that flattens the paper's mid-SB curves); the endpoints -- unprotected
-// collapse within a few flips, and near-clean accuracy at full row
-// coverage (the paper's "~4% of bits -> random-attack level") -- reproduce.
+// Scale note (also in the README's scale notes): on our ~10^4-weight
+// stand-in models nearly every weight row holds catastrophic bits, so the
+// intermediate-SB curves compress toward the unprotected one (small models
+// lack the redundancy that flattens the paper's mid-SB curves); the
+// endpoints -- unprotected collapse within a few flips, and near-clean
+// accuracy at full row coverage (the paper's "~4% of bits -> random-attack
+// level") -- reproduce.
 #include "attack/adaptive_attack.hpp"
 #include "bench_util.hpp"
 #include "core/priority_profiler.hpp"
@@ -116,6 +117,6 @@ int main() {
       "full priority coverage the white-box attack lands nothing and the\n"
       "curve stays at clean accuracy -- the paper's downgrade-to-random\n"
       "endpoint. Mid-SB gradation is compressed on this small substrate\n"
-      "(see EXPERIMENTS.md).\n");
+      "(see the README's scale notes).\n");
   return 0;
 }

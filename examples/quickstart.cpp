@@ -34,7 +34,7 @@ int main() {
   attack::ProgressiveBitSearch bfa(qm, attack_x, attack_y, bfa_cfg);
   const auto attack_result = bfa.run();
   std::printf("BFA without defense: %zu flips -> %.2f%% accuracy\n",
-              attack_result.flips.size(),
+              attack_result.steps.size(),
               100.0 * qm.model().accuracy(eval_x, eval_y));
   qm.restore(clean);
 

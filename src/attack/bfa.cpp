@@ -26,23 +26,10 @@ std::optional<FlipRecord> ProgressiveBitSearch::step(const quant::BitSkipSet& sk
   return rec;
 }
 
-BfaResult ProgressiveBitSearch::run(const quant::BitSkipSet& skip) {
-  BfaResult result;
-  result.initial_batch_accuracy =
-      engine_.qm().model().evaluate_batch(engine_.x(), engine_.y()).accuracy;
-  result.final_batch_accuracy = result.initial_batch_accuracy;
+SearchResult ProgressiveBitSearch::run(const quant::BitSkipSet& skip) {
   const double stop = stop_threshold();
-  for (usize i = 0; i < cfg_.max_flips; ++i) {
-    auto rec = step(skip);
-    if (!rec.has_value()) break;
-    result.final_batch_accuracy = rec->batch_accuracy_after;
-    result.flips.push_back(*rec);
-    if (rec->batch_accuracy_after <= stop) {
-      result.reached_stop = true;
-      break;
-    }
-  }
-  return result;
+  return engine_.run(
+      cfg_.max_flips, [stop](const ProbeMeasurement& m) { return m.accuracy <= stop; }, skip);
 }
 
 }  // namespace dnnd::attack

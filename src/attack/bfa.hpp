@@ -9,7 +9,8 @@
 // guess level (the paper's "DNN malfunction") or the flip budget runs out.
 //
 // The loop itself lives in attack::ProbeEngine; this driver pairs it with
-// the untargeted cross-entropy maximizer and the stop/budget policy.
+// the untargeted cross-entropy maximizer (with its first-order fallback) and
+// the random-guess stop accuracy.
 #pragma once
 
 #include <optional>
@@ -40,13 +41,6 @@ struct FlipRecord {
   bool fallback = false;
 };
 
-struct BfaResult {
-  std::vector<FlipRecord> flips;
-  double initial_batch_accuracy = 0.0;
-  double final_batch_accuracy = 0.0;
-  bool reached_stop = false;
-};
-
 class ProgressiveBitSearch {
  public:
   /// `attack_x`/`attack_y` is the attacker's sample batch (the paper uses 128
@@ -59,8 +53,10 @@ class ProgressiveBitSearch {
   /// never re-flips). Returns nullopt when the candidate space is exhausted.
   std::optional<FlipRecord> step(const quant::BitSkipSet& skip);
 
-  /// Runs `step` until the stop criterion; flips are committed in `qm`.
-  BfaResult run(const quant::BitSkipSet& skip = {});
+  /// ProbeEngine::run for cfg.max_flips flips, stopping once the
+  /// attack-batch accuracy is <= stop_threshold(); flips are committed in
+  /// `qm`.
+  SearchResult run(const quant::BitSkipSet& skip = {});
 
   [[nodiscard]] const BfaConfig& config() const { return cfg_; }
   [[nodiscard]] double stop_threshold() const;

@@ -1,7 +1,6 @@
 #include "attack/deephammer.hpp"
 
 #include <array>
-#include <cassert>
 
 namespace dnnd::attack {
 
@@ -84,11 +83,15 @@ FlipAttempt DeepHammerAttack::attempt_flip(const quant::BitLocation& target) {
   RowAddr phys = remap_.to_physical(logical);
   const bool original_value = (device_.peek(phys, col) >> bit) & 1;
 
-  // Memory massaging: make sure the victim byte sits on a flippable cell.
+  // Memory massaging: make sure the victim byte sits on a flippable cell of
+  // an interior row (double-sided hammering needs both neighbours; an edge
+  // row, where a defense may have moved the victim, is massaged away).
+  const auto& geo = device_.config().geo;
   auto ensure_flippable = [&]() -> bool {
     phys = remap_.to_physical(logical);
+    const bool interior = phys.row > 0 && phys.row + 1 < geo.rows_per_subarray;
     const auto info = model_.cell_info(phys, col, bit);
-    if (info.has_value() && direction_matches(*info, original_value)) return true;
+    if (interior && info.has_value() && direction_matches(*info, original_value)) return true;
     const auto frame = find_flippable_frame(phys, col, bit, original_value);
     if (!frame.has_value()) return false;
     massage_into(logical, *frame);
@@ -100,7 +103,6 @@ FlipAttempt DeepHammerAttack::attempt_flip(const quant::BitLocation& target) {
 
   const u64 budget = cfg_.act_budget_multiplier * device_.config().t_rh;
   const Picoseconds t0 = device_.now();
-  [[maybe_unused]] const auto& geo = device_.config().geo;
   u64 used = 0;
   while (used < budget) {
     const RowAddr current = remap_.to_physical(logical);
@@ -110,9 +112,7 @@ FlipAttempt DeepHammerAttack::attempt_flip(const quant::BitLocation& target) {
       attempt.relocations_chased += 1;
       if (!ensure_flippable()) break;
     }
-    // Double-sided aggressors around the current frame (the frame search
-    // guarantees interior rows).
-    assert(phys.row > 0 && phys.row + 1 < geo.rows_per_subarray);
+    // Double-sided aggressors around the current (interior) frame.
     const std::array<RowAddr, 2> aggressors{RowAddr{phys.bank, phys.subarray, phys.row - 1},
                                             RowAddr{phys.bank, phys.subarray, phys.row + 1}};
     const u64 chunk = std::min<u64>(cfg_.check_interval, budget - used);

@@ -112,9 +112,8 @@ std::optional<EngineStep> ProbeEngine::step(const quant::BitSkipSet& skip) {
   qm_.flip(*best_loc);
   flipped_.insert(*best_loc);
   if (fallback) {
-    // A fallback flip was never priced: measure the committed state. The
-    // refresh leaves the cache clean for the next step's prepare.
-    objective_.measure(model.forward_incremental_logits(attack_x_), attack_y_, best);
+    // A fallback flip was never priced: measure the committed state.
+    measure_committed(best);
     best_key = probe_loss_key(best.objective);
   }
   EngineStep out;
@@ -124,6 +123,29 @@ std::optional<EngineStep> ProbeEngine::step(const quant::BitSkipSet& skip) {
   out.best = best;
   out.fallback = fallback;
   return out;
+}
+
+SearchResult ProbeEngine::run(usize budget, const StopPredicate& done,
+                              const quant::BitSkipSet& skip) {
+  SearchResult result;
+  measure_committed(result.initial);
+  while (result.steps.size() < budget) {
+    auto es = step(skip);
+    if (!es.has_value()) {
+      result.outcome = SearchOutcome::kCandidatesExhausted;
+      break;
+    }
+    result.steps.push_back(*es);
+    if (done(es->best)) {
+      result.outcome = SearchOutcome::kReachedStop;
+      break;
+    }
+  }
+  return result;
+}
+
+void ProbeEngine::measure_committed(ProbeMeasurement& out) {
+  objective_.measure(qm_.model().forward_incremental_logits(attack_x_), attack_y_, out);
 }
 
 }  // namespace dnnd::attack

@@ -21,14 +21,20 @@
 // The constructor owns the shared preamble: warm the activation cache with
 // one full forward, which also resolves the model's class count.
 //
-// ProgressiveBitSearch (BFA), TbfaAttack, AdaptiveWhiteBoxAttack, the
-// white-box DRAM system loop, VwaLimitedAttack and the binary-weight sign-bit
-// attack (defense::software::attack_binary) are all thin drivers over this
-// engine; their campaign results are byte-identical to the pre-engine
-// per-family loops (the tiny-grid golden and the paper-model golden gate this
-// at zero tolerance).
+// run() is the one budget/stop loop: it steps until a stop predicate holds
+// on the committed flip's measurement, the flip budget is spent, or no
+// candidate is left, and says which. The BFA (ProgressiveBitSearch::run),
+// T-BFA (TbfaAttack::run), the campaign's limited-budget vwa-limited cell
+// and the binary-weight sign-bit attack (defense::software::attack_binary)
+// differ only in the objective and the predicate they pass. The adaptive
+// attack, the white-box DRAM system loop and the campaign's trace and
+// reconstruction-guard loops drive step() themselves, because they measure
+// on the eval batch or carry each flip through the DRAM. The campaign
+// results are byte-identical to the pre-engine per-family loops (the
+// tiny-grid golden and the paper-model golden gate this at zero tolerance).
 #pragma once
 
+#include <functional>
 #include <optional>
 
 #include "attack/objective.hpp"
@@ -66,8 +72,29 @@ struct EngineStep {
   bool fallback = false;
 };
 
+/// Why ProbeEngine::run ended.
+enum class SearchOutcome {
+  kReachedStop,          ///< the stop predicate held after a committed flip
+  kBudgetExhausted,      ///< the whole flip budget was committed
+  kCandidatesExhausted,  ///< step() returned nullopt: no admissible candidate,
+                         ///< or none improved and the objective has no fallback
+};
+
+/// One ProbeEngine::run: every committed step in order, the measurement of
+/// the state the run started from, and why it ended.
+struct SearchResult {
+  std::vector<EngineStep> steps;
+  ProbeMeasurement initial;
+  SearchOutcome outcome = SearchOutcome::kBudgetExhausted;
+
+  [[nodiscard]] bool reached_stop() const { return outcome == SearchOutcome::kReachedStop; }
+};
+
 class ProbeEngine {
  public:
+  /// Ends a run when it holds on a committed step's measurement.
+  using StopPredicate = std::function<bool(const ProbeMeasurement&)>;
+
   /// `attack_x`/`attack_y` is the attacker's sample batch. `objective` must
   /// outlive the engine (drivers own both).
   ProbeEngine(quant::QuantizedModel& qm, nn::Tensor attack_x, std::vector<u32> attack_y,
@@ -79,8 +106,13 @@ class ProbeEngine {
   /// the first-order fallback.
   std::optional<EngineStep> step(const quant::BitSkipSet& skip);
 
-  [[nodiscard]] quant::QuantizedModel& qm() { return qm_; }
-  [[nodiscard]] const nn::Tensor& x() const { return attack_x_; }
+  /// Measures the current state into `initial`, then runs step(skip) until
+  /// `done` holds on a committed step's measurement, `budget` flips are
+  /// committed, or step() returns nullopt; result.outcome says which. `done`
+  /// is never asked about the initial state: a driver that wants that
+  /// precheck makes it itself. Flips stay committed in the model.
+  SearchResult run(usize budget, const StopPredicate& done, const quant::BitSkipSet& skip = {});
+
   [[nodiscard]] const std::vector<u32>& y() const { return attack_y_; }
   /// Class count from the model's output dimension (NOT the labels present
   /// in the batch, which could omit classes and skew stop thresholds).
@@ -91,6 +123,12 @@ class ProbeEngine {
   [[nodiscard]] const nn::Tensor& clean_logits() const { return *clean_logits_; }
 
  private:
+  /// objective.measure on the committed state of the attack batch. The
+  /// incremental forward re-runs only layers a commit made stale, so right
+  /// after construction (or a priced commit) it is a cache hit, and it
+  /// leaves the cache clean for the next step's prepare.
+  void measure_committed(ProbeMeasurement& out);
+
   quant::QuantizedModel& qm_;
   nn::Tensor attack_x_;
   std::vector<u32> attack_y_;

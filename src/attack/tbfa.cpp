@@ -47,41 +47,14 @@ TbfaAttack::TbfaAttack(quant::QuantizedModel& qm, nn::Tensor attack_x,
   objective_.set_stealth_baseline(clean_other_acc_);
 }
 
-std::optional<TbfaFlip> TbfaAttack::step(const quant::BitSkipSet& skip) {
-  auto es = engine_.step(skip);
-  if (!es.has_value()) return std::nullopt;
-  TbfaFlip best;
-  best.loc = es->loc;
-  best.loss_before = es->objective_before;
-  best.loss_after = es->objective_after;
-  // The probe measurements ARE the post-commit measurements (committing
-  // restores the exact probed state).
-  best.asr_after = es->best.asr;
-  best.other_acc_after = es->best.other_accuracy;
-  return best;
-}
-
-TbfaResult TbfaAttack::run(const quant::BitSkipSet& skip) {
-  TbfaResult result;
-  result.initial_asr = clean_asr_;
-  result.initial_other_acc = clean_other_acc_;
-  result.final_asr = clean_asr_;
-  result.final_other_acc = clean_other_acc_;
-  if (clean_asr_ >= cfg_.stop_asr) {
-    result.reached_stop = true;  // nothing to do: the model already complies
-    return result;
-  }
-  for (usize i = 0; i < cfg_.max_flips; ++i) {
-    auto rec = step(skip);
-    if (!rec.has_value()) break;
-    result.final_asr = rec->asr_after;
-    result.final_other_acc = rec->other_acc_after;
-    result.flips.push_back(*rec);
-    if (rec->asr_after >= cfg_.stop_asr) {
-      result.reached_stop = true;
-      break;
-    }
-  }
+SearchResult TbfaAttack::run(const quant::BitSkipSet& skip) {
+  const double stop = cfg_.stop_asr;
+  // The precheck is T-BFA's own: a model that already complies gets no flip.
+  const bool complies = clean_asr_ >= stop;
+  SearchResult result = engine_.run(
+      complies ? 0 : cfg_.max_flips,
+      [stop](const ProbeMeasurement& m) { return m.asr >= stop; }, skip);
+  if (complies) result.outcome = SearchOutcome::kReachedStop;
   return result;
 }
 

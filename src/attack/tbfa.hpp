@@ -12,14 +12,16 @@
 //             tolerance of its clean value, so the attack is invisible to an
 //             overall-accuracy monitor.
 //
-// A thin driver over attack::ProbeEngine paired with the targeted
+// A thin driver over attack::ProbeEngine::run paired with the targeted
 // cross-entropy minimizer (negated-gradient candidate ranking, stealthy
 // admission as the objective-level constraint, deliberately no
 // first-order-estimate fallback). Success is measured as the attack success
-// rate (ASR): the fraction of source rows predicted as the target class.
+// rate (ASR): the fraction of source rows predicted as the target class, and
+// the run stops once it reaches cfg.stop_asr. The engine's measurements carry
+// the targeted family's metrics: `objective` is the targeted loss (lower =
+// better attack), `asr` the source->target rate and `other_accuracy` the
+// attack-batch accuracy outside the sources.
 #pragma once
-
-#include <optional>
 
 #include "attack/probe_engine.hpp"
 
@@ -46,24 +48,6 @@ struct TbfaConfig {
   double stealth_weight = 1.0;
 };
 
-/// One committed flip of a targeted search.
-struct TbfaFlip {
-  quant::BitLocation loc;
-  double loss_before = 0.0;     ///< targeted objective (lower = better attack)
-  double loss_after = 0.0;
-  double asr_after = 0.0;       ///< attack-batch source->target rate
-  double other_acc_after = 0.0; ///< attack-batch accuracy outside the sources
-};
-
-struct TbfaResult {
-  std::vector<TbfaFlip> flips;
-  double initial_asr = 0.0;
-  double final_asr = 0.0;
-  double initial_other_acc = 0.0;
-  double final_other_acc = 0.0;
-  bool reached_stop = false;
-};
-
 class TbfaAttack {
  public:
   /// `attack_x`/`attack_y` is the attacker's sample batch. Throws
@@ -72,22 +56,20 @@ class TbfaAttack {
   TbfaAttack(quant::QuantizedModel& qm, nn::Tensor attack_x, std::vector<u32> attack_y,
              TbfaConfig cfg = {});
 
-  /// Finds and commits the single best admissible flip not in `skip` (and not
-  /// flipped by this search before). Returns nullopt when no candidate both
-  /// lowers the targeted objective and (kStealthy) satisfies the constraint
-  /// -- there is deliberately no first-order-estimate fallback: a targeted
-  /// attack that can only make things worse must stop, not thrash.
-  std::optional<TbfaFlip> step(const quant::BitSkipSet& skip);
-
-  /// Runs `step` until ASR reaches cfg.stop_asr or the budget/candidates run
-  /// out; flips are committed in `qm`.
-  TbfaResult run(const quant::BitSkipSet& skip = {});
+  /// ProbeEngine::run for cfg.max_flips flips, stopping once the attack-batch
+  /// ASR is >= cfg.stop_asr; flips are committed in `qm`. A step commits only
+  /// a flip that lowers the targeted objective and (kStealthy) satisfies the
+  /// constraint -- there is deliberately no first-order-estimate fallback: a
+  /// targeted attack that can only make things worse must stop, not thrash.
+  /// When the clean model already meets cfg.stop_asr the run commits nothing
+  /// and reports kReachedStop.
+  SearchResult run(const quant::BitSkipSet& skip = {});
 
   [[nodiscard]] const TbfaConfig& config() const { return cfg_; }
   /// Resolved source selector: nn::kAllSources for kNTo1, cfg.source else.
   [[nodiscard]] u32 source_class() const { return source_; }
-  /// Clean (pre-attack) attack-batch measurements, taken at construction.
-  [[nodiscard]] double clean_asr() const { return clean_asr_; }
+  /// Clean (pre-attack) attack-batch accuracy outside the sources, taken at
+  /// construction: the stealthy admission bound is measured against it.
   [[nodiscard]] double clean_other_accuracy() const { return clean_other_acc_; }
 
  private:

@@ -21,13 +21,13 @@ ProfileResult PriorityProfiler::profile() {
   quant::BitSkipSet exclude;
   for (usize round = 0; round < cfg_.rounds; ++round) {
     attack::ProgressiveBitSearch search(qm_, attack_x_, attack_y_, cfg_.bfa);
-    const attack::BfaResult res = search.run(exclude);
+    const attack::SearchResult res = search.run(exclude);
     // Flip everything back (the profiler must not damage the model) and
     // exclude this round's bits from the next round.
     qm_.restore(clean_snapshot);
-    if (res.flips.empty()) break;  // search space exhausted
-    result.round_sizes.push_back(res.flips.size());
-    for (const auto& rec : res.flips) {
+    if (res.steps.empty()) break;  // search space exhausted
+    result.round_sizes.push_back(res.steps.size());
+    for (const auto& rec : res.steps) {
       exclude.insert(rec.loc);
       result.priority_bits.push_back(rec.loc);
     }
@@ -47,47 +47,6 @@ ProfileResult PriorityProfiler::profile_blocked_attacker(usize n_bits) {
     qm_.flip(rec->loc);  // undo the search's commit
     skip.insert(rec->loc);
     result.priority_bits.push_back(rec->loc);
-  }
-  result.round_sizes.push_back(result.priority_bits.size());
-  return result;
-}
-
-ProfileResult fast_gradient_profile(quant::QuantizedModel& qm, const nn::Tensor& attack_x,
-                                    const std::vector<u32>& attack_y, usize n_bits,
-                                    usize chunk) {
-  // Two properties matter.
-  // Conditioning: a defended attacker whose attempts are all blocked keeps
-  // proposing from the CLEAN model, so ranking uses one clean-model gradient
-  // pass (no committed flips).
-  // Coverage: the progressive search is per-layer -- gradient magnitudes are
-  // not comparable across layers (early conv layers have small gradients but
-  // catastrophic nonlinear flip impact), so the budget is allocated to every
-  // layer proportionally to its size and ranked within the layer. The output
-  // interleaves layers by within-layer rank so any prefix (a smaller SB
-  // level) is also layer-balanced.
-  (void)chunk;
-  ProfileResult result;
-  nn::Model& model = qm.model();
-  model.zero_grad();
-  model.loss_and_grad(attack_x, attack_y);
-  const quant::BitSkipSet none;
-  const u64 total_bits = qm.total_bits();
-  std::vector<std::vector<quant::FlipCandidate>> per_layer(qm.num_layers());
-  for (usize l = 0; l < qm.num_layers(); ++l) {
-    const usize share = static_cast<usize>(
-        (static_cast<u64>(n_bits) * qm.layer(l).size() * 8 + total_bits - 1) / total_bits);
-    per_layer[l] = quant::top_k_flips(qm.layer(l), l, share, none);
-  }
-  // Round-robin merge by within-layer rank.
-  for (usize rank = 0; result.priority_bits.size() < n_bits; ++rank) {
-    bool any = false;
-    for (usize l = 0; l < per_layer.size() && result.priority_bits.size() < n_bits; ++l) {
-      if (rank < per_layer[l].size()) {
-        result.priority_bits.push_back(per_layer[l][rank].loc);
-        any = true;
-      }
-    }
-    if (!any) break;  // every layer exhausted
   }
   result.round_sizes.push_back(result.priority_bits.size());
   return result;

@@ -63,14 +63,4 @@ class PriorityProfiler {
   ProfilerConfig cfg_;
 };
 
-/// Fast large-scale profiling: the clean model's top `n_bits` bits by the
-/// same first-order criterion BFA's intra-layer search ranks with (one
-/// gradient pass). This matches the state a fully-blocked adaptive attacker
-/// keeps proposing from, and makes the paper's 10^3..10^4-bit secured sets
-/// (Fig. 9) tractable where the exact profiler (actual-loss evaluation per
-/// bit) is not. `chunk` is accepted for API stability and ignored.
-ProfileResult fast_gradient_profile(quant::QuantizedModel& qm, const nn::Tensor& attack_x,
-                                    const std::vector<u32>& attack_y, usize n_bits,
-                                    usize chunk = 0);
-
 }  // namespace dnnd::core

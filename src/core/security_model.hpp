@@ -9,7 +9,7 @@
 //   swaps per Tref N  = (Tref / Tn) x Ns
 //
 // Two quantities are anchored to the paper's reported operating points and
-// scaled from first principles (documented in EXPERIMENTS.md):
+// scaled from first principles (see the README's scale notes):
 //   * max BFAs defended: the attacker can launch at most
 //     banks x parallel_factor x Tref / (T_ACT x T_RH) hammer campaigns per
 //     refresh window (bank-parallel double-sided attack); the paper's

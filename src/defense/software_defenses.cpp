@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "attack/probe_engine.hpp"
 #include "nn/trainer.hpp"
 
 namespace dnnd::defense::software {
@@ -30,25 +29,15 @@ void code_binary(const nn::Tensor& w, quant::QuantizedLayer& l) {
 BinaryWeightModel::BinaryWeightModel(nn::Model& model)
     : quant::QuantizedModel(model, code_binary) {}
 
-BinaryAttackResult attack_binary(BinaryWeightModel& bm, const nn::Tensor& attack_x,
-                                 const std::vector<u32>& attack_y, usize max_flips,
-                                 double stop_accuracy) {
+attack::SearchResult attack_binary(BinaryWeightModel& bm, const nn::Tensor& attack_x,
+                                   const std::vector<u32>& attack_y, usize max_flips,
+                                   double stop_accuracy) {
   attack::UntargetedCeObjective objective(/*allow_fallback=*/false);
   attack::ProbeEngine engine(bm, attack_x, attack_y, objective,
                              {/*candidates_per_layer=*/1, /*layers_evaluated=*/6});
-  BinaryAttackResult result;
-  result.final_accuracy = nn::evaluate_logits(engine.clean_logits(), attack_y).accuracy;
-  while (result.flips < max_flips) {
-    const auto step = engine.step({});
-    if (!step.has_value()) break;
-    result.flips += 1;
-    result.final_accuracy = step->best.accuracy;
-    if (result.final_accuracy <= stop_accuracy) {
-      result.reached_stop = true;
-      break;
-    }
-  }
-  return result;
+  return engine.run(
+      max_flips,
+      [stop_accuracy](const attack::ProbeMeasurement& m) { return m.accuracy <= stop_accuracy; });
 }
 
 // ------------------------------------------- piecewise clustering finetune --

@@ -12,6 +12,7 @@
 // DNN-Defender avoids.
 #pragma once
 
+#include "attack/probe_engine.hpp"
 #include "nn/dataset.hpp"
 #include "nn/model.hpp"
 #include "quant/quantizer.hpp"
@@ -35,21 +36,15 @@ class BinaryWeightModel final : public quant::QuantizedModel {
   [[nodiscard]] float alpha(usize l) const { return layer(l).scale * 64.0f; }
 };
 
-struct BinaryAttackResult {
-  usize flips = 0;
-  double final_accuracy = 0.0;
-  bool reached_stop = false;
-};
-
-/// Progressive bit search over sign bits, an attack::ProbeEngine driver:
-/// each step ranks every layer's best sign flip by its first-order gain
+/// Progressive bit search over sign bits, an attack::ProbeEngine::run: each
+/// step ranks every layer's best sign flip by its first-order gain
 /// dL = g * (-2 * alpha * sign), prices the best six layers' candidates
 /// exactly and commits the one that raises the attack-batch loss most. It
 /// stops when no candidate raises the loss (no first-order fallback), after
 /// `max_flips` flips, or once the accuracy is <= `stop_accuracy`.
-BinaryAttackResult attack_binary(BinaryWeightModel& bm, const nn::Tensor& attack_x,
-                                 const std::vector<u32>& attack_y, usize max_flips,
-                                 double stop_accuracy);
+attack::SearchResult attack_binary(BinaryWeightModel& bm, const nn::Tensor& attack_x,
+                                   const std::vector<u32>& attack_y, usize max_flips,
+                                   double stop_accuracy);
 
 // ----------------------------------------------------------------------
 // Training-time defenses

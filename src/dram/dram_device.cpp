@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace dnnd::dram {
 
@@ -22,6 +23,19 @@ usize DramDevice::row_offset(const RowAddr& row) const {
   return static_cast<usize>(flat_row_id(cfg_.geo, row)) * cfg_.geo.row_bytes;
 }
 
+namespace {
+
+[[noreturn]] void throw_outside_geometry(const Geometry& geo, const RowAddr& row) {
+  throw std::out_of_range("DramDevice::activate: row {bank " + std::to_string(row.bank) +
+                          ", subarray " + std::to_string(row.subarray) + ", row " +
+                          std::to_string(row.row) + "} is outside the " +
+                          std::to_string(geo.banks) + "x" +
+                          std::to_string(geo.subarrays_per_bank) + "x" +
+                          std::to_string(geo.rows_per_subarray) + " geometry");
+}
+
+}  // namespace
+
 void DramDevice::notify_activate(const RowAddr& row) {
   for (auto* l : listeners_) l->on_activate(row, now_);
 }
@@ -31,7 +45,10 @@ void DramDevice::notify_restore(const RowAddr& row, RestoreKind kind) {
 }
 
 void DramDevice::activate(const RowAddr& row) {
-  assert(row.bank < cfg_.geo.banks);
+  if (row.bank >= cfg_.geo.banks || row.subarray >= cfg_.geo.subarrays_per_bank ||
+      row.row >= cfg_.geo.rows_per_subarray) {
+    throw_outside_geometry(cfg_.geo, row);
+  }
   const i64 in_bank =
       static_cast<i64>(row.subarray) * cfg_.geo.rows_per_subarray + row.row;
   if (open_row_[row.bank] == in_bank) return;  // already open: no command issued

@@ -46,7 +46,8 @@ class DramDevice {
   // ----- command interface (advances time, charges energy) -----
 
   /// ACT: opens `row` in its bank (implicitly PREs a different open row).
-  /// Fires on_activate and on_restore for the row.
+  /// Fires on_activate and on_restore for the row. Throws std::out_of_range
+  /// for an address outside the geometry.
   void activate(const RowAddr& row);
 
   /// PRE: closes the open row of `bank` (no-op when already closed).

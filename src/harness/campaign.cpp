@@ -10,7 +10,6 @@
 #include "attack/adaptive_attack.hpp"
 #include "attack/random_attack.hpp"
 #include "attack/tbfa.hpp"
-#include "attack/vwa.hpp"
 #include "core/priority_profiler.hpp"
 #include "defense/software_defenses.hpp"
 #include "mapping/weight_mapping.hpp"
@@ -84,7 +83,7 @@ void run_scenario_impl(const Scenario& sc, ArtifactCache& cache, ScenarioResult&
     const auto res =
         defense::software::attack_binary(bm, ax, ay, sc.max_flips, stop_acc);
     r.post_accuracy = eval_acc();
-    r.flips = flips_or_more(res.flips, res.reached_stop);
+    r.flips = flips_or_more(res.steps.size(), res.reached_stop());
     return;
   }
 
@@ -135,7 +134,7 @@ void run_scenario_impl(const Scenario& sc, ArtifactCache& cache, ScenarioResult&
         attack::ProgressiveBitSearch bfa(qm, ax, ay, bcfg);
         const auto res = bfa.run();
         r.post_accuracy = eval_acc();
-        r.flips = flips_or_more(res.flips.size(), res.reached_stop);
+        r.flips = flips_or_more(res.steps.size(), res.reached_stop());
       }
       return;
     }
@@ -192,11 +191,18 @@ void run_scenario_impl(const Scenario& sc, ArtifactCache& cache, ScenarioResult&
     }
 
     case AttackKind::kVwaLimited: {
-      attack::VwaLimitedConfig vcfg = {};
-      vcfg.flip_budget = sc.vwa_budget;
-      vcfg.stop_accuracy = stop_acc;
-      attack::VwaLimitedAttack atk(qm, ax, ay, vcfg);
-      const auto res = atk.run();
+      // A limited-bit attacker with no bits is a configuration error, not an
+      // empty result.
+      if (sc.vwa_budget == 0) {
+        throw std::invalid_argument("vwa-limited: flip_budget must be nonzero");
+      }
+      // The untargeted objective without its fallback: a step with no
+      // improving probe ends the attack instead of spending budget.
+      attack::UntargetedCeObjective objective(/*allow_fallback=*/false);
+      attack::ProbeEngine engine(qm, ax, ay, objective);
+      const auto res = engine.run(sc.vwa_budget, [stop_acc](const attack::ProbeMeasurement& m) {
+        return m.accuracy <= stop_acc;
+      });
       r.post_accuracy = eval_acc();
       // The three outcomes get three flips spellings -- all parseable by
       // leading_flip_count, all distinct under the zero-tolerance gate:
@@ -205,14 +211,14 @@ void run_scenario_impl(const Scenario& sc, ArtifactCache& cache, ScenarioResult&
       //                (the nominal limited-bit result, NOT a failure),
       //   ">2"         candidates dried up after 2 flips, budget unspent.
       switch (res.outcome) {
-        case attack::VwaOutcome::kReachedStop:
-          r.flips = std::to_string(res.flips.size());
+        case attack::SearchOutcome::kReachedStop:
+          r.flips = std::to_string(res.steps.size());
           break;
-        case attack::VwaOutcome::kBudgetExhausted:
-          r.flips = std::to_string(res.flips.size()) + " (budget)";
+        case attack::SearchOutcome::kBudgetExhausted:
+          r.flips = std::to_string(res.steps.size()) + " (budget)";
           break;
-        case attack::VwaOutcome::kCandidatesExhausted:
-          r.flips = ">" + std::to_string(res.flips.size());
+        case attack::SearchOutcome::kCandidatesExhausted:
+          r.flips = ">" + std::to_string(res.steps.size());
           break;
       }
       return;
@@ -239,7 +245,7 @@ void run_scenario_impl(const Scenario& sc, ArtifactCache& cache, ScenarioResult&
       r.post_accuracy = pce.accuracy();
       r.attack_success_rate = pce.attack_success_rate();
       r.post_attack_other_acc = pce.other_accuracy();
-      r.flips = flips_or_more(res.flips.size(), res.reached_stop);
+      r.flips = flips_or_more(res.steps.size(), res.reached_stop());
       return;
     }
 

@@ -37,7 +37,17 @@ enum class AttackKind {
   kTbfaNTo1,      ///< T-BFA: redirect every class to the target class
   kTbfa1To1,      ///< T-BFA: redirect one source class to the target class
   kTbfaStealthy,  ///< T-BFA 1-to-1 under the other-class accuracy constraint
-  kVwaLimited,    ///< limited-bit budget attack (best damage at <= B flips)
+  /// Limited-bit-budget weight attack in the style of Versatile Weight
+  /// Attack (Bai et al., "Versatile Weight Attack via Flipping Limited
+  /// Bits"): the attacker's defining constraint is a HARD flip budget B
+  /// (Scenario::vwa_budget) -- it seeks the best damage at <= B flips, not
+  /// the fewest flips to a damage target. Hitting the stop accuracy early is
+  /// a bonus and exhausting the budget is the EXPECTED outcome, so the cell
+  /// reports the three ways a run ends distinctly. It is the untargeted
+  /// objective without BFA's first-order fallback: an attacker paying for
+  /// every flip never spends one on a candidate that did not improve the
+  /// loss, so a step with no improving probe ends the attack.
+  kVwaLimited,
 };
 
 /// True for the class-targeted T-BFA family (the kinds whose results carry

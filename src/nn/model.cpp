@@ -33,12 +33,6 @@ void Model::load_state(const std::vector<Tensor>& snapshot) {
   net_.invalidate_from(0);
 }
 
-usize Model::param_count() {
-  usize n = 0;
-  for (auto& p : params()) n += p.value->size();
-  return n;
-}
-
 usize Model::weight_count() {
   usize n = 0;
   for (auto& p : quantizable_params()) n += p.value->size();

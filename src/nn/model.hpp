@@ -91,8 +91,7 @@ class Model {
   [[nodiscard]] std::vector<Tensor> save_state();
   void load_state(const std::vector<Tensor>& snapshot);
 
-  /// Total parameter count (all) and quantizable weight count.
-  [[nodiscard]] usize param_count();
+  /// Quantizable weight count.
   [[nodiscard]] usize weight_count();
 
   /// Computes loss and accumulates gradients on a batch. Uses train=false

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 namespace dnnd::nn {
 
@@ -64,10 +63,6 @@ void Tensor::add_(const Tensor& other) {
   for (usize i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-void Tensor::scale_(float s) {
-  for (float& v : data_) v *= s;
-}
-
 float Tensor::min() const {
   return data_.empty() ? 0.0f : *std::min_element(data_.begin(), data_.end());
 }
@@ -88,17 +83,6 @@ double Tensor::l2_norm() const {
   double s = 0.0;
   for (float v : data_) s += static_cast<double>(v) * v;
   return std::sqrt(s);
-}
-
-std::string Tensor::shape_string() const {
-  std::ostringstream out;
-  out << '{';
-  for (usize i = 0; i < shape_.size(); ++i) {
-    if (i) out << ',';
-    out << shape_[i];
-  }
-  out << '}';
-  return out.str();
 }
 
 }  // namespace dnnd::nn

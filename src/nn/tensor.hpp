@@ -4,7 +4,6 @@
 // Tensor values.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "sys/rng.hpp"
@@ -59,16 +58,12 @@ class Tensor {
 
   /// Elementwise in-place: this += other (shapes must match).
   void add_(const Tensor& other);
-  /// Elementwise in-place: this *= s.
-  void scale_(float s);
 
   [[nodiscard]] float min() const;
   [[nodiscard]] float max() const;
   [[nodiscard]] float abs_max() const;
   [[nodiscard]] double sum() const;
   [[nodiscard]] double l2_norm() const;
-
-  [[nodiscard]] std::string shape_string() const;
 
  private:
   std::vector<usize> shape_;

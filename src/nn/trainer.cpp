@@ -50,19 +50,4 @@ double evaluate(Model& model, const Dataset& data, usize batch_size) {
   return static_cast<double>(hits) / static_cast<double>(n == 0 ? 1 : n);
 }
 
-double evaluate_loss(Model& model, const Dataset& data, usize batch_size) {
-  const usize n = data.size();
-  double total = 0.0;
-  usize seen = 0;
-  for (usize start = 0; start < n; start += batch_size) {
-    const usize count = std::min(batch_size, n - start);
-    std::vector<usize> idx(count);
-    std::iota(idx.begin(), idx.end(), start);
-    auto [x, y] = data.gather(idx);
-    total += model.loss(x, y) * static_cast<double>(count);
-    seen += count;
-  }
-  return total / static_cast<double>(seen == 0 ? 1 : seen);
-}
-
 }  // namespace dnnd::nn

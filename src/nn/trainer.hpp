@@ -28,7 +28,4 @@ TrainReport train(Model& model, const SplitDataset& data, const TrainConfig& cfg
 /// Batched accuracy over a dataset (bounds activation memory).
 double evaluate(Model& model, const Dataset& data, usize batch_size = 128);
 
-/// Batched mean loss over a dataset.
-double evaluate_loss(Model& model, const Dataset& data, usize batch_size = 128);
-
 }  // namespace dnnd::nn

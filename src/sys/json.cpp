@@ -223,14 +223,6 @@ const JsonValue& JsonValue::at(std::string_view key) const {
   throw JsonParseError("JsonValue: missing key \"" + std::string(key) + "\"");
 }
 
-const JsonValue& JsonValue::get_or(std::string_view key, const JsonValue& fallback) const {
-  if (!is_object()) bad_kind("object");
-  for (const auto& [k, v] : members_) {
-    if (k == key) return v;
-  }
-  return fallback;
-}
-
 const std::vector<JsonValue::Member>& JsonValue::members() const {
   if (!is_object()) bad_kind("object");
   return members_;

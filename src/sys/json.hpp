@@ -110,8 +110,6 @@ class JsonValue {
   [[nodiscard]] bool contains(std::string_view key) const;
   /// Member lookup; throws JsonParseError when absent or not an object.
   [[nodiscard]] const JsonValue& at(std::string_view key) const;
-  /// Member lookup returning `fallback` when the key is absent.
-  [[nodiscard]] const JsonValue& get_or(std::string_view key, const JsonValue& fallback) const;
   [[nodiscard]] const std::vector<Member>& members() const;
   void set(std::string key, JsonValue v);
 

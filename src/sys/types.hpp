@@ -41,9 +41,6 @@ constexpr double ps_to_s(Picoseconds t) { return static_cast<double>(t) / 1e12; 
 /// op energies stay exact.
 using Femtojoules = i64;
 
-constexpr double fj_to_pj(Femtojoules e) { return static_cast<double>(e) / 1e3; }
-constexpr double fj_to_nj(Femtojoules e) { return static_cast<double>(e) / 1e6; }
 constexpr double fj_to_uj(Femtojoules e) { return static_cast<double>(e) / 1e9; }
-constexpr double fj_to_mj(Femtojoules e) { return static_cast<double>(e) / 1e12; }
 
 }  // namespace dnnd

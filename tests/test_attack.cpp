@@ -8,7 +8,6 @@
 #include "attack/deephammer.hpp"
 #include "attack/random_attack.hpp"
 #include "attack/tbfa.hpp"
-#include "attack/vwa.hpp"
 #include "test_util.hpp"
 
 namespace dnnd::attack {
@@ -37,10 +36,10 @@ TEST_F(BfaFixture, HalvesAccuracyInFewFlips) {
   cfg.stop_accuracy = 0.55;
   ProgressiveBitSearch bfa(qm_, ax_, ay_, cfg);
   const auto res = bfa.run();
-  EXPECT_GT(res.initial_batch_accuracy, 0.8);
-  EXPECT_TRUE(res.reached_stop) << "accuracy only reached " << res.final_batch_accuracy;
-  EXPECT_LE(res.final_batch_accuracy, 0.55);
-  EXPECT_GE(res.flips.size(), 1u);
+  EXPECT_GT(res.initial.accuracy, 0.8);
+  EXPECT_TRUE(res.reached_stop()) << "accuracy only reached " << testutil::last(res).accuracy;
+  EXPECT_LE(testutil::last(res).accuracy, 0.55);
+  EXPECT_GE(res.steps.size(), 1u);
 }
 
 TEST_F(BfaFixture, ConvNetCollapsesToRandomGuess) {
@@ -66,8 +65,8 @@ TEST_F(BfaFixture, ConvNetCollapsesToRandomGuess) {
   cfg.max_flips = 50;
   ProgressiveBitSearch bfa(qm, ax_, ay_, cfg);
   const auto res = bfa.run();
-  EXPECT_TRUE(res.reached_stop) << "only reached " << res.final_batch_accuracy;
-  EXPECT_LE(res.final_batch_accuracy, bfa.stop_threshold());
+  EXPECT_TRUE(res.reached_stop()) << "only reached " << testutil::last(res).accuracy;
+  EXPECT_LE(testutil::last(res).accuracy, bfa.stop_threshold());
 }
 
 TEST_F(BfaFixture, EachFlipIncreasesLoss) {
@@ -76,9 +75,9 @@ TEST_F(BfaFixture, EachFlipIncreasesLoss) {
   ProgressiveBitSearch bfa(qm_, ax_, ay_, cfg);
   const auto res = bfa.run();
   usize validated = 0;
-  for (const auto& rec : res.flips) {
+  for (const auto& rec : res.steps) {
     if (rec.fallback) continue;  // greedy escape: loss may dip
-    EXPECT_GT(rec.loss_after, rec.loss_before);
+    EXPECT_GT(rec.objective_after, rec.objective_before);
     ++validated;
   }
   EXPECT_GT(validated, 0u);
@@ -90,7 +89,7 @@ TEST_F(BfaFixture, NeverReflipsABit) {
   ProgressiveBitSearch bfa(qm_, ax_, ay_, cfg);
   const auto res = bfa.run();
   std::set<u64> seen;
-  for (const auto& rec : res.flips) {
+  for (const auto& rec : res.steps) {
     EXPECT_TRUE(seen.insert(rec.loc.key()).second)
         << "bit flipped twice (hamming distance must stay minimal)";
   }
@@ -116,9 +115,9 @@ TEST_F(BfaFixture, PrefersHighOrderBits) {
   ProgressiveBitSearch bfa(qm_, ax_, ay_, cfg);
   const auto res = bfa.run();
   usize high = 0;
-  for (const auto& rec : res.flips) high += (rec.loc.bit >= 6);
+  for (const auto& rec : res.steps) high += (rec.loc.bit >= 6);
   // MSB/bit-6 flips cause the large weight shifts; they must dominate.
-  EXPECT_GE(high * 2, res.flips.size());
+  EXPECT_GE(high * 2, res.steps.size());
 }
 
 TEST_F(BfaFixture, SkipSetIsRespected) {
@@ -173,12 +172,12 @@ TEST_F(BfaFixture, RandomAttackIsFarWeaker) {
   cfg.max_flips = 40;
   ProgressiveBitSearch bfa(qm2, ax_, ay_, cfg);
   const auto targeted = bfa.run();
-  ASSERT_GE(targeted.flips.size(), 1u);
+  ASSERT_GE(targeted.steps.size(), 1u);
 
   RandomBitAttack rnd(qm_, sys::Rng(11));
-  const auto random_res = rnd.run(targeted.flips.size(), ax_, ay_, targeted.flips.size());
+  const auto random_res = rnd.run(targeted.steps.size(), ax_, ay_, targeted.steps.size());
   const double random_acc = random_res.accuracy_trace.back();
-  EXPECT_GT(random_acc, targeted.final_batch_accuracy + 0.3)
+  EXPECT_GT(random_acc, testutil::last(targeted).accuracy + 0.3)
       << "random attack should be far weaker at equal flip budget";
 }
 
@@ -292,14 +291,14 @@ TEST_F(BfaFixture, TbfaNTo1RedirectsEverythingToTarget) {
   TbfaAttack atk(qm_, ax_, ay_, cfg);
   EXPECT_EQ(atk.source_class(), nn::kAllSources);
   const auto res = atk.run();
-  EXPECT_LT(res.initial_asr, 0.2) << "a trained model should rarely hit the target";
-  EXPECT_GT(res.final_asr, res.initial_asr + 0.3) << "redirect must make real progress";
+  EXPECT_LT(res.initial.asr, 0.2) << "a trained model should rarely hit the target";
+  EXPECT_GT(testutil::last(res).asr, res.initial.asr + 0.3) << "redirect must make real progress";
   // A targeted attacker is a minimiser: every committed flip lowers the
   // objective (no fallback path exists by design).
-  for (const auto& rec : res.flips) EXPECT_LT(rec.loss_after, rec.loss_before);
+  for (const auto& rec : res.steps) EXPECT_LT(rec.objective_after, rec.objective_before);
   // Hamming distance stays minimal, same contract as untargeted BFA.
   std::set<u64> seen;
-  for (const auto& rec : res.flips) EXPECT_TRUE(seen.insert(rec.loc.key()).second);
+  for (const auto& rec : res.steps) EXPECT_TRUE(seen.insert(rec.loc.key()).second);
 }
 
 TEST_F(BfaFixture, Tbfa1To1RaisesSourceToTargetRate) {
@@ -311,7 +310,7 @@ TEST_F(BfaFixture, Tbfa1To1RaisesSourceToTargetRate) {
   TbfaAttack atk(qm_, ax_, ay_, cfg);
   EXPECT_EQ(atk.source_class(), 2u);
   const auto res = atk.run();
-  EXPECT_GT(res.final_asr, res.initial_asr)
+  EXPECT_GT(testutil::last(res).asr, res.initial.asr)
       << "1-to-1 redirect must raise the source->target rate";
 }
 
@@ -327,10 +326,10 @@ TEST_F(BfaFixture, TbfaStealthyRespectsOtherClassTolerance) {
   // The admissibility constraint holds after EVERY committed flip, not just
   // at the end -- an overall-accuracy monitor sampling mid-attack sees
   // nothing.
-  for (const auto& rec : res.flips) {
-    EXPECT_GE(rec.other_acc_after, atk.clean_other_accuracy() - cfg.stealth_tolerance);
+  for (const auto& rec : res.steps) {
+    EXPECT_GE(rec.best.other_accuracy, atk.clean_other_accuracy() - cfg.stealth_tolerance);
   }
-  EXPECT_GE(res.final_other_acc, atk.clean_other_accuracy() - cfg.stealth_tolerance);
+  EXPECT_GE(testutil::last(res).other_accuracy, atk.clean_other_accuracy() - cfg.stealth_tolerance);
 }
 
 TEST_F(BfaFixture, TbfaRejectsOutOfRangeOrDegenerateClassPairs) {
@@ -363,104 +362,110 @@ TEST_F(BfaFixture, TbfaByteIdenticalAcrossGemmThreadCounts) {
   };
   const auto a = run_with_threads(1);
   const auto b = run_with_threads(4);
-  ASSERT_EQ(a.flips.size(), b.flips.size());
-  for (usize i = 0; i < a.flips.size(); ++i) {
-    EXPECT_TRUE(a.flips[i].loc == b.flips[i].loc) << "flip " << i;
-    EXPECT_EQ(a.flips[i].loss_after, b.flips[i].loss_after) << "flip " << i;
-    EXPECT_EQ(a.flips[i].asr_after, b.flips[i].asr_after) << "flip " << i;
-    EXPECT_EQ(a.flips[i].other_acc_after, b.flips[i].other_acc_after) << "flip " << i;
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (usize i = 0; i < a.steps.size(); ++i) {
+    EXPECT_TRUE(a.steps[i].loc == b.steps[i].loc) << "flip " << i;
+    EXPECT_EQ(a.steps[i].objective_after, b.steps[i].objective_after) << "flip " << i;
+    EXPECT_EQ(a.steps[i].best.asr, b.steps[i].best.asr) << "flip " << i;
+    EXPECT_EQ(a.steps[i].best.other_accuracy, b.steps[i].best.other_accuracy) << "flip " << i;
   }
-  EXPECT_EQ(a.final_asr, b.final_asr);
-  EXPECT_EQ(a.final_other_acc, b.final_other_acc);
+  EXPECT_EQ(testutil::last(a).asr, testutil::last(b).asr);
+  EXPECT_EQ(testutil::last(a).other_accuracy, testutil::last(b).other_accuracy);
+}
+
+TEST_F(BfaFixture, TbfaAlreadyMetStopCommitsNothing) {
+  // Every ASR is >= 0, so the clean model already complies: the driver's
+  // precheck must end the run before the engine commits anything.
+  const auto snap = qm_.snapshot();
+  TbfaConfig cfg;
+  cfg.variant = TbfaVariant::kNTo1;
+  cfg.target = 1;
+  cfg.stop_asr = 0.0;
+  TbfaAttack atk(qm_, ax_, ay_, cfg);
+  const auto res = atk.run();
+  EXPECT_TRUE(res.steps.empty());
+  EXPECT_EQ(res.outcome, SearchOutcome::kReachedStop);
+  EXPECT_EQ(qm_.hamming_distance(snap), 0u);
 }
 
 // ------------------------------------------------------------ VWA-limited --
 
+/// The campaign's vwa-limited attack: the untargeted objective without its
+/// fallback, on the engine's loop under a hard flip budget.
+SearchResult run_vwa(quant::QuantizedModel& qm, const nn::Tensor& x, const std::vector<u32>& y,
+                     usize budget, double stop_accuracy, const quant::BitSkipSet& skip = {}) {
+  UntargetedCeObjective objective(/*allow_fallback=*/false);
+  ProbeEngine engine(qm, x, y, objective);
+  return engine.run(
+      budget, [=](const ProbeMeasurement& m) { return m.accuracy <= stop_accuracy; }, skip);
+}
+
+/// Random-guess stop accuracy of the 4-class fixture model.
+constexpr double kGuessStop = 1.05 / 4.0;
+
 TEST_F(BfaFixture, VwaNeverExceedsHardFlipBudget) {
   const auto snap = qm_.snapshot();
-  VwaLimitedConfig cfg;
-  cfg.flip_budget = 5;
-  VwaLimitedAttack atk(qm_, ax_, ay_, cfg);
-  const auto res = atk.run();
-  EXPECT_LE(res.flips.size(), 5u);
+  const auto res = run_vwa(qm_, ax_, ay_, /*budget=*/5, kGuessStop);
+  EXPECT_LE(res.steps.size(), 5u);
   EXPECT_LE(qm_.hamming_distance(snap), 5u);
-  if (res.budget_exhausted()) {
-    EXPECT_EQ(res.flips.size(), 5u);
+  if (res.outcome == SearchOutcome::kBudgetExhausted) {
+    EXPECT_EQ(res.steps.size(), 5u);
   }
 }
 
 TEST_F(BfaFixture, VwaBudgetExhaustionIsDistinctFromReachingStop) {
   // Tight budget, unreachable stop: the nominal limited-bit outcome.
-  VwaLimitedConfig tight;
-  tight.flip_budget = 3;
-  VwaLimitedAttack limited(qm_, ax_, ay_, tight);
-  const auto spent = limited.run();
-  EXPECT_EQ(spent.outcome, VwaOutcome::kBudgetExhausted);
+  const auto spent = run_vwa(qm_, ax_, ay_, /*budget=*/3, kGuessStop);
+  EXPECT_EQ(spent.outcome, SearchOutcome::kBudgetExhausted);
   EXPECT_FALSE(spent.reached_stop());
-  EXPECT_GT(spent.final_batch_accuracy, limited.stop_threshold());
+  EXPECT_GT(testutil::last(spent).accuracy, kGuessStop);
 
   // Generous budget, reachable stop: must be reported as kReachedStop, with
   // the budget left partly unspent.
   auto model2 = trained_mlp();
   quant::QuantizedModel qm2(*model2);
-  VwaLimitedConfig loose;
-  loose.flip_budget = 60;
-  loose.stop_accuracy = 0.55;
-  VwaLimitedAttack stopper(qm2, ax_, ay_, loose);
-  const auto stopped = stopper.run();
-  EXPECT_EQ(stopped.outcome, VwaOutcome::kReachedStop);
-  EXPECT_LE(stopped.final_batch_accuracy, 0.55);
-  EXPECT_LT(stopped.flips.size(), 60u);
-}
-
-TEST_F(BfaFixture, VwaZeroBudgetThrows) {
-  VwaLimitedConfig cfg;
-  cfg.flip_budget = 0;
-  EXPECT_THROW(VwaLimitedAttack(qm_, ax_, ay_, cfg), std::invalid_argument);
+  const auto stopped = run_vwa(qm2, ax_, ay_, /*budget=*/60, /*stop_accuracy=*/0.55);
+  EXPECT_EQ(stopped.outcome, SearchOutcome::kReachedStop);
+  EXPECT_LE(testutil::last(stopped).accuracy, 0.55);
+  EXPECT_LT(stopped.steps.size(), 60u);
 }
 
 TEST_F(BfaFixture, VwaMatchesBfaFlipSequenceUntilFirstFallback) {
-  // Seam-equivalence: both drivers sit on the same ProbeEngine with the same
+  // Seam-equivalence: both sit on the same ProbeEngine with the same
   // untargeted objective, so their committed flips must be bit-identical
   // until BFA's first fallback step (which vwa-limited disables by design).
   BfaConfig bcfg;
   bcfg.max_flips = 8;
-  bcfg.stop_accuracy = 0.01;  // unreachable: neither driver stops early
+  bcfg.stop_accuracy = 0.01;  // unreachable: neither run stops early
   ProgressiveBitSearch bfa(qm_, ax_, ay_, bcfg);
   const auto bfa_res = bfa.run();
 
   auto model2 = trained_mlp();
   quant::QuantizedModel qm2(*model2);
-  VwaLimitedConfig vcfg;
-  vcfg.flip_budget = 8;
-  vcfg.stop_accuracy = 0.01;
-  VwaLimitedAttack vwa(qm2, ax_, ay_, vcfg);
-  const auto vwa_res = vwa.run();
+  const auto vwa_res = run_vwa(qm2, ax_, ay_, /*budget=*/8, /*stop_accuracy=*/0.01);
 
   usize compared = 0;
-  for (usize i = 0; i < bfa_res.flips.size(); ++i) {
-    if (bfa_res.flips[i].fallback) break;  // vwa ends where BFA falls back
-    ASSERT_LT(i, vwa_res.flips.size());
-    EXPECT_TRUE(vwa_res.flips[i].loc == bfa_res.flips[i].loc) << "flip " << i;
-    EXPECT_EQ(vwa_res.flips[i].loss_after, bfa_res.flips[i].loss_after) << "flip " << i;
+  for (usize i = 0; i < bfa_res.steps.size(); ++i) {
+    if (bfa_res.steps[i].fallback) break;  // vwa ends where BFA falls back
+    ASSERT_LT(i, vwa_res.steps.size());
+    EXPECT_TRUE(vwa_res.steps[i].loc == bfa_res.steps[i].loc) << "flip " << i;
+    EXPECT_EQ(vwa_res.steps[i].objective_after, bfa_res.steps[i].objective_after)
+        << "flip " << i;
     ++compared;
   }
   EXPECT_GT(compared, 0u);
 }
 
 TEST_F(BfaFixture, VwaRespectsSkipSet) {
-  VwaLimitedConfig cfg;
-  cfg.flip_budget = 1;
-  VwaLimitedAttack probe(qm_, ax_, ay_, cfg);
-  const auto first = probe.step({});
-  ASSERT_TRUE(first.has_value());
-  qm_.flip(first->loc);  // undo
+  const auto first = run_vwa(qm_, ax_, ay_, /*budget=*/1, kGuessStop);
+  ASSERT_EQ(first.steps.size(), 1u);
+  const quant::BitLocation first_loc = first.steps[0].loc;
+  qm_.flip(first_loc);  // undo
   quant::BitSkipSet skip;
-  skip.insert(first->loc);
-  VwaLimitedAttack constrained(qm_, ax_, ay_, cfg);
-  const auto second = constrained.step(skip);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_FALSE(second->loc == first->loc);
+  skip.insert(first_loc);
+  const auto second = run_vwa(qm_, ax_, ay_, /*budget=*/1, kGuessStop, skip);
+  ASSERT_EQ(second.steps.size(), 1u);
+  EXPECT_FALSE(second.steps[0].loc == first_loc);
 }
 
 // ------------------------------------------------------------- DeepHammer --
@@ -477,6 +482,35 @@ class DeepHammerFixture : public ::testing::Test {
         mapping_(qm_, cfg_),
         attack_(device_, hammer_, mapping_, remap_) {
     mapping_.upload(qm_, device_, remap_);
+  }
+
+  /// Moves a weight row onto physical row `edge` of its subarray (the data
+  /// and the remapping, as a defense's relocation would) such that the
+  /// returned bit of one of its weights sits on a cell that flips in the
+  /// needed direction. nullopt when no weight row offers such a cell.
+  std::optional<quant::BitLocation> victim_on_edge_row(u32 edge) {
+    for (const dram::RowAddr& logical : mapping_.weight_rows()) {
+      const dram::RowAddr frame{logical.bank, logical.subarray, edge};
+      if (!(remap_.to_logical(frame) == frame)) continue;  // already used
+      const dram::RowAddr phys = remap_.to_physical(logical);
+      for (usize col = 0; col < mapping_.weights_in_row(logical); ++col) {
+        for (u32 bit = 0; bit < 8; ++bit) {
+          const auto cell = hammer_.cell_info(frame, col, bit);
+          const bool is_set = (device_.peek(phys, col) >> bit) & 1;
+          if (!cell.has_value() || cell->one_to_zero != is_set) continue;
+          const std::vector<u8> victim(device_.peek_row(phys).begin(),
+                                       device_.peek_row(phys).end());
+          const std::vector<u8> spare(device_.peek_row(frame).begin(),
+                                      device_.peek_row(frame).end());
+          device_.poke_row(frame, victim);
+          device_.poke_row(phys, spare);
+          remap_.swap_logical(logical, frame);
+          const auto w = mapping_.weight_at(logical, col);
+          return quant::BitLocation{w->layer, w->index, bit};
+        }
+      }
+    }
+    return std::nullopt;
   }
 
   std::unique_ptr<nn::Model> model_;
@@ -534,6 +568,45 @@ TEST_F(DeepHammerFixture, RepeatedFlipsAcrossWeights) {
     landed += attempt.success;
   }
   EXPECT_EQ(landed, 4u);
+}
+
+/// Records every activated row that lies outside the device geometry.
+class OutsideGeometryRecorder final : public dram::RowEventListener {
+ public:
+  explicit OutsideGeometryRecorder(const dram::Geometry& geo) : geo_(geo) {}
+  void on_activate(const dram::RowAddr& row, Picoseconds /*now*/) override {
+    if (row.bank >= geo_.banks || row.subarray >= geo_.subarrays_per_bank ||
+        row.row >= geo_.rows_per_subarray) {
+      outside.push_back(row);
+    }
+  }
+  void on_restore(const dram::RowAddr&, Picoseconds, dram::RestoreKind) override {}
+
+  std::vector<dram::RowAddr> outside;
+
+ private:
+  dram::Geometry geo_;
+};
+
+TEST_F(DeepHammerFixture, EdgeRowVictimIsNeverHammeredOutsideTheGeometry) {
+  // A victim on a subarray's first or last row has only one neighbour, so a
+  // flippable cell there must not be hammered in place (its aggressors would
+  // be rows -1 or rows_per_subarray): the attacker massages the victim onto
+  // an interior frame first.
+  const dram::Geometry& geo = cfg_.geo;
+  OutsideGeometryRecorder recorder(geo);
+  device_.add_listener(&recorder);
+  for (const u32 edge : {0u, geo.rows_per_subarray - 1}) {
+    const auto target = victim_on_edge_row(edge);
+    ASSERT_TRUE(target.has_value()) << "no flippable victim cell on edge row " << edge;
+    const auto attempt = attack_.attempt_flip(*target);
+    EXPECT_TRUE(attempt.massaged) << "edge row " << edge;
+  }
+  device_.remove_listener(&recorder);
+  for (const auto& row : recorder.outside) {
+    ADD_FAILURE() << "activated row {" << row.bank << ", " << row.subarray << ", " << row.row
+                  << "} outside the geometry";
+  }
 }
 
 }  // namespace

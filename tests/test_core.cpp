@@ -394,9 +394,9 @@ TEST_F(ProfilerFixture, FirstRoundMatchesPlainBfa) {
   quant::QuantizedModel qm2(*model2);
   attack::ProgressiveBitSearch bfa(qm2, ax_, ay_, cfg.bfa);
   const auto res = bfa.run();
-  ASSERT_EQ(result.round_sizes[0], res.flips.size());
-  for (usize i = 0; i < res.flips.size(); ++i) {
-    EXPECT_EQ(result.priority_bits[i], res.flips[i].loc)
+  ASSERT_EQ(result.round_sizes[0], res.steps.size());
+  for (usize i = 0; i < res.steps.size(); ++i) {
+    EXPECT_EQ(result.priority_bits[i], res.steps[i].loc)
         << "profiler must reuse the attacker's search (paper Sec. 4)";
   }
 }

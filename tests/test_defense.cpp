@@ -335,14 +335,14 @@ TEST(BinaryBfa, EveryCommittedFlipIsTheSignBitOfADistinctWeight) {
   auto [ax, ay] = testutil::easy_data().test.head(64);
   const auto res = software::attack_binary(bm, ax, ay, /*max_flips=*/8,
                                            /*stop_accuracy=*/-1.0);
-  ASSERT_GT(res.flips, 0u);
-  EXPECT_FALSE(res.reached_stop);
+  ASSERT_GT(res.steps.size(), 0u);
+  EXPECT_FALSE(res.reached_stop());
   // With every code still +-64, each changed weight differs from its snapshot
   // in the sign bit alone, so the distance counts changed weights: one per
   // flip, and a weight flipped twice would be back at its snapshot code.
   expect_binary(bm);
-  EXPECT_EQ(bm.hamming_distance(snap), res.flips);
-  EXPECT_EQ(res.final_accuracy, model->evaluate_batch(ax, ay).accuracy);
+  EXPECT_EQ(bm.hamming_distance(snap), res.steps.size());
+  EXPECT_EQ(testutil::last(res).accuracy, model->evaluate_batch(ax, ay).accuracy);
 }
 
 TEST(BinaryBfa, SignBitGainIsTheBinaryFirstOrderGain) {
@@ -373,17 +373,17 @@ TEST(BinaryBfa, StopsAtTheBudgetOrTheStopAccuracy) {
     software::BinaryWeightModel bm(*model);
     const double clean = model->evaluate_batch(ax, ay).accuracy;
     const auto res = software::attack_binary(bm, ax, ay, /*max_flips=*/0, -1.0);
-    EXPECT_EQ(res.flips, 0u);
-    EXPECT_EQ(res.final_accuracy, clean);
-    EXPECT_FALSE(res.reached_stop);
+    EXPECT_EQ(res.steps.size(), 0u);
+    EXPECT_EQ(testutil::last(res).accuracy, clean);
+    EXPECT_FALSE(res.reached_stop());
   }
   {
     // Any accuracy is <= 1, so the first committed flip stops the search.
     auto model = testutil::trained_mlp();
     software::BinaryWeightModel bm(*model);
     const auto res = software::attack_binary(bm, ax, ay, /*max_flips=*/8, 1.0);
-    EXPECT_EQ(res.flips, 1u);
-    EXPECT_TRUE(res.reached_stop);
+    EXPECT_EQ(res.steps.size(), 1u);
+    EXPECT_TRUE(res.reached_stop());
   }
 }
 

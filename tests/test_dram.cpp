@@ -95,6 +95,18 @@ TEST_F(DeviceTest, ActivateOpensRowAndChargesTime) {
   EXPECT_EQ(dev_.open_row(0), 3);
 }
 
+TEST_F(DeviceTest, ActivateOutsideTheGeometryThrows) {
+  const Geometry& geo = dev_.config().geo;
+  EXPECT_THROW(dev_.activate({0, 0, geo.rows_per_subarray}), std::out_of_range);
+  EXPECT_THROW(dev_.activate({0, 0, static_cast<u32>(-1)}), std::out_of_range);
+  EXPECT_THROW(dev_.activate({0, geo.subarrays_per_bank, 0}), std::out_of_range);
+  EXPECT_THROW(dev_.activate({geo.banks, 0, 0}), std::out_of_range);
+  EXPECT_EQ(dev_.stats().n_act, 0u);
+  EXPECT_EQ(dev_.now(), 0);
+  dev_.activate({0, 0, geo.rows_per_subarray - 1});
+  EXPECT_EQ(dev_.stats().n_act, 1u);
+}
+
 TEST_F(DeviceTest, ReactivatingOpenRowIsFree) {
   dev_.activate({0, 0, 3});
   const auto acts = dev_.stats().n_act;

@@ -268,6 +268,21 @@ TEST(Campaign, ScenarioErrorsAreCapturedNotThrown) {
   EXPECT_NE(res.to_json().find("\"ok\":false"), std::string::npos);
 }
 
+TEST(Campaign, VwaZeroBudgetCellFails) {
+  // A limited-bit attack with no bits is a configuration error, not an
+  // empty "0 (budget)" result.
+  const auto grid = tiny_test_grid();
+  const auto it = std::find_if(grid.begin(), grid.end(),
+                               [](const Scenario& sc) { return sc.id == "tiny/vwa-limited"; });
+  ASSERT_NE(it, grid.end());
+  Scenario sc = *it;
+  sc.vwa_budget = 0;
+  ArtifactCache cache;
+  const ScenarioResult r = CampaignRunner::run_scenario(sc, cache);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "vwa-limited: flip_budget must be nonzero");
+}
+
 TEST(Json, WriterShapesAreWellFormed) {
   sys::JsonWriter w;
   w.begin_object();

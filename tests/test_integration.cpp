@@ -50,13 +50,13 @@ TEST(Paper, TargetedBfaBeatsRandomByOrderOfMagnitude) {
   cfg.stop_accuracy = 0.55;
   attack::ProgressiveBitSearch bfa(q1, ax, ay, cfg);
   const auto targeted = bfa.run();
-  ASSERT_TRUE(targeted.reached_stop) << "targeted attack must do real damage";
+  ASSERT_TRUE(targeted.reached_stop()) << "targeted attack must do real damage";
 
   auto m2 = trained_mlp();
   quant::QuantizedModel q2(*m2);
   attack::RandomBitAttack rnd(q2, sys::Rng(21));
-  const auto random = rnd.run(10 * targeted.flips.size(), ax, ay, 10 * targeted.flips.size());
-  EXPECT_GT(random.accuracy_trace.back(), targeted.final_batch_accuracy + 0.25)
+  const auto random = rnd.run(10 * targeted.steps.size(), ax, ay, 10 * targeted.steps.size());
+  EXPECT_GT(random.accuracy_trace.back(), testutil::last(targeted).accuracy + 0.25)
       << "random flips at 10x budget should leave the model largely intact";
 }
 

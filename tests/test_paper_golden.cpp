@@ -112,7 +112,7 @@ std::string binary_record(const std::string& arch) {
                                                     /*stop_accuracy=*/-1.0);
 
   sys::JsonValue rec = sys::JsonValue::object();
-  rec.set("flips", sys::JsonValue::number(static_cast<double>(res.flips)));
+  rec.set("flips", sys::JsonValue::number(static_cast<double>(res.steps.size())));
   rec.set("weights", sys::JsonValue::string(hex64(hash_params("paper-golden-weights", *model))));
   rec.set("logits", logits_hash(*model, ax));
   return rec.dump();

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "attack/probe_engine.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/gemm.hpp"
 #include "nn/simd.hpp"
@@ -26,6 +27,11 @@ struct SimdGuard {
   int saved_scalar = nn::simd::scalar_override();
   ~SimdGuard() { nn::simd::set_scalar_override(saved_scalar); }
 };
+
+/// The measurement after a run's last committed flip (`initial` without one).
+inline const attack::ProbeMeasurement& last(const attack::SearchResult& res) {
+  return res.steps.empty() ? res.initial : res.steps.back().best;
+}
 
 /// A small, easy dataset for attack tests: 4 classes, 1x8x8, low noise.
 inline const nn::SplitDataset& easy_data() {
