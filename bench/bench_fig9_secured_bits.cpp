@@ -41,15 +41,7 @@ quant::BitSkipSet secured_rows(const core::ProfileResult& profile, usize sb,
     rows = core::PriorityProfiler::target_rows(profile, map, sb);
   }
   *rows_out = rows.size();
-  quant::BitSkipSet set;
-  for (const auto& row : rows) {
-    const usize count = map.weights_in_row(row);
-    for (usize col = 0; col < count; ++col) {
-      const auto w = map.weight_at(row, col);
-      for (u32 b = 0; b < 8; ++b) set.insert({w->layer, w->index, b});
-    }
-  }
-  return set;
+  return map.bits_in_rows(rows);
 }
 
 void run_panel(const PanelSpec& panel) {

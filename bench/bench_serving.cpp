@@ -4,10 +4,10 @@
 // virtual time through a bounded admission queue and a batch coalescer; the
 // server thread then paces each planned batch by its last member's scheduled
 // arrival in front of the GEMM engine. The installed mitigation's tick()
-// interleaves on a virtual-time schedule, and an attacker thread optionally
-// carries white-box BFA flips through the DRAM substrate at planned batch
-// boundaries. Three regimes run on fresh systems over the same arrival
-// schedule:
+// interleaves on a virtual-time schedule, and the same server thread
+// optionally carries a white-box BFA flip through the DRAM substrate at each
+// planned attack slot, before that slot's batch. Three regimes run on fresh
+// systems over the same arrival schedule:
 //
 //   defense-off          undefended device, no attack (latency floor)
 //   defense-on           DNN-Defender installed, no attack (defense cost)

@@ -35,8 +35,7 @@ AdaptiveAttackResult AdaptiveWhiteBoxAttack::run(const quant::BitSkipSet& secure
   // whenever the preceding step left the cache on the attack batch, and
   // reuses it otherwise.
   UntargetedCeObjective objective;
-  ProbeEngine engine(qm_, attack_x_, attack_y_, objective,
-                     {cfg_.bfa.candidates_per_layer, cfg_.bfa.layers_evaluated});
+  ProbeEngine engine(qm_, attack_x_, attack_y_, objective);
   for (usize k = 1; k <= cfg_.max_additional_flips; ++k) {
     auto rec = engine.step(secured);
     if (!rec.has_value()) break;

@@ -11,7 +11,6 @@ namespace dnnd::attack {
 struct AdaptiveAttackConfig {
   usize max_additional_flips = 100;  ///< extra flips beyond the secured set
   usize measure_every = 20;          ///< accuracy sampling period (x-axis step)
-  BfaConfig bfa{};
 };
 
 struct AdaptiveAttackResult {

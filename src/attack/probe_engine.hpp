@@ -26,12 +26,16 @@
 // candidate is left, and says which. The BFA (ProgressiveBitSearch::run),
 // T-BFA (TbfaAttack::run), the campaign's limited-budget vwa-limited cell
 // and the binary-weight sign-bit attack (defense::software::attack_binary)
-// differ only in the objective and the predicate they pass. The adaptive
-// attack, the white-box DRAM system loop and the campaign's trace and
-// reconstruction-guard loops drive step() themselves, because they measure
-// on the eval batch or carry each flip through the DRAM. The campaign
-// results are byte-identical to the pre-engine per-family loops (the
-// tiny-grid golden and the paper-model golden gate this at zero tolerance).
+// differ only in the objective and the predicate they pass. These drive
+// step() themselves, because they measure on the eval batch, undo each flip
+// or carry it through the DRAM: the adaptive attack, the campaign's trace
+// and reconstruction-guard loops, the priority profiler's blocked attacker,
+// and ProtectedSystem::white_box_step, the one white-box DRAM attack step
+// that run_white_box_attack and serve_regime's attack slots both call. All
+// but the adaptive attack go through ProgressiveBitSearch::step. The
+// campaign results are byte-identical to the pre-engine per-family loops
+// (the tiny-grid golden and the paper-model golden gate this at zero
+// tolerance).
 #pragma once
 
 #include <functional>

@@ -20,7 +20,7 @@ ProfileResult PriorityProfiler::profile() {
   const auto clean_snapshot = qm_.snapshot();
   quant::BitSkipSet exclude;
   for (usize round = 0; round < cfg_.rounds; ++round) {
-    attack::ProgressiveBitSearch search(qm_, attack_x_, attack_y_, cfg_.bfa);
+    attack::ProgressiveBitSearch search(qm_, attack_x_, attack_y_);
     const attack::SearchResult res = search.run(exclude);
     // Flip everything back (the profiler must not damage the model) and
     // exclude this round's bits from the next round.
@@ -41,7 +41,7 @@ ProfileResult PriorityProfiler::profile_blocked_attacker(usize n_bits) {
   for (usize i = 0; i < n_bits; ++i) {
     // A fresh search per selection: the blocked attacker's model never
     // changes, only its knowledge of which bits are futile.
-    attack::ProgressiveBitSearch search(qm_, attack_x_, attack_y_, cfg_.bfa);
+    attack::ProgressiveBitSearch search(qm_, attack_x_, attack_y_);
     const auto rec = search.step(skip);
     if (!rec.has_value()) break;
     qm_.flip(rec->loc);  // undo the search's commit

@@ -15,7 +15,6 @@ namespace dnnd::core {
 
 struct ProfilerConfig {
   usize rounds = 4;
-  attack::BfaConfig bfa{};
 };
 
 struct ProfileResult {

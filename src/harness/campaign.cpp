@@ -29,25 +29,10 @@ double now_seconds() {
 }
 
 std::string flips_or_more(usize flips, bool reached_stop) {
-  return reached_stop ? std::to_string(flips) : ">" + std::to_string(flips);
-}
-
-/// Secured-bit set covering every bit of every weight row (Fig. 1b's
-/// full-coverage DNN-Defender deployment).
-quant::BitSkipSet all_weight_row_bits(const quant::QuantizedModel& qm,
-                                      const dram::DramConfig& dram, usize& rows_out) {
-  const mapping::WeightMapping map(qm, dram);
-  rows_out = map.weight_rows().size();
-  quant::BitSkipSet secured;
-  for (const auto& row : map.weight_rows()) {
-    const usize count = map.weights_in_row(row);
-    for (usize col = 0; col < count; ++col) {
-      const auto w = map.weight_at(row, col);
-      if (!w.has_value()) continue;
-      for (u32 b = 0; b < 8; ++b) secured.insert({w->layer, w->index, b});
-    }
-  }
-  return secured;
+  if (reached_stop) return std::to_string(flips);
+  std::string s = ">";
+  s += std::to_string(flips);
+  return s;
 }
 
 void run_scenario_impl(const Scenario& sc, ArtifactCache& cache, ScenarioResult& r) {
@@ -149,9 +134,13 @@ void run_scenario_impl(const Scenario& sc, ArtifactCache& cache, ScenarioResult&
     }
 
     case AttackKind::kAdaptive: {
+      // Fig. 1b's full-coverage DNN-Defender deployment secures every bit
+      // of every weight row.
       quant::BitSkipSet secured;
       if (sc.secure_all_weight_rows) {
-        secured = all_weight_row_bits(qm, sc.dram, r.secured_rows);
+        const mapping::WeightMapping map(qm, sc.dram);
+        r.secured_rows = map.weight_rows().size();
+        secured = map.bits_in_rows(map.weight_rows());
       }
       attack::AdaptiveAttackConfig acfg = {};
       acfg.max_additional_flips = sc.max_flips;

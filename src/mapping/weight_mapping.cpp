@@ -103,6 +103,18 @@ usize WeightMapping::weights_in_row(const RowAddr& row) const {
   return span == nullptr ? 0 : span->count;
 }
 
+quant::BitSkipSet WeightMapping::bits_in_rows(std::span<const RowAddr> rows) const {
+  quant::BitSkipSet set;
+  for (const RowAddr& row : rows) {
+    const usize count = weights_in_row(row);
+    for (usize col = 0; col < count; ++col) {
+      const auto w = weight_at(row, col);
+      for (u32 bit = 0; bit < 8; ++bit) set.insert({w->layer, w->index, bit});
+    }
+  }
+  return set;
+}
+
 void WeightMapping::upload(const quant::QuantizedModel& qm, dram::DramDevice& dev,
                            const dram::RowRemapper& remap) const {
   for (const RowSpan& span : spans_) {

@@ -7,11 +7,12 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dram/dram_device.hpp"
 #include "dram/row_remapper.hpp"
-#include "quant/quantizer.hpp"
+#include "quant/bit_gradient.hpp"
 
 namespace dnnd::mapping {
 
@@ -67,6 +68,10 @@ class WeightMapping {
 
   /// Number of weight bytes stored in a given logical row.
   [[nodiscard]] usize weights_in_row(const dram::RowAddr& row) const;
+
+  /// All 8 bits of every weight stored in `rows`: the Secured Bits of a
+  /// defense that protects whole rows.
+  [[nodiscard]] quant::BitSkipSet bits_in_rows(std::span<const dram::RowAddr> rows) const;
 
   [[nodiscard]] const MappingConfig& config() const { return cfg_; }
 

@@ -1,61 +1,15 @@
 #include "serving/server.hpp"
 
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <thread>
-
-#include "attack/bfa.hpp"
 
 namespace dnnd::serving {
 
 namespace {
 
 using steady = std::chrono::steady_clock;
-
-/// Rendezvous between the server loop and the attacker thread. The model
-/// workspace and the DRAM device are shared and not thread-safe, so attack
-/// slots are strictly serialized: the server parks on `done` while the
-/// attacker works, which also keeps the decision stream independent of
-/// thread scheduling.
-struct AttackerChannel {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool requested = false;
-  bool done = false;
-  bool stop = false;
-
-  void request_and_wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    requested = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return done; });
-    done = false;
-  }
-
-  /// Attacker side: true = one slot granted, false = shutdown.
-  bool await_slot() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return requested || stop; });
-    if (stop && !requested) return false;
-    requested = false;
-    return true;
-  }
-
-  void mark_done() {
-    const std::lock_guard<std::mutex> lock(mu);
-    done = true;
-    cv.notify_all();
-  }
-
-  void shutdown() {
-    const std::lock_guard<std::mutex> lock(mu);
-    stop = true;
-    cv.notify_all();
-  }
-};
 
 }  // namespace
 
@@ -82,46 +36,13 @@ RegimeStats serve_regime(const std::string& name, system::ProtectedSystem& psys,
 
   u64 digest = plan.digest;
 
-  // ----- attacker thread -----------------------------------------------------
-  // The search's constructor runs a forward on the shared model and
-  // workspace, so it is built here, before any thread starts -- the point
-  // where a serial replay of this loop builds it too. Built on the attacker
-  // thread it would race the server's first evaluate_batch.
+  // The search's constructor runs a forward on the model; it is built here,
+  // before the first batch, where a serial replay of this loop builds it too.
   std::optional<attack::ProgressiveBitSearch> search;
   if (attack_on) search.emplace(psys.qm(), attack_x, attack_y, attack::BfaConfig{});
-  AttackerChannel channel;
-  std::thread attacker;
-  if (attack_on) {
-    attacker = std::thread([&] {
-      // Mirrors ProtectedSystem::run_white_box_attack's inner loop: propose
-      // on the synced white-box copy, undo the search's local commit (DRAM
-      // is authoritative), carry the flip through the device, learn blocks.
-      quant::BitSkipSet learned_blocked;
-      while (channel.await_slot()) {
-        auto rec = search->step(learned_blocked);
-        if (rec.has_value()) {
-          psys.qm().flip(rec->loc);  // undo the search's commit
-          const attack::FlipAttempt attempt = psys.attack_bit(rec->loc);
-          stats.attack_attempts += 1;
-          if (attempt.success) {
-            stats.attack_landed += 1;
-          } else {
-            stats.attack_blocked += 1;
-            learned_blocked.insert(rec->loc);
-          }
-          // The server is parked on mark_done(), so this interleaves at a
-          // deterministic point of the decision stream.
-          digest = sys::hash_combine(digest, rec->loc.key(),
-                                     static_cast<u64>(attempt.success));
-        } else {
-          digest = sys::hash_combine(digest, sys::stable_hash64("bfa-exhausted"));
-        }
-        channel.mark_done();
-      }
-    });
-  }
+  quant::BitSkipSet learned_blocked;
 
-  // ----- server loop (this thread) -------------------------------------------
+  // ----- server loop ---------------------------------------------------------
   // A planned batch starts when its last member arrives. The plan already
   // charged the drops at their virtual arrival instants, so nothing here
   // re-drops under wall-clock jitter.
@@ -150,7 +71,23 @@ RegimeStats serve_regime(const std::string& name, system::ProtectedSystem& psys,
       psys.advance_time_to(static_cast<Picoseconds>(ticks_done * tick_ns) * 1000);
     }
 
-    if (b.attack_before && attack_on) channel.request_and_wait();
+    // The attacker's slot: one white-box flip through DRAM, served inline
+    // before the batch, so it sits at a fixed point of the decision stream.
+    if (b.attack_before && attack_on) {
+      const auto attempt = psys.white_box_step(*search, learned_blocked);
+      if (attempt.has_value()) {
+        stats.attack_attempts += 1;
+        if (attempt->success) {
+          stats.attack_landed += 1;
+        } else {
+          stats.attack_blocked += 1;
+        }
+        digest = sys::hash_combine(digest, attempt->target.key(),
+                                   static_cast<u64>(attempt->success));
+      } else {
+        digest = sys::hash_combine(digest, sys::stable_hash64("bfa-exhausted"));
+      }
+    }
 
     pool.gather_into(sample_idx, batch_x, batch_y);
     const nn::BatchEval eval = model.evaluate_batch(batch_x, batch_y);
@@ -166,11 +103,6 @@ RegimeStats serve_regime(const std::string& name, system::ProtectedSystem& psys,
   }
   stats.wall_seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(steady::now() - t0).count();
-
-  if (attack_on) {
-    channel.shutdown();
-    attacker.join();
-  }
 
   stats.ticks = ticks_done;
   digest = sys::hash_combine(digest, ticks_done);

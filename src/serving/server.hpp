@@ -1,6 +1,7 @@
-// Real-threaded executor for a ServingPlan: a server loop that starts each
-// planned batch at its last member's scheduled arrival, an optional attacker
-// thread, defender ticks pumped through ProtectedSystem::advance_time_to.
+// Wall-clock executor for a ServingPlan: one server thread that starts each
+// planned batch at its last member's scheduled arrival, pumps defender ticks
+// through ProtectedSystem::advance_time_to, and serves each planned attack
+// slot inline (ProtectedSystem::white_box_step) before that slot's batch.
 // Wall-clock latencies, measured from each request's scheduled arrival, land
 // in a LatencyReservoir; every decision (batch composition, drops, ticks,
 // attack targets and outcomes) replays the plan and is folded into a digest
@@ -50,8 +51,8 @@ struct RegimeStats {
 
 /// Runs one regime: generates the plan for `cfg` over pool.size() samples,
 /// executes it against `psys` (whatever mitigation is installed), and -- when
-/// `attack_on` -- lets an attacker thread carry one white-box BFA flip
-/// through DRAM at every planned attack slot, proposing flips on
+/// `attack_on` -- carries one white-box BFA flip through DRAM at every
+/// planned attack slot, on the server thread, proposing flips on
 /// (attack_x, attack_y) and learning blocked bits. Accuracy is measured on
 /// (eval_x, eval_y) before and after. The caller owns model/system state;
 /// run regimes on fresh systems for independent measurements.

@@ -66,8 +66,10 @@ std::string fmt_count(long long v) {
   // the naive `-v` is UB exactly at the value most likely to appear after a
   // counter wrap. 0 - (unsigned)v is well-defined modular arithmetic and
   // yields the magnitude for every negative input including LLONG_MIN.
-  if (v < 0) return "-" + fmt_count(0ULL - static_cast<unsigned long long>(v));
-  return fmt_count(static_cast<unsigned long long>(v));
+  if (v >= 0) return fmt_count(static_cast<unsigned long long>(v));
+  std::string s = "-";
+  s += fmt_count(0ULL - static_cast<unsigned long long>(v));
+  return s;
 }
 
 }  // namespace dnnd::sys

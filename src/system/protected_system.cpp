@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "attack/probe_engine.hpp"
-
 namespace dnnd::system {
 
 using dram::RowAddr;
@@ -85,55 +83,44 @@ bool ProtectedSystem::advance_time_to(Picoseconds target) {
 }
 
 quant::BitSkipSet ProtectedSystem::secured_bits() const {
-  quant::BitSkipSet set;
-  if (defender_ == nullptr) return set;
-  for (const RowAddr& row : defender_->targets()) {
-    const usize count = mapping_->weights_in_row(row);
-    for (usize col = 0; col < count; ++col) {
-      const auto w = mapping_->weight_at(row, col);
-      if (!w.has_value()) continue;
-      for (u32 bit = 0; bit < 8; ++bit) {
-        set.insert(quant::BitLocation{w->layer, w->index, bit});
-      }
-    }
-  }
-  return set;
+  if (defender_ == nullptr) return {};
+  return mapping_->bits_in_rows(defender_->targets());
+}
+
+std::optional<attack::FlipAttempt> ProtectedSystem::white_box_step(
+    attack::ProgressiveBitSearch& search, quant::BitSkipSet& blocked) {
+  // Offline proposal on the attacker's copy (== current synced state).
+  const auto rec = search.step(blocked);
+  if (!rec.has_value()) return std::nullopt;
+  qm_.flip(rec->loc);  // undo the search's commit; DRAM is authoritative
+  attack::FlipAttempt attempt = attack_bit(rec->loc);
+  if (!attempt.success) blocked.insert(rec->loc);
+  return attempt;
 }
 
 SystemAttackResult ProtectedSystem::run_white_box_attack(
     const nn::Tensor& attack_x, const std::vector<u32>& attack_y, const nn::Tensor& eval_x,
-    const std::vector<u32>& eval_y, usize max_attempts, double stop_accuracy,
-    attack::BfaConfig bfa_cfg) {
+    const std::vector<u32>& eval_y, usize max_attempts, double stop_accuracy) {
   SystemAttackResult result;
   result.initial_accuracy = qm_.model().evaluate_batch(eval_x, eval_y).accuracy;
   result.final_accuracy = result.initial_accuracy;
 
-  // The attacker's offline search is the shared probe engine with the
-  // untargeted objective -- the white-box twist is purely in the loop below:
-  // proposals are carried through the DRAM substrate, and blocked attempts
-  // teach the attacker a skip set.
-  attack::UntargetedCeObjective objective;
-  attack::ProbeEngine engine(qm_, attack_x, attack_y, objective,
-                             {bfa_cfg.candidates_per_layer, bfa_cfg.layers_evaluated});
+  attack::ProgressiveBitSearch search(qm_, attack_x, attack_y);
   quant::BitSkipSet learned_blocked;
   while (result.attempts < max_attempts) {
-    // Offline proposal on the attacker's copy (== current synced state).
-    auto rec = engine.step(learned_blocked);
-    if (!rec.has_value()) break;
-    qm_.flip(rec->loc);  // undo the search's commit; DRAM is authoritative
-    const attack::FlipAttempt attempt = attack_bit(rec->loc);
+    const auto attempt = white_box_step(search, learned_blocked);
+    if (!attempt.has_value()) break;
     result.attempts += 1;
-    if (attempt.success) {
+    if (attempt->success) {
       result.landed += 1;
     } else {
       result.blocked += 1;
-      learned_blocked.insert(rec->loc);
     }
-    // The DRAM sync above rewrote only the codes that actually changed
-    // (set_q no-ops on identical values), so a blocked attempt leaves the
-    // forward cache fully clean and this measurement costs almost nothing;
-    // the incremental helper falls back to a full pass when the cache sits
-    // on the attack batch instead.
+    // The DRAM sync in attack_bit rewrote only the codes that actually
+    // changed (set_q no-ops on identical values), so a blocked attempt
+    // leaves the forward cache fully clean and this measurement costs almost
+    // nothing; the incremental helper falls back to a full pass when the
+    // cache sits on the attack batch instead.
     result.final_accuracy = qm_.model().evaluate_batch_incremental(eval_x, eval_y).accuracy;
     if (result.final_accuracy <= stop_accuracy) break;
   }

@@ -2,14 +2,15 @@
 // simulated DRAM (via WeightMapping); inference reads them back from the
 // device, so RowHammer flips -- and the defense's success in preventing them
 // -- propagate to accuracy. The attacker runs the BFA search offline on its
-// white-box copy and carries each chosen flip out through DeepHammerAttack,
-// while the installed mitigation interleaves its maintenance through the
-// post-ACT hook.
+// white-box copy and carries each chosen flip out through DeepHammerAttack
+// (white_box_step), while the installed mitigation interleaves its
+// maintenance through the post-ACT hook.
 #pragma once
 
 #include <memory>
+#include <optional>
 
-#include "attack/adaptive_attack.hpp"
+#include "attack/bfa.hpp"
 #include "attack/deephammer.hpp"
 #include "core/dnn_defender.hpp"
 #include "core/priority_profiler.hpp"
@@ -90,17 +91,23 @@ class ProtectedSystem {
   /// Bits set the adaptive white-box attacker must skip.
   [[nodiscard]] quant::BitSkipSet secured_bits() const;
 
-  /// Full-stack white-box BFA campaign: the attacker proposes flips by
-  /// progressive bit search on the synced model, executes each through
-  /// DRAM, learns which bits are blocked, and continues until the accuracy
-  /// target or the attempt budget is reached. Accuracy is measured on
-  /// (eval_x, eval_y).
+  /// One white-box attack step (paper Sec. 5.2): `search` proposes a flip
+  /// not in `blocked` on the synced model, its local commit is undone (DRAM
+  /// is authoritative), the flip is carried out through attack_bit, and a
+  /// failed attempt's bit joins `blocked`. nullopt when the search has no
+  /// candidate left. `search` must have been built on this system's qm().
+  std::optional<attack::FlipAttempt> white_box_step(attack::ProgressiveBitSearch& search,
+                                                    quant::BitSkipSet& blocked);
+
+  /// Full-stack white-box BFA campaign: white_box_step with a default
+  /// ProgressiveBitSearch on (attack_x, attack_y) until the accuracy on
+  /// (eval_x, eval_y) is <= stop_accuracy, the attempt budget is spent, or
+  /// the search has no candidate left.
   SystemAttackResult run_white_box_attack(const nn::Tensor& attack_x,
                                           const std::vector<u32>& attack_y,
                                           const nn::Tensor& eval_x,
                                           const std::vector<u32>& eval_y,
-                                          usize max_attempts, double stop_accuracy,
-                                          attack::BfaConfig bfa_cfg = {});
+                                          usize max_attempts, double stop_accuracy);
 
  private:
   void install_hook();

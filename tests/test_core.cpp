@@ -392,7 +392,7 @@ TEST_F(ProfilerFixture, FirstRoundMatchesPlainBfa) {
   const auto result = profiler.profile();
   auto model2 = testutil::trained_mlp();
   quant::QuantizedModel qm2(*model2);
-  attack::ProgressiveBitSearch bfa(qm2, ax_, ay_, cfg.bfa);
+  attack::ProgressiveBitSearch bfa(qm2, ax_, ay_, attack::BfaConfig{});
   const auto res = bfa.run();
   ASSERT_EQ(result.round_sizes[0], res.steps.size());
   for (usize i = 0; i < res.steps.size(); ++i) {
@@ -408,7 +408,7 @@ TEST_F(ProfilerFixture, BlockedAttackerProfileMatchesAttackTrajectory) {
   // Replay the fully-blocked attacker: same search, skip = attempted bits,
   // clean model. Its proposals must equal the profile prefix exactly.
   quant::BitSkipSet skip;
-  attack::ProgressiveBitSearch search(qm_, ax_, ay_, ProfilerConfig{}.bfa);
+  attack::ProgressiveBitSearch search(qm_, ax_, ay_, attack::BfaConfig{});
   for (usize i = 0; i < profile.total_bits(); ++i) {
     const auto rec = search.step(skip);
     ASSERT_TRUE(rec.has_value());

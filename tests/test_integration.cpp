@@ -5,6 +5,7 @@
 // clean accuracy under attack.
 #include <gtest/gtest.h>
 
+#include "attack/adaptive_attack.hpp"
 #include "attack/random_attack.hpp"
 #include "defense/rrs.hpp"
 #include "defense/shadow.hpp"

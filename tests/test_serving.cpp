@@ -1,8 +1,8 @@
 // Serving subsystem tests: deterministic plan (arrivals, coalescing, drops,
 // ticks), latency reservoir vs a sorted-copy oracle, report round trip +
 // validation, the executor's wall-clock pacing, and the end-to-end
-// decision-stream determinism gates: across GEMM thread counts, and threaded
-// run against a single-threaded replay with the attacker live.
+// decision-stream determinism gates: across GEMM thread counts, and the paced
+// run against an unpaced replay with the attacker live, defended and not.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -239,17 +239,16 @@ RegimeStats run_test_regime(const ServeConfig& cfg, bool defended, bool attacked
   });
 }
 
-/// serve_regime's decision digest for a defended, attacked run, recomputed
-/// on one thread: the same plan, defender ticks and attack slots inline, in
-/// serve_regime's fold order. No thread can interleave anything here, so a
-/// threaded run that matches it is free of ordering effects.
-u64 replay_digest(const ServeConfig& cfg) {
-  return with_test_system(cfg, /*defended=*/true, [&](system::ProtectedSystem& psys,
-                                                      const nn::Dataset& pool,
-                                                      const nn::Tensor& ex,
-                                                      const std::vector<u32>& ey,
-                                                      const nn::Tensor& ax,
-                                                      const std::vector<u32>& ay) {
+/// serve_regime's decision digest for an attacked run, recomputed without
+/// wall-clock pacing: the same plan, defender ticks and attack slots, in
+/// serve_regime's fold order. The attack step is spelled out here rather
+/// than calling ProtectedSystem::white_box_step, so the replay stays an
+/// independent oracle for it.
+u64 replay_digest(const ServeConfig& cfg, bool defended) {
+  return with_test_system(cfg, defended, [&](system::ProtectedSystem& psys,
+                                             const nn::Dataset& pool, const nn::Tensor& ex,
+                                             const std::vector<u32>& ey, const nn::Tensor& ax,
+                                             const std::vector<u32>& ay) {
     const ServingPlan plan = plan_serving(cfg, pool.size());
     nn::Model& model = psys.qm().model();
     model.evaluate_batch(ex, ey);
@@ -352,9 +351,12 @@ TEST(ServeRegime, DecisionStreamIsIdenticalAcrossGemmThreadCounts) {
 }
 
 TEST(ServeRegime, ThreadedDigestEqualsSerialReplayWithLiveAttacker) {
-  // Server and attacker threads at a GEMM team of 4 against the
-  // single-threaded replay, over five plan seeds: the decision stream may
-  // not depend on how the threads interleave.
+  // serve_regime, with its attack slots served inline on the server thread
+  // and a GEMM team of 4, against the unpaced replay over five plan seeds,
+  // defended (every attempt blocked) and undefended (attempts land): the
+  // decision stream may depend neither on wall-clock pacing nor on the GEMM
+  // team, and the replay's own attack step must agree with white_box_step
+  // on both outcomes.
   const testutil::ThreadsGuard guard;
   nn::gemm::set_threads(4);
   for (u64 seed = 0; seed < 5; ++seed) {
@@ -362,7 +364,12 @@ TEST(ServeRegime, ThreadedDigestEqualsSerialReplayWithLiveAttacker) {
     cfg.seed = seed;
     const RegimeStats threaded = run_test_regime(cfg, /*defended=*/true, /*attacked=*/true);
     EXPECT_GT(threaded.attack_attempts, 0u) << "seed " << seed;
-    EXPECT_EQ(threaded.digest, replay_digest(cfg)) << "seed " << seed;
+    EXPECT_EQ(threaded.digest, replay_digest(cfg, /*defended=*/true)) << "seed " << seed;
+
+    const RegimeStats open = run_test_regime(cfg, /*defended=*/false, /*attacked=*/true);
+    EXPECT_GT(open.attack_landed, 0u) << "seed " << seed;
+    EXPECT_LT(open.accuracy_after, open.accuracy_before) << "seed " << seed;
+    EXPECT_EQ(open.digest, replay_digest(cfg, /*defended=*/false)) << "seed " << seed;
   }
 }
 
