@@ -7,6 +7,12 @@
 // the attacker-visible secured set is the row expansion of the SB prefix.
 // The x-axis is SB + additional landed flips, as in the paper.
 //
+// Driven by the scenario-sweep harness (harness::fig9_scenarios); every SB
+// level of every panel is one scenario on the CampaignRunner thread pool
+// (DNND_THREADS env var). Results are deterministic regardless of thread
+// count; DNND_JSON=1 / DNND_JSON_OUT=<path> persist the campaign through a
+// sink.
+//
 // Scale note (also in the README's scale notes): on our ~10^4-weight
 // stand-in models nearly every weight row holds catastrophic bits, so the
 // intermediate-SB curves compress toward the unprotected one (small models
@@ -14,95 +20,58 @@
 // endpoints -- unprotected collapse within a few flips, and near-clean
 // accuracy at full row coverage (the paper's "~4% of bits -> random-attack
 // level") -- reproduce.
-#include "attack/adaptive_attack.hpp"
+#include <algorithm>
+
 #include "bench_util.hpp"
-#include "core/priority_profiler.hpp"
-#include "mapping/weight_mapping.hpp"
+#include "harness/campaign.hpp"
+#include "harness/registry.hpp"
+#include "harness/sink.hpp"
 
 using namespace dnnd;
-
-namespace {
-
-struct PanelSpec {
-  const char* label;
-  const char* arch;
-  nn::SynthSpec data_spec;
-  usize epochs;
-};
-
-/// Row-expanded secured set for the first `sb` profiled bits (0 = all weight
-/// rows -- complete priority coverage). Returns the row count via rows_out.
-quant::BitSkipSet secured_rows(const core::ProfileResult& profile, usize sb,
-                               const mapping::WeightMapping& map, usize* rows_out) {
-  std::vector<dram::RowAddr> rows;
-  if (sb == 0) {
-    rows = map.weight_rows();
-  } else {
-    rows = core::PriorityProfiler::target_rows(profile, map, sb);
-  }
-  *rows_out = rows.size();
-  return map.bits_in_rows(rows);
-}
-
-void run_panel(const PanelSpec& panel) {
-  const bool small = bench::small_scale();
-  std::printf("\n--- Fig. 9(%s): %s ---\n", panel.label, panel.arch);
-  auto data = nn::make_synthetic(panel.data_spec);
-  auto model = bench::train_model(panel.arch, data, panel.epochs);
-  auto [ax, ay] = data.test.head(small ? 20 : 28);
-  auto [ex, ey] = data.test.head(small ? 100 : 240);
-  quant::QuantizedModel qm(*model);
-  const auto clean_snapshot = qm.snapshot();
-  const mapping::WeightMapping map(qm, dram::DramConfig::nn_scaled());
-
-  // SB levels: trajectory prefixes (the exact blocked-attacker search order)
-  // plus the full-coverage level the defender deploys in practice.
-  std::vector<usize> sb_levels = small ? std::vector<usize>{8, 32}
-                                       : std::vector<usize>{8, 16, 32, 64};
-  const usize max_traj = sb_levels.back();
-  bench::Stopwatch prof_sw;
-  core::PriorityProfiler profiler(qm, ax, ay);
-  const auto profile = profiler.profile_blocked_attacker(max_traj);
-  std::printf("[setup] profiled %zu trajectory bits in %.1fs; %zu weight rows total\n",
-              profile.total_bits(), prof_sw.seconds(), map.weight_rows().size());
-
-  const usize extra = small ? 20 : 40;
-  const usize step = 10;
-
-  std::vector<std::string> headers{"Secured Bits", "rows"};
-  for (usize k = 0; k <= extra; k += step) headers.push_back("SB+" + std::to_string(k));
-  sys::Table table(headers);
-  auto run_level = [&](const std::string& label, usize sb) {
-    usize n_rows = 0;
-    const auto secured = secured_rows(profile, sb, map, &n_rows);
-    attack::AdaptiveAttackConfig cfg;
-    cfg.max_additional_flips = extra;
-    cfg.measure_every = step;
-    attack::AdaptiveWhiteBoxAttack attack(qm, ax, ay, ex, ey, cfg);
-    const auto res = attack.run(secured);
-    std::vector<std::string> row{label, std::to_string(n_rows)};
-    for (usize i = 0; i + 2 < headers.size(); ++i) {
-      row.push_back(i < res.accuracy_trace.size()
-                        ? sys::fmt(100.0 * res.accuracy_trace[i], 1)
-                        : sys::fmt(100.0 * res.accuracy_trace.back(), 1));
-    }
-    table.add_row(row);
-    qm.restore(clean_snapshot);
-  };
-  run_level("none (baseline)", 1);  // 1 bit -> 1 row: effectively unprotected
-  for (usize sb : sb_levels) run_level(std::to_string(sb), sb);
-  run_level("full row coverage", 0);
-  table.print();
-}
-
-}  // namespace
 
 int main() {
   bench::banner("Fig. 9 -- Adaptive white-box BFA vs Secured Bits (SB)",
                 "paper Fig. 9(a-c): more SB -> more attacker effort; full coverage -> flat");
-  run_panel({"a", "vgg11", nn::SynthSpec::cifar10_like(), 6});
-  run_panel({"b", "resnet18", nn::SynthSpec::imagenet_like(), 6});
-  run_panel({"c", "resnet34", nn::SynthSpec::imagenet_like(), 6});
+  const auto scenarios = harness::fig9_scenarios(bench::small_scale());
+
+  harness::CampaignConfig cfg;
+  cfg.threads = harness::env_threads();
+  cfg.verbose = true;
+  harness::CampaignRunner runner(cfg);
+  const auto campaign = runner.run(scenarios);
+  for (const auto& r : campaign.results) {
+    if (!r.ok) {
+      std::fprintf(stderr, "scenario %s failed: %s\n", r.id.c_str(), r.error.c_str());
+      return 1;
+    }
+  }
+
+  // One table per panel: the cells of a model are consecutive.
+  char panel = 'a';
+  for (usize first = 0; first < scenarios.size();) {
+    const harness::Scenario& head = scenarios[first];
+    usize last = first;
+    while (last < scenarios.size() && scenarios[last].train.arch == head.train.arch) ++last;
+    std::printf("\n--- Fig. 9(%c): %s ---\n", panel++, head.train.arch.c_str());
+    std::printf("[setup] 8-bit quantized accuracy: %.2f%% (%llu weight bits)\n",
+                100.0 * campaign.results[first].clean_accuracy,
+                static_cast<unsigned long long>(campaign.results[first].total_bits));
+    std::vector<std::string> headers{"Secured Bits", "rows"};
+    for (usize k = 0; k <= head.max_flips; k += head.measure_every) {
+      headers.push_back("SB+" + std::to_string(k));
+    }
+    sys::Table table(headers);
+    for (usize i = first; i < last; ++i) {
+      const auto& r = campaign.results[i];
+      std::vector<std::string> row{r.label, std::to_string(r.secured_rows)};
+      for (usize k = 0; k + 2 < headers.size(); ++k) {
+        row.push_back(sys::fmt(100.0 * r.trace[std::min(k, r.trace.size() - 1)], 1));
+      }
+      table.add_row(row);
+    }
+    table.print();
+    first = last;
+  }
   std::printf(
       "\nShape check (paper): the x-axis is SB + landed flips, so higher-SB\n"
       "curves cost the attacker more total iterations for equal damage; at\n"
@@ -110,5 +79,10 @@ int main() {
       "curve stays at clean accuracy -- the paper's downgrade-to-random\n"
       "endpoint. Mid-SB gradation is compressed on this small substrate\n"
       "(see the README's scale notes).\n");
-  return 0;
+  std::printf("[harness] %zu scenarios on %zu threads in %.1fs\n", campaign.results.size(),
+              campaign.threads_used, campaign.total_seconds);
+  // A configured sink that failed to persist (e.g. unwritable DNND_JSON_OUT)
+  // must fail the bench: CI gates on the artifact existing.
+  return harness::write_campaign_from_env(campaign) == harness::SinkWriteStatus::kFailed ? 1
+                                                                                         : 0;
 }

@@ -28,6 +28,7 @@
 #include "attack/bfa.hpp"
 #include "bench_util.hpp"
 #include "harness/sink.hpp"
+#include "models/model_zoo.hpp"
 #include "nn/gemm.hpp"
 #include "nn/model.hpp"
 #include "nn/simd.hpp"

@@ -6,8 +6,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "models/model_zoo.hpp"
-#include "nn/trainer.hpp"
 #include "sys/table.hpp"
 
 namespace dnnd::bench {
@@ -36,19 +34,5 @@ class Stopwatch {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-/// Trains a zoo model on a dataset with bench-appropriate settings.
-inline std::unique_ptr<nn::Model> train_model(const std::string& arch,
-                                              const nn::SplitDataset& data, usize epochs,
-                                              u64 seed = 1, usize width_mult = 1) {
-  auto model = models::make_by_name(arch, data.spec.num_classes, seed, width_mult);
-  nn::TrainConfig cfg;
-  cfg.epochs = small_scale() ? std::max<usize>(2, epochs / 2) : epochs;
-  Stopwatch sw;
-  const auto report = nn::train(*model, data, cfg);
-  std::printf("[setup] trained %s: clean test acc %.2f%% (%.1fs)\n", model->name().c_str(),
-              100.0 * report.test_accuracy, sw.seconds());
-  return model;
-}
 
 }  // namespace dnnd::bench

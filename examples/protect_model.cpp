@@ -3,7 +3,6 @@
 // white-box attack -> report. Mirrors the deployment flow of paper Sec. 4.
 #include <cstdio>
 
-#include "attack/adaptive_attack.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/trainer.hpp"
 #include "system/protected_system.hpp"

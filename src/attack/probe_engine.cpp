@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace dnnd::attack {
 
@@ -146,6 +147,28 @@ SearchResult ProbeEngine::run(usize budget, const StopPredicate& done,
 
 void ProbeEngine::measure_committed(ProbeMeasurement& out) {
   objective_.measure(qm_.model().forward_incremental_logits(attack_x_), attack_y_, out);
+}
+
+AccuracyTrace trace_accuracy(nn::Model& model, const nn::Tensor& x, const std::vector<u32>& y,
+                             usize budget, usize every, double stop,
+                             const std::function<bool()>& step) {
+  if (every == 0) throw std::invalid_argument("trace_accuracy: every must be nonzero");
+  AccuracyTrace trace;
+  // Every measurement is on the same batch object, so after the first full
+  // forward each one re-runs only the layers below the earliest change since
+  // the last one (byte-identical to evaluate_batch); a step that forwarded
+  // another batch makes it a full pass.
+  auto measure_reaches_stop = [&] {
+    trace.accuracy.push_back(model.evaluate_batch_incremental(x, y).accuracy);
+    trace.reached_stop = trace.accuracy.back() <= stop;
+    return trace.reached_stop;
+  };
+  if (measure_reaches_stop()) return trace;
+  while (trace.steps < budget && step()) {
+    ++trace.steps;
+    if ((trace.steps % every == 0 || trace.steps == budget) && measure_reaches_stop()) break;
+  }
+  return trace;
 }
 
 }  // namespace dnnd::attack

@@ -21,21 +21,27 @@
 // The constructor owns the shared preamble: warm the activation cache with
 // one full forward, which also resolves the model's class count.
 //
-// run() is the one budget/stop loop: it steps until a stop predicate holds
-// on the committed flip's measurement, the flip budget is spent, or no
-// candidate is left, and says which. The BFA (ProgressiveBitSearch::run),
-// T-BFA (TbfaAttack::run), the campaign's limited-budget vwa-limited cell
-// and the binary-weight sign-bit attack (defense::software::attack_binary)
-// differ only in the objective and the predicate they pass. These drive
-// step() themselves, because they measure on the eval batch, undo each flip
-// or carry it through the DRAM: the adaptive attack, the campaign's trace
-// and reconstruction-guard loops, the priority profiler's blocked attacker,
-// and ProtectedSystem::white_box_step, the one white-box DRAM attack step
-// that run_white_box_attack and serve_regime's attack slots both call. All
-// but the adaptive attack go through ProgressiveBitSearch::step. The
-// campaign results are byte-identical to the pre-engine per-family loops
-// (the tiny-grid golden and the paper-model golden gate this at zero
-// tolerance).
+// run() is the one budget/stop loop on the attack batch: it steps until a
+// stop predicate holds on the committed flip's measurement, the flip budget
+// is spent, or no candidate is left, and says which. The BFA
+// (ProgressiveBitSearch::run), T-BFA (TbfaAttack::run), the campaign's
+// limited-budget vwa-limited cell and the binary-weight sign-bit attack
+// (defense::software::attack_binary) differ only in the objective and the
+// predicate they pass.
+//
+// trace_accuracy() is the one loop for attacks measured on a held-out eval
+// batch instead: it calls a step function and records the eval accuracy on
+// a fixed cadence. The campaign's adaptive, random, trace and
+// reconstruction-guard cells and ProtectedSystem::run_white_box_attack are
+// calls of it. These drive ProgressiveBitSearch::step themselves, because
+// they measure on the eval batch, skip a secured set, clamp after each flip,
+// undo each flip or carry it through the DRAM: the adaptive cell, the guard
+// and trace cells, the priority profiler's blocked attacker, and
+// ProtectedSystem::white_box_step, the one white-box DRAM attack step that
+// run_white_box_attack and serve_regime's attack slots both call (a random
+// cell steps RandomBitAttack::flip_one instead). The campaign results are
+// byte-identical to the pre-engine per-family loops (the tiny-grid golden
+// and the paper-model golden gate this at zero tolerance).
 #pragma once
 
 #include <functional>
@@ -142,5 +148,23 @@ class ProbeEngine {
   const nn::Tensor* clean_logits_;
   quant::BitSkipSet flipped_;  ///< bits this engine has already committed
 };
+
+/// One trace_accuracy run: the eval accuracies it measured (index 0 before
+/// any step), the steps taken, and whether a measurement reached the stop.
+struct AccuracyTrace {
+  std::vector<double> accuracy;
+  usize steps = 0;
+  bool reached_stop = false;
+};
+
+/// Measures evaluate_batch_incremental accuracy on (x, y) before the first
+/// step, after every `every`-th step and after step `budget`, calling
+/// `step` in between. Ends when `step` returns false (with no extra
+/// measurement), after `budget` steps, or when a measurement is <= `stop`;
+/// a negative `stop` never fires. Throws std::invalid_argument when `every`
+/// is zero (the cadence has no "never" setting).
+AccuracyTrace trace_accuracy(nn::Model& model, const nn::Tensor& x, const std::vector<u32>& y,
+                             usize budget, usize every, double stop,
+                             const std::function<bool()>& step);
 
 }  // namespace dnnd::attack

@@ -1,7 +1,5 @@
 #include "attack/random_attack.hpp"
 
-#include <stdexcept>
-
 namespace dnnd::attack {
 
 quant::BitLocation RandomBitAttack::flip_one(const quant::BitSkipSet& skip) {
@@ -21,26 +19,6 @@ quant::BitLocation RandomBitAttack::flip_one(const quant::BitSkipSet& skip) {
     qm_.flip(loc);
     return loc;
   }
-}
-
-RandomAttackResult RandomBitAttack::run(usize n_flips, const nn::Tensor& x,
-                                        const std::vector<u32>& y, usize measure_every) {
-  if (measure_every == 0) {
-    // i % 0 below is undefined behavior, not "measure never".
-    throw std::invalid_argument("random attack: measure_every must be nonzero");
-  }
-  RandomAttackResult result;
-  // Every measurement is on the same batch: after the first full forward,
-  // each one re-runs only the layers below the earliest flip since the last
-  // measurement (byte-identical to a full evaluate_batch).
-  result.accuracy_trace.push_back(qm_.model().evaluate_batch_incremental(x, y).accuracy);
-  for (usize i = 1; i <= n_flips; ++i) {
-    result.flips.push_back(flip_one());
-    if (i % measure_every == 0 || i == n_flips) {
-      result.accuracy_trace.push_back(qm_.model().evaluate_batch_incremental(x, y).accuracy);
-    }
-  }
-  return result;
 }
 
 }  // namespace dnnd::attack

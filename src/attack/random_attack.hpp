@@ -1,20 +1,13 @@
 // Random bit-flip attack baseline (the paper's Fig. 1(b) comparison): flips
 // uniformly-random weight bits. Orders of magnitude less effective than the
-// targeted BFA -- the gap DNN-Defender aims to restore.
+// targeted BFA -- the gap DNN-Defender aims to restore. Its accuracy curve
+// is attack::trace_accuracy stepping flip_one.
 #pragma once
 
-#include "nn/dataset.hpp"
 #include "quant/bit_gradient.hpp"
 #include "sys/rng.hpp"
 
 namespace dnnd::attack {
-
-struct RandomAttackResult {
-  std::vector<quant::BitLocation> flips;
-  /// Accuracy measured after every `measure_every` flips (index 0 = before
-  /// any flip).
-  std::vector<double> accuracy_trace;
-};
 
 class RandomBitAttack {
  public:
@@ -22,12 +15,6 @@ class RandomBitAttack {
 
   /// Flips one uniformly random bit (over all weight bits), skipping `skip`.
   quant::BitLocation flip_one(const quant::BitSkipSet& skip = {});
-
-  /// Flips `n_flips` random bits, recording accuracy on (x, y) every
-  /// `measure_every` flips. Throws std::invalid_argument when
-  /// `measure_every` is zero (the sampling period has no "never" setting).
-  RandomAttackResult run(usize n_flips, const nn::Tensor& x, const std::vector<u32>& y,
-                         usize measure_every = 10);
 
  private:
   quant::QuantizedModel& qm_;

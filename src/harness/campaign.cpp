@@ -4,10 +4,10 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
-#include "attack/adaptive_attack.hpp"
 #include "attack/random_attack.hpp"
 #include "attack/tbfa.hpp"
 #include "core/priority_profiler.hpp"
@@ -78,79 +78,75 @@ void run_scenario_impl(const Scenario& sc, ArtifactCache& cache, ScenarioResult&
 
   switch (sc.attack) {
     case AttackKind::kBfa: {
-      if (sc.reconstruction_guard) {
-        // Weight reconstruction (Li et al. DAC'20): clamp after every flip.
-        const defense::software::ReconstructionGuard guard(qm);
-        attack::BfaConfig bcfg = {};
-        bcfg.stop_accuracy = stop_acc;
-        attack::ProgressiveBitSearch bfa(qm, ax, ay, bcfg);
-        usize flips = 0;
-        double acc = r.clean_accuracy;
-        while (flips < sc.max_flips && acc > stop_acc) {
-          if (!bfa.step({}).has_value()) break;
-          ++flips;
-          guard.apply(qm);
-          acc = eval_acc();
-        }
-        r.post_accuracy = acc;
-        r.flips = flips_or_more(flips, acc <= stop_acc);
-      } else if (sc.record_trace) {
-        // Fig. 1b-style curve: accuracy after every committed flip, stopping
-        // at the random-guess level on the eval batch.
-        attack::BfaConfig bcfg = {};
-        bcfg.max_flips = sc.max_flips;
-        attack::ProgressiveBitSearch bfa(qm, ax, ay, bcfg);
-        r.trace.push_back(r.clean_accuracy);
-        for (usize i = 0; i < sc.max_flips; ++i) {
-          if (!bfa.step({}).has_value()) break;
-          r.trace.push_back(eval_acc());
-          if (r.trace.back() <= stop_acc) break;
-        }
-        r.post_accuracy = r.trace.back();
-        // Same ">N" not-reached marker as the non-trace branch: a budget- or
-        // candidate-exhausted attack that never hit stop accuracy must not
-        // report a bare count -- dnnd_diff treats the two spellings as
-        // different outcomes.
-        r.flips = flips_or_more(r.trace.size() - 1, r.trace.back() <= stop_acc);
-      } else {
-        attack::BfaConfig bcfg = {};
-        bcfg.max_flips = sc.max_flips;
-        bcfg.stop_accuracy = stop_acc;
-        attack::ProgressiveBitSearch bfa(qm, ax, ay, bcfg);
+      attack::BfaConfig bcfg = {};
+      bcfg.max_flips = sc.max_flips;
+      bcfg.stop_accuracy = stop_acc;
+      attack::ProgressiveBitSearch bfa(qm, ax, ay, bcfg);
+      if (!sc.reconstruction_guard && !sc.record_trace) {
         const auto res = bfa.run();
         r.post_accuracy = eval_acc();
         r.flips = flips_or_more(res.steps.size(), res.reached_stop());
+        return;
       }
+      // Measured on the eval batch after every committed flip, stopping at
+      // the stop accuracy: the weight-reconstruction guard (Li et al.
+      // DAC'20) clamps after every flip, and record_trace keeps the Fig.
+      // 1b-style curve.
+      std::optional<defense::software::ReconstructionGuard> guard;
+      if (sc.reconstruction_guard) guard.emplace(qm);
+      const auto t = attack::trace_accuracy(*model, ex, ey, sc.max_flips, 1, stop_acc, [&] {
+        if (!bfa.step({}).has_value()) return false;
+        if (guard) guard->apply(qm);
+        return true;
+      });
+      if (sc.record_trace) r.trace = t.accuracy;
+      r.post_accuracy = t.accuracy.back();
+      // A budget- or candidate-exhausted attack that never hit stop accuracy
+      // reports ">N": dnnd_diff treats the two spellings as different
+      // outcomes.
+      r.flips = flips_or_more(t.steps, t.reached_stop);
       return;
     }
 
     case AttackKind::kRandom: {
       attack::RandomBitAttack rnd(qm, sys::Rng(seed));
-      const auto res = rnd.run(sc.max_flips, ex, ey, sc.measure_every);
-      r.trace = res.accuracy_trace;
-      r.post_accuracy = r.trace.empty() ? r.clean_accuracy : r.trace.back();
-      r.flips = std::to_string(res.flips.size());
+      const auto t = attack::trace_accuracy(*model, ex, ey, sc.max_flips, sc.measure_every,
+                                            /*stop=*/-1.0, [&] {
+                                              rnd.flip_one();
+                                              return true;
+                                            });
+      r.trace = t.accuracy;
+      r.post_accuracy = r.trace.back();
+      r.flips = std::to_string(t.steps);
       return;
     }
 
     case AttackKind::kAdaptive: {
-      // Fig. 1b's full-coverage DNN-Defender deployment secures every bit
-      // of every weight row.
+      // The white-box attacker burns through the secured set without effect
+      // (every attempt there is refreshed away), then flips only bits
+      // outside it. The secured set is the row expansion of the first
+      // profile_bits blocked-attacker bits (Fig. 9's SB level), or every
+      // weight row for the full-coverage deployment (Fig. 1b).
       quant::BitSkipSet secured;
-      if (sc.secure_all_weight_rows) {
+      if (sc.secure_all_weight_rows || sc.use_dnn_defender) {
         const mapping::WeightMapping map(qm, sc.dram);
-        r.secured_rows = map.weight_rows().size();
-        secured = map.bits_in_rows(map.weight_rows());
+        std::vector<dram::RowAddr> rows = map.weight_rows();
+        if (!sc.secure_all_weight_rows) {
+          core::PriorityProfiler profiler(qm, ax, ay);
+          rows = core::PriorityProfiler::target_rows(
+              profiler.profile_blocked_attacker(sc.profile_bits), map);
+        }
+        r.secured_rows = rows.size();
+        secured = map.bits_in_rows(rows);
       }
-      attack::AdaptiveAttackConfig acfg = {};
-      acfg.max_additional_flips = sc.max_flips;
-      acfg.measure_every = sc.measure_every;
-      attack::AdaptiveWhiteBoxAttack atk(qm, ax, ay, ex, ey, acfg);
-      const auto res = atk.run(secured);
-      r.trace = res.accuracy_trace;
+      attack::ProgressiveBitSearch bfa(qm, ax, ay);
+      const auto t = attack::trace_accuracy(*model, ex, ey, sc.max_flips, sc.measure_every,
+                                            /*stop=*/-1.0,
+                                            [&] { return bfa.step(secured).has_value(); });
+      r.trace = t.accuracy;
       r.secured_bits = secured.size();
-      r.post_accuracy = r.trace.empty() ? r.clean_accuracy : r.trace.back();
-      r.flips = std::to_string(res.landed_flips.size());
+      r.post_accuracy = r.trace.back();
+      r.flips = std::to_string(t.steps);
       return;
     }
 

@@ -12,7 +12,7 @@ namespace dnnd::harness {
 
 namespace {
 
-/// Bench-compatible epoch shrink (bench_util::train_model small mode).
+/// DNND_BENCH_SCALE=small epoch shrink: half the epochs, at least two.
 usize scaled_epochs(bool small, usize epochs) {
   return small ? std::max<usize>(2, epochs / 2) : epochs;
 }
@@ -226,6 +226,51 @@ std::vector<Scenario> fig1b_scenarios(bool small) {
     sc.max_flips = random_budget;
     sc.measure_every = 10;
     grid.push_back(common(sc));
+  }
+  return grid;
+}
+
+std::vector<Scenario> fig9_scenarios(bool small) {
+  struct Panel {
+    const char* arch;
+    DatasetKind dataset;
+  };
+  const std::vector<usize> sb_levels =
+      small ? std::vector<usize>{8, 32} : std::vector<usize>{8, 16, 32, 64};
+
+  std::vector<Scenario> grid;
+  for (const Panel& panel : {Panel{"vgg11", DatasetKind::kCifar10Like},
+                             Panel{"resnet18", DatasetKind::kImagenetLike},
+                             Panel{"resnet34", DatasetKind::kImagenetLike}}) {
+    auto cell = [&](const std::string& slug, const std::string& label) {
+      Scenario sc;
+      sc.id = "fig9/" + std::string(panel.arch) + "/" + slug;
+      sc.label = label;
+      sc.dataset = panel.dataset;
+      sc.train = TrainSpec{.arch = panel.arch, .width_mult = 1,
+                           .epochs = scaled_epochs(small, 6), .seed = 1};
+      sc.attack = AttackKind::kAdaptive;
+      sc.defense = "DNN-Defender";
+      sc.attack_batch = small ? 20 : 28;
+      sc.eval_batch = small ? 100 : 240;
+      sc.max_flips = small ? 20 : 40;
+      sc.measure_every = 10;
+      return sc;
+    };
+    // One secured bit secures one row: effectively unprotected.
+    Scenario baseline = cell("baseline", "none (baseline)");
+    baseline.use_dnn_defender = true;
+    baseline.profile_bits = 1;
+    grid.push_back(baseline);
+    for (const usize sb : sb_levels) {
+      Scenario sc = cell("sb-" + std::to_string(sb), std::to_string(sb));
+      sc.use_dnn_defender = true;
+      sc.profile_bits = sb;
+      grid.push_back(sc);
+    }
+    Scenario full = cell("full-coverage", "full row coverage");
+    full.secure_all_weight_rows = true;
+    grid.push_back(full);
   }
   return grid;
 }

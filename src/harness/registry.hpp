@@ -1,9 +1,9 @@
 // Scenario registry: enumerates the paper's evaluation grids as Scenario
 // lists for CampaignRunner.
 //
-// table3_scenarios / fig1b_scenarios reproduce the exact cells (labels,
-// budgets, seeds) of the corresponding paper tables/figures -- the bench
-// binaries are thin drivers over these. enumerate_grid() builds arbitrary
+// table3_scenarios / fig1b_scenarios / fig9_scenarios reproduce the exact
+// cells (labels, budgets, seeds) of the corresponding paper tables/figures --
+// the bench binaries are thin drivers over these. enumerate_grid() builds arbitrary
 // attack x defense x model x DramConfig cross-products for wider sweeps, and
 // tiny_test_grid() is a seconds-fast grid covering every attack path for the
 // determinism regression tests.
@@ -22,6 +22,13 @@ std::vector<Scenario> table3_scenarios(bool small);
 /// Fig. 1(b): targeted BFA vs random flipping vs a full-coverage
 /// DNN-Defender deployment (ResNet-34 on the ImageNet stand-in).
 std::vector<Scenario> fig1b_scenarios(bool small);
+
+/// Fig. 9: the adaptive white-box attack against DNN-Defender at increasing
+/// Secured Bits (the row expansion of the first SB blocked-attacker bits),
+/// plus an effectively unprotected baseline (one bit) and full row coverage,
+/// on VGG-11 (CIFAR-10 stand-in), ResNet-18 and ResNet-34 (ImageNet
+/// stand-in). Cells are grouped by model, in panel order.
+std::vector<Scenario> fig9_scenarios(bool small);
 
 /// Fast all-paths grid (tiny MLP, easy data): one scenario per attack kind
 /// plus software- and hardware-defended variants. Used by test_harness.
@@ -93,8 +100,8 @@ GridSpec grid_spec_from_env(bool small);
 
 /// The scenario list a sharded run operates on: tiny_test_grid() when `tiny`
 /// (the CI baseline grid), else enumerate_grid(grid_spec_from_env(small)).
-/// Every dnnd_shard invocation and sharded bench_grid run against one run
-/// directory must resolve this identically or cells/merge won't line up.
+/// Every dnnd_shard invocation against one run directory must resolve this
+/// identically or cells/merge won't line up.
 std::vector<Scenario> grid_from_env(bool tiny, bool small);
 
 }  // namespace dnnd::harness

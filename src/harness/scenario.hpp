@@ -123,11 +123,14 @@ struct Scenario {
   bool reconstruction_guard = false;
   /// Hardware mitigation (kDramWhiteBox only); null = undefended device.
   MitigationFactory mitigation;
-  /// Install DNN-Defender via the priority profiler (kDramWhiteBox only).
+  /// Protect the rows of the priority profiler's blocked-attacker bits.
+  /// kDramWhiteBox installs DNN-Defender on them; kAdaptive secures every
+  /// bit of those rows (Fig. 9's SB level).
   bool use_dnn_defender = false;
   /// Profiled bits for use_dnn_defender (profile_blocked_attacker budget).
   usize profile_bits = 60;
-  /// kAdaptive: secure every bit of every weight row (full-coverage SB set).
+  /// kAdaptive: secure every bit of every weight row (full-coverage SB set;
+  /// takes precedence over use_dnn_defender).
   bool secure_all_weight_rows = false;
   /// Display name of the defense (tables/JSON).
   std::string defense = "none";

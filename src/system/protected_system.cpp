@@ -102,28 +102,18 @@ SystemAttackResult ProtectedSystem::run_white_box_attack(
     const nn::Tensor& attack_x, const std::vector<u32>& attack_y, const nn::Tensor& eval_x,
     const std::vector<u32>& eval_y, usize max_attempts, double stop_accuracy) {
   SystemAttackResult result;
-  result.initial_accuracy = qm_.model().evaluate_batch(eval_x, eval_y).accuracy;
-  result.final_accuracy = result.initial_accuracy;
-
   attack::ProgressiveBitSearch search(qm_, attack_x, attack_y);
   quant::BitSkipSet learned_blocked;
-  while (result.attempts < max_attempts) {
-    const auto attempt = white_box_step(search, learned_blocked);
-    if (!attempt.has_value()) break;
-    result.attempts += 1;
-    if (attempt->success) {
-      result.landed += 1;
-    } else {
-      result.blocked += 1;
-    }
-    // The DRAM sync in attack_bit rewrote only the codes that actually
-    // changed (set_q no-ops on identical values), so a blocked attempt
-    // leaves the forward cache fully clean and this measurement costs almost
-    // nothing; the incremental helper falls back to a full pass when the
-    // cache sits on the attack batch instead.
-    result.final_accuracy = qm_.model().evaluate_batch_incremental(eval_x, eval_y).accuracy;
-    if (result.final_accuracy <= stop_accuracy) break;
-  }
+  const auto trace = attack::trace_accuracy(
+      qm_.model(), eval_x, eval_y, max_attempts, 1, stop_accuracy, [&] {
+        const auto attempt = white_box_step(search, learned_blocked);
+        if (!attempt.has_value()) return false;
+        ++(attempt->success ? result.landed : result.blocked);
+        return true;
+      });
+  result.attempts = trace.steps;
+  result.initial_accuracy = trace.accuracy.front();
+  result.final_accuracy = trace.accuracy.back();
   return result;
 }
 

@@ -99,10 +99,11 @@ class ProtectedSystem {
   std::optional<attack::FlipAttempt> white_box_step(attack::ProgressiveBitSearch& search,
                                                     quant::BitSkipSet& blocked);
 
-  /// Full-stack white-box BFA campaign: white_box_step with a default
-  /// ProgressiveBitSearch on (attack_x, attack_y) until the accuracy on
-  /// (eval_x, eval_y) is <= stop_accuracy, the attempt budget is spent, or
-  /// the search has no candidate left.
+  /// Full-stack white-box BFA campaign: attack::trace_accuracy over
+  /// white_box_step with a default ProgressiveBitSearch on (attack_x,
+  /// attack_y), measuring (eval_x, eval_y) after every attempt, until that
+  /// accuracy is <= stop_accuracy, the attempt budget is spent, or the
+  /// search has no candidate left.
   SystemAttackResult run_white_box_attack(const nn::Tensor& attack_x,
                                           const std::vector<u32>& attack_y,
                                           const nn::Tensor& eval_x,

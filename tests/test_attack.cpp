@@ -3,7 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "attack/adaptive_attack.hpp"
 #include "attack/bfa.hpp"
 #include "attack/deephammer.hpp"
 #include "attack/random_attack.hpp"
@@ -175,8 +174,12 @@ TEST_F(BfaFixture, RandomAttackIsFarWeaker) {
   ASSERT_GE(targeted.steps.size(), 1u);
 
   RandomBitAttack rnd(qm_, sys::Rng(11));
-  const auto random_res = rnd.run(targeted.steps.size(), ax_, ay_, targeted.steps.size());
-  const double random_acc = random_res.accuracy_trace.back();
+  const auto random_res = trace_accuracy(qm_.model(), ax_, ay_, targeted.steps.size(),
+                                         targeted.steps.size(), /*stop=*/-1.0, [&] {
+                                           rnd.flip_one();
+                                           return true;
+                                         });
+  const double random_acc = random_res.accuracy.back();
   EXPECT_GT(random_acc, testutil::last(targeted).accuracy + 0.3)
       << "random attack should be far weaker at equal flip budget";
 }
@@ -194,34 +197,92 @@ TEST_F(BfaFixture, RandomAttackRespectsSkipSet) {
   }
 }
 
-TEST_F(BfaFixture, RandomAttackZeroMeasurePeriodThrows) {
-  // Regression: measure_every == 0 used to reach `flips % measure_every`
-  // (division by zero) instead of failing loudly at the API boundary.
-  RandomBitAttack rnd(qm_, sys::Rng(3));
-  EXPECT_THROW(rnd.run(10, ax_, ay_, /*measure_every=*/0), std::invalid_argument);
+TEST_F(BfaFixture, TraceAccuracyMeasuresOnItsCadence) {
+  // Budget 7, every 3: measurements at steps 0, 3, 6 and 7 (the last step).
+  // The oracle replays the same BFA on a second copy of the model and
+  // measures after every step.
+  auto [ex, ey] = easy_data().test.head(60);
+  ProgressiveBitSearch bfa(qm_, ax_, ay_);
+  usize calls = 0;
+  const auto trace = trace_accuracy(qm_.model(), ex, ey, 7, 3, /*stop=*/-1.0, [&] {
+    ++calls;
+    return bfa.step({}).has_value();
+  });
+  EXPECT_EQ(calls, 7u);
+  EXPECT_EQ(trace.steps, 7u);
+  EXPECT_FALSE(trace.reached_stop);
+
+  auto model2 = trained_mlp();
+  quant::QuantizedModel qm2(*model2);
+  ProgressiveBitSearch replay(qm2, ax_, ay_);
+  std::vector<double> every_step{model2->evaluate_batch(ex, ey).accuracy};
+  for (int k = 1; k <= 7; ++k) {
+    ASSERT_TRUE(replay.step({}).has_value());
+    every_step.push_back(model2->evaluate_batch(ex, ey).accuracy);
+  }
+  EXPECT_EQ(trace.accuracy,
+            (std::vector<double>{every_step[0], every_step[3], every_step[6], every_step[7]}));
 }
 
-TEST_F(BfaFixture, AdaptiveAttackZeroMeasurePeriodThrows) {
-  auto [ex, ey] = easy_data().test.head(60);
-  AdaptiveAttackConfig cfg;
-  cfg.measure_every = 0;
-  EXPECT_THROW(AdaptiveWhiteBoxAttack(qm_, ax_, ay_, ex, ey, cfg),
+TEST_F(BfaFixture, TraceAccuracyTakesNoExtraMeasurementWhenStepStops) {
+  // The fifth step fails: four steps taken, measured only at 0 and 3.
+  usize calls = 0;
+  const auto trace = trace_accuracy(qm_.model(), ax_, ay_, 10, 3, /*stop=*/-1.0,
+                                    [&] { return ++calls < 5; });
+  EXPECT_EQ(calls, 5u);
+  EXPECT_EQ(trace.steps, 4u);
+  EXPECT_EQ(trace.accuracy.size(), 2u);
+  EXPECT_FALSE(trace.reached_stop);
+}
+
+TEST_F(BfaFixture, TraceAccuracyStopOnInitialMeasurementTakesNoStep) {
+  usize calls = 0;
+  const auto trace = trace_accuracy(qm_.model(), ax_, ay_, 10, 1, /*stop=*/1.0, [&] {
+    ++calls;
+    return true;
+  });
+  EXPECT_EQ(calls, 0u);
+  EXPECT_EQ(trace.steps, 0u);
+  EXPECT_EQ(trace.accuracy.size(), 1u);
+  EXPECT_TRUE(trace.reached_stop);
+}
+
+TEST_F(BfaFixture, TraceAccuracyStopsAfterTheStepThatReachesStop) {
+  ProgressiveBitSearch bfa(qm_, ax_, ay_);
+  usize calls = 0;
+  const auto trace = trace_accuracy(qm_.model(), ax_, ay_, 60, 1, /*stop=*/0.55, [&] {
+    ++calls;
+    return bfa.step({}).has_value();
+  });
+  EXPECT_TRUE(trace.reached_stop);
+  EXPECT_GE(trace.steps, 1u);
+  EXPECT_EQ(calls, trace.steps);
+  ASSERT_EQ(trace.accuracy.size(), trace.steps + 1);
+  EXPECT_LE(trace.accuracy.back(), 0.55);
+  for (usize k = 0; k + 1 < trace.accuracy.size(); ++k) EXPECT_GT(trace.accuracy[k], 0.55);
+}
+
+TEST_F(BfaFixture, TraceAccuracyZeroPeriodThrows) {
+  // A zero sampling period has no "never" meaning: it throws before any
+  // step instead of reaching `steps % 0`.
+  usize calls = 0;
+  EXPECT_THROW(trace_accuracy(qm_.model(), ax_, ay_, 10, /*every=*/0, /*stop=*/-1.0,
+                              [&] { return ++calls > 0; }),
                std::invalid_argument);
+  EXPECT_EQ(calls, 0u);
 }
 
 TEST_F(BfaFixture, AdaptiveAttackTraceShape) {
   auto [ex, ey] = easy_data().test.head(60);
-  AdaptiveAttackConfig cfg;
-  cfg.max_additional_flips = 20;
-  cfg.measure_every = 10;
-  AdaptiveWhiteBoxAttack attack(qm_, ax_, ay_, ex, ey, cfg);
   quant::BitSkipSet secured;  // nothing secured
-  const auto res = attack.run(secured);
-  EXPECT_EQ(res.secured_bits, 0u);
-  EXPECT_GE(res.accuracy_trace.size(), 2u);
-  EXPECT_LE(res.landed_flips.size(), 20u);
+  ProgressiveBitSearch bfa(qm_, ax_, ay_);
+  const auto res = trace_accuracy(qm_.model(), ex, ey, 20, 10, /*stop=*/-1.0,
+                                  [&] { return bfa.step(secured).has_value(); });
+  EXPECT_EQ(secured.size(), 0u);
+  EXPECT_GE(res.accuracy.size(), 2u);
+  EXPECT_LE(res.steps, 20u);
   // Accuracy must not increase as flips land.
-  EXPECT_LE(res.accuracy_trace.back(), res.accuracy_trace.front() + 1e-9);
+  EXPECT_LE(res.accuracy.back(), res.accuracy.front() + 1e-9);
 }
 
 TEST_F(BfaFixture, AdaptiveAttackWithEverythingSecuredLandsNothing) {
@@ -232,13 +293,12 @@ TEST_F(BfaFixture, AdaptiveAttackWithEverythingSecuredLandsNothing) {
       for (u32 b = 0; b < 8; ++b) secured.insert({l, i, b});
     }
   }
-  AdaptiveAttackConfig cfg;
-  cfg.max_additional_flips = 10;
-  AdaptiveWhiteBoxAttack attack(qm_, ax_, ay_, ex, ey, cfg);
-  const auto res = attack.run(secured);
-  EXPECT_TRUE(res.landed_flips.empty());
+  ProgressiveBitSearch bfa(qm_, ax_, ay_);
+  const auto res = trace_accuracy(qm_.model(), ex, ey, 10, 10, /*stop=*/-1.0,
+                                  [&] { return bfa.step(secured).has_value(); });
+  EXPECT_EQ(res.steps, 0u);
   // Trace stays at clean accuracy.
-  for (double a : res.accuracy_trace) EXPECT_DOUBLE_EQ(a, res.accuracy_trace.front());
+  for (double a : res.accuracy) EXPECT_DOUBLE_EQ(a, res.accuracy.front());
 }
 
 TEST_F(BfaFixture, StopThresholdUsesModelClassCountNotBatchLabels) {

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <thread>
 
+#include "attack/bfa.hpp"
+#include "core/priority_profiler.hpp"
 #include "dram/dram_device.hpp"
 #include "dram/row_remapper.hpp"
 #include "harness/campaign.hpp"
@@ -62,9 +64,13 @@ TEST(Registry, GridsEnumerateWithUniqueIds) {
     EXPECT_EQ(t3.size(), 10u) << "paper Table 3 has 10 rows";
     const auto f1b = fig1b_scenarios(small);
     EXPECT_EQ(f1b.size(), 3u) << "paper Fig. 1(b) has 3 curves";
+    const auto f9 = fig9_scenarios(small);
+    EXPECT_EQ(f9.size(), small ? 12u : 18u)
+        << "paper Fig. 9: three panels of baseline, SB levels and full coverage";
     std::set<std::string> ids;
     for (const auto& sc : t3) EXPECT_TRUE(ids.insert(sc.id).second) << sc.id;
     for (const auto& sc : f1b) EXPECT_TRUE(ids.insert(sc.id).second) << sc.id;
+    for (const auto& sc : f9) EXPECT_TRUE(ids.insert(sc.id).second) << sc.id;
   }
   GridSpec spec;
   spec.models = {"resnet20", "vgg11"};
@@ -281,6 +287,54 @@ TEST(Campaign, VwaZeroBudgetCellFails) {
   const ScenarioResult r = CampaignRunner::run_scenario(sc, cache);
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.error, "vwa-limited: flip_budget must be nonzero");
+}
+
+TEST(Campaign, AdaptiveCellSecuresTheProfiledRows) {
+  // A kAdaptive cell with use_dnn_defender secures the row expansion of the
+  // first profile_bits blocked-attacker bits. The oracle is the direct path:
+  // profile a longer blocked-attacker trajectory, take the rows of its first
+  // profile_bits bits, expand them, and trace the adaptive search with that
+  // skip set.
+  const auto grid = tiny_test_grid();
+  const auto it = std::find_if(grid.begin(), grid.end(),
+                               [](const Scenario& sc) { return sc.id == "tiny/adaptive"; });
+  ASSERT_NE(it, grid.end());
+  Scenario sc = *it;
+  sc.secure_all_weight_rows = false;
+  sc.use_dnn_defender = true;
+  // On this model the first 15, 16 and 17 blocked-attacker bits fall in 3,
+  // 4 and 5 rows, so a cell that profiled one bit too few or too many shows.
+  sc.profile_bits = 16;
+  ArtifactCache cache;
+  const ScenarioResult r = CampaignRunner::run_scenario(sc, cache);
+  ASSERT_TRUE(r.ok) << r.error;
+
+  auto model = cache.trained_model(sc.dataset, sc.train);
+  quant::QuantizedModel qm(*model);
+  const nn::SplitDataset& data = cache.dataset(sc.dataset);
+  auto [ax, ay] = data.test.head(sc.attack_batch);
+  auto [ex, ey] = data.test.head(sc.eval_batch);
+  const mapping::WeightMapping map(qm, sc.dram);
+  core::PriorityProfiler profiler(qm, ax, ay);
+  const auto rows = core::PriorityProfiler::target_rows(
+      profiler.profile_blocked_attacker(2 * sc.profile_bits), map, sc.profile_bits);
+  // The cell profiles only profile_bits bits: the same rows, because a
+  // blocked-attacker trajectory is a prefix of every longer one.
+  EXPECT_EQ(core::PriorityProfiler::target_rows(
+                profiler.profile_blocked_attacker(sc.profile_bits), map),
+            rows);
+  const quant::BitSkipSet secured = map.bits_in_rows(rows);
+  attack::ProgressiveBitSearch bfa(qm, ax, ay);
+  const auto oracle =
+      attack::trace_accuracy(*model, ex, ey, sc.max_flips, sc.measure_every, /*stop=*/-1.0,
+                             [&] { return bfa.step(secured).has_value(); });
+
+  ASSERT_GT(rows.size(), 1u);
+  EXPECT_LT(rows.size(), map.weight_rows().size()) << "a partial SB level, not full coverage";
+  EXPECT_EQ(r.secured_rows, rows.size());
+  EXPECT_EQ(r.secured_bits, secured.size());
+  EXPECT_EQ(r.trace, oracle.accuracy);
+  EXPECT_EQ(r.flips, std::to_string(oracle.steps));
 }
 
 TEST(Json, WriterShapesAreWellFormed) {

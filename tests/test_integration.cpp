@@ -5,7 +5,6 @@
 // clean accuracy under attack.
 #include <gtest/gtest.h>
 
-#include "attack/adaptive_attack.hpp"
 #include "attack/random_attack.hpp"
 #include "defense/rrs.hpp"
 #include "defense/shadow.hpp"
@@ -56,8 +55,12 @@ TEST(Paper, TargetedBfaBeatsRandomByOrderOfMagnitude) {
   auto m2 = trained_mlp();
   quant::QuantizedModel q2(*m2);
   attack::RandomBitAttack rnd(q2, sys::Rng(21));
-  const auto random = rnd.run(10 * targeted.steps.size(), ax, ay, 10 * targeted.steps.size());
-  EXPECT_GT(random.accuracy_trace.back(), testutil::last(targeted).accuracy + 0.25)
+  const usize budget = 10 * targeted.steps.size();
+  const auto random = attack::trace_accuracy(*m2, ax, ay, budget, budget, /*stop=*/-1.0, [&] {
+    rnd.flip_one();
+    return true;
+  });
+  EXPECT_GT(random.accuracy.back(), testutil::last(targeted).accuracy + 0.25)
       << "random flips at 10x budget should leave the model largely intact";
 }
 
@@ -130,12 +133,11 @@ TEST(Paper, MoreSecuredBitsRequireMoreAttackEffort) {
   for (usize sb : {usize{0}, profile.total_bits()}) {
     auto m = trained_mlp();
     quant::QuantizedModel q(*m);
-    attack::AdaptiveAttackConfig acfg;
-    acfg.max_additional_flips = budget;
-    acfg.measure_every = budget;
-    attack::AdaptiveWhiteBoxAttack attack(q, ax, ay, ax, ay, acfg);
-    const auto res = attack.run(profile.secured_set(sb));
-    final_acc.push_back(res.accuracy_trace.back());
+    const quant::BitSkipSet secured = profile.secured_set(sb);
+    attack::ProgressiveBitSearch bfa(q, ax, ay);
+    const auto res = attack::trace_accuracy(*m, ax, ay, budget, budget, /*stop=*/-1.0,
+                                            [&] { return bfa.step(secured).has_value(); });
+    final_acc.push_back(res.accuracy.back());
   }
   EXPECT_GE(final_acc[1], final_acc[0])
       << "securing all profiled bits must not make the attack stronger";
